@@ -149,31 +149,29 @@ def _causal_mask(length):
 
 
 def attention_forward(x, cfg, params, seq_len=None, prefix=""):
-    """Multi-head causal self-attention over each seq_len segment of x."""
-    n = x.shape[0]
+    """Multi-head causal self-attention over each seq_len segment of x.
+
+    The segments and heads run as one batched pass over [b, h, s, head_dim];
+    every matmul loops over the leading axes, so each segment's projections
+    are the same per-segment products a loop over segments would compute.
+    """
+    n, d = x.shape
     s = n if seq_len is None else seq_len
     if n % s != 0:
         raise ValueError(f"{n} tokens not divisible by seq_len {s}")
-    scale = cfg.head_dim ** -0.5
-    mask = _causal_mask(s)
-    outs = []
-    for b in range(n // s):
-        xs = T.row_slice(x, b * s, (b + 1) * s) if n != s else x
-        q = T.matmul(xs, params[prefix + "wq"])
-        k = T.matmul(xs, params[prefix + "wk"])
-        v = T.matmul(xs, params[prefix + "wv"])
-        heads = []
-        for h in range(cfg.n_heads):
-            j0, j1 = h * cfg.head_dim, (h + 1) * cfg.head_dim
-            qh = T.col_slice(q, j0, j1)
-            kh = T.col_slice(k, j0, j1)
-            vh = T.col_slice(v, j0, j1)
-            scores = T.add(T.mul(T.matmul(qh, T.transpose(kh)), scale), mask)
-            attn = T.softmax(scores, axis=-1)
-            heads.append(T.matmul(attn, vh))
-        merged = heads[0] if len(heads) == 1 else T.concat_cols(heads)
-        outs.append(T.matmul(merged, params[prefix + "wo"]))
-    return outs[0] if len(outs) == 1 else T.concat_rows(outs)
+    b, h, dh = n // s, cfg.n_heads, cfg.head_dim
+    xs = T.reshape(x, (b, s, d))
+
+    def split_heads(name):  # [b, s, h*dh] -> [b, h, s, dh]
+        proj = T.matmul(xs, params[prefix + name])
+        return T.permute(T.reshape(proj, (b, s, h, dh)), (0, 2, 1, 3))
+
+    q, k, v = split_heads("wq"), split_heads("wk"), split_heads("wv")
+    scores = T.add(T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))), dh ** -0.5),
+                   _causal_mask(s))
+    heads = T.matmul(T.softmax(scores, axis=-1), v)
+    merged = T.reshape(T.permute(heads, (0, 2, 1, 3)), (b, s, h * dh))
+    return T.reshape(T.matmul(merged, params[prefix + "wo"]), (n, d))
 
 
 def ffn_forward(x, cfg, params, prefix=""):
@@ -249,7 +247,7 @@ def load_balance_aux_loss(scores, decision=None):
     """
     data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n, n_experts = data.shape
-    top1 = np.array([T.top_k_indices(data[tok], 1)[0] for tok in range(n)])
+    top1 = data.argmax(axis=1)  # first maximum: lowest-index ties, as top_k_indices
     frac = np.bincount(top1, minlength=n_experts) / n
     mean_scores = T.tmean(scores, axis=0) if isinstance(scores, Tensor) else Tensor(
         data.mean(axis=0)

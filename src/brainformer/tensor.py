@@ -1,8 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: 1-D/2-D arrays, 2-D matmul, and the handful of
+Deliberately small: N-D arrays, batched matmul over leading axes,
+reshape/permute for laying out attention heads, and the handful of
 gather/scatter ops that token dispatch needs. Everything is float64 so
 finite-difference gradient checks are meaningful.
+
+Writing an op: build the output with ``_make(data, parents, backward)``,
+where ``backward(g)`` receives the gradient of the output and accumulates
+into the parents with ``_accum``. A backward closure may capture its
+parents and plain arrays, but never the output tensor itself: a graph
+without reference cycles is freed by refcount as soon as the loss is
+dropped, with no help from the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def _coerce(x):
@@ -142,69 +150,75 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _coerce(a), _coerce(b)
-    out_data = a.data + b.data
 
-    def backward():
-        g = out.grad
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
-    out_data = a.data * b.data
 
-    def backward():
-        g = out.grad
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b):
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul expects operands of >= 2 dims, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
 
-    def backward():
-        g = out.grad
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data @ b.data, (a, b), backward)
 
 
-def transpose(a):
-    a = _coerce(a)
+def reshape(x, shape):
+    x = _coerce(x)
 
-    def backward():
-        _accum(a, out.grad.T)
+    def backward(g):
+        _accum(x, g.reshape(x.data.shape))
 
-    out = _make(a.data.T, (a,), backward)
-    return out
+    return _make(x.data.reshape(shape), (x,), backward)
+
+
+def permute(x, axes):
+    """Reorder axes: out.shape[i] == x.shape[axes[i]]."""
+    x = _coerce(x)
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        _accum(x, g.transpose(inverse))
+
+    return _make(x.data.transpose(axes), (x,), backward)
 
 
 def tsum(a, axis=None, keepdims=False):
     a = _coerce(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def tmean(a, axis=None):
@@ -220,13 +234,11 @@ def softmax(x, axis=-1):
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(x, y * (g - dot))
 
-    out = _make(y, (x,), backward)
-    return out
+    return _make(y, (x,), backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-6):
@@ -243,8 +255,7 @@ def layer_norm(x, gain, bias, eps=1e-6):
     xhat = (x.data - mu) * inv_sigma
     y = xhat * gain.data + bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         gy = g * gain.data
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))
@@ -252,19 +263,17 @@ def layer_norm(x, gain, bias, eps=1e-6):
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv_sigma * (gy - m1 - xhat * m2))
 
-    out = _make(y, (x, gain, bias), backward)
-    return out
+    return _make(y, (x, gain, bias), backward)
 
 
 def relu(x):
     x = _coerce(x)
     mask = x.data > 0
 
-    def backward():
-        _accum(x, out.grad * mask)
+    def backward(g):
+        _accum(x, g * mask)
 
-    out = _make(x.data * mask, (x,), backward)
-    return out
+    return _make(x.data * mask, (x,), backward)
 
 
 def gelu(x):
@@ -273,12 +282,11 @@ def gelu(x):
     phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     y = x.data * phi
 
-    def backward():
+    def backward(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        _accum(x, out.grad * (phi + x.data * pdf))
+        _accum(x, g * (phi + x.data * pdf))
 
-    out = _make(y, (x,), backward)
-    return out
+    return _make(y, (x,), backward)
 
 
 def cross_entropy(logits, targets):
@@ -296,15 +304,13 @@ def cross_entropy(logits, targets):
     picked = logits.data[np.arange(n), targets]
     loss = (lse - picked).mean()
 
-    def backward():
-        g = out.grad.reshape(())
+    def backward(g):
         probs = np.exp(z)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(n), targets] -= 1.0
         _accum(logits, probs * (float(g) / n))
 
-    out = _make(np.float64(loss), (logits,), backward)
-    return out
+    return _make(np.float64(loss), (logits,), backward)
 
 
 def take_rows(x, idx):
@@ -312,13 +318,12 @@ def take_rows(x, idx):
     x = _coerce(x)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def backward():
-        g = np.zeros_like(x.data)
-        np.add.at(g, idx, out.grad)
-        _accum(x, g)
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        _accum(x, gx)
 
-    out = _make(x.data[idx], (x,), backward)
-    return out
+    return _make(x.data[idx], (x,), backward)
 
 
 def scatter_rows(values, idx, n_rows):
@@ -328,11 +333,10 @@ def scatter_rows(values, idx, n_rows):
     data = np.zeros((n_rows,) + values.data.shape[1:], dtype=np.float64)
     np.add.at(data, idx, values.data)
 
-    def backward():
-        _accum(values, out.grad[idx])
+    def backward(g):
+        _accum(values, g[idx])
 
-    out = _make(data, (values,), backward)
-    return out
+    return _make(data, (values,), backward)
 
 
 def take_entries(x, rows, cols):
@@ -341,63 +345,12 @@ def take_entries(x, rows, cols):
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
 
-    def backward():
-        g = np.zeros_like(x.data)
-        np.add.at(g, (rows, cols), out.grad[:, 0])
-        _accum(x, g)
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (rows, cols), g[:, 0])
+        _accum(x, gx)
 
-    out = _make(x.data[rows, cols][:, None], (x,), backward)
-    return out
-
-
-def col_slice(x, j0, j1):
-    x = _coerce(x)
-
-    def backward():
-        g = np.zeros_like(x.data)
-        g[:, j0:j1] = out.grad
-        _accum(x, g)
-
-    out = _make(x.data[:, j0:j1].copy(), (x,), backward)
-    return out
-
-
-def row_slice(x, i0, i1):
-    x = _coerce(x)
-
-    def backward():
-        g = np.zeros_like(x.data)
-        g[i0:i1] = out.grad
-        _accum(x, g)
-
-    out = _make(x.data[i0:i1].copy(), (x,), backward)
-    return out
-
-
-def concat_rows(parts):
-    parts = [_coerce(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        for p, o0, o1 in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, out.grad[o0:o1])
-
-    out = _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
-    return out
-
-
-def concat_cols(parts):
-    parts = [_coerce(p) for p in parts]
-    sizes = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        for p, o0, o1 in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, out.grad[:, o0:o1])
-
-    out = _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
-    return out
+    return _make(x.data[rows, cols][:, None], (x,), backward)
 
 
 def top_k_indices(scores, k):

@@ -85,3 +85,27 @@ def expert_choice_oracle(scores, capacity):
         for t in ranked[:capacity]:
             assignments.append((t, e, float(scores[t, e])))
     return assignments
+
+
+def attention_oracle(x, params, n_heads, head_dim, seq_len=None):
+    """Causal multi-head attention as a loop over sequences and heads.
+
+    Numpy only: reads the arrays behind the ``wq``/``wk``/``wv``/``wo``
+    Tensors. Each segment of ``seq_len`` rows is its own sequence.
+    """
+    w = {k: params[k].data for k in ("wq", "wk", "wv", "wo")}
+    n = x.shape[0]
+    s = n if seq_len is None else seq_len
+    outs = []
+    for b in range(n // s):
+        xs = x[b * s:(b + 1) * s]
+        q, k, v = xs @ w["wq"], xs @ w["wk"], xs @ w["wv"]
+        heads = []
+        for h in range(n_heads):
+            cols = slice(h * head_dim, (h + 1) * head_dim)
+            scores = q[:, cols] @ k[:, cols].T * head_dim ** -0.5
+            scores[np.triu_indices(s, k=1)] = -np.inf
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+        outs.append(np.concatenate(heads, axis=1) @ w["wo"])
+    return np.concatenate(outs, axis=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from brainformer import layers as L
 from brainformer import tensor as T
@@ -7,7 +9,7 @@ from brainformer.tensor import Tensor
 
 from helpers import (
     finite_difference_check, brute_force_top2, expert_choice_oracle,
-    softmax_oracle,
+    softmax_oracle, attention_oracle,
 )
 
 
@@ -79,6 +81,26 @@ class TestAttention:
             everything,
             lambda: T.tsum(T.mul(L.attention_forward(x, cfg, params), w)))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("n_seqs", [1, 3])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    def test_matches_loop_oracle(self, n_seqs, n_heads):
+        cfg = attn_cfg(d=8, h=n_heads, dh=3)
+        rng = np.random.default_rng(30 + n_seqs + n_heads)
+        params = L.init_attention_params(cfg, rng)
+        x = rng.normal(size=(5 * n_seqs, 8))
+        out = L.attention_forward(Tensor(x), cfg, params, seq_len=5).data
+        expected = attention_oracle(x, params, n_heads, 3, seq_len=5)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
+    def test_matches_loop_oracle_single_sequence(self):
+        cfg = attn_cfg(d=8, h=4, dh=2)
+        rng = np.random.default_rng(36)
+        params = L.init_attention_params(cfg, rng)
+        x = rng.normal(size=(7, 8))
+        out = L.attention_forward(Tensor(x), cfg, params).data
+        np.testing.assert_allclose(out, attention_oracle(x, params, 4, 2),
+                                   rtol=1e-12, atol=0)
 
 
 class TestFfn:
@@ -260,6 +282,18 @@ class TestAuxLoss:
             expected += frac * data[:, e].mean()
         expected *= 4
         assert abs(L.load_balance_aux_loss(scores).item() - expected) < 1e-12
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 5)),
+                  elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    @settings(max_examples=100, deadline=None)
+    def test_top1_ties_match_top_k_indices(self, scores):
+        # few distinct values, so most rows hold ties for their maximum
+        n, n_experts = scores.shape
+        top1 = [T.top_k_indices(row, 1)[0] for row in scores]
+        expected = n_experts * sum(
+            top1.count(e) / n * scores[:, e].mean() for e in range(n_experts))
+        got = L.load_balance_aux_loss(Tensor(scores)).item()
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def moe_cfg(**kw):

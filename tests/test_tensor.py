@@ -36,6 +36,62 @@ class TestMatmul:
         worst, _ = finite_difference_check({"a": a, "b": b}, loss_fn)
         assert worst < 1e-6
 
+    def test_vector_operand_rejected(self):
+        with pytest.raises(ValueError):
+            T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+    def test_batched_matches_per_slice_products(self):
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(2, 3, 4, 5))
+        b = rng.normal(size=(5, 6))
+        out = T.matmul(Tensor(a), Tensor(b)).data
+        assert out.shape == (2, 3, 4, 6)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(out[i, j], a[i, j] @ b)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3, 4), (2, 4, 5)),          # matching batch axes
+        ((2, 3, 2, 4), (4, 3)),          # 2-D weight against a 4-D operand
+        ((3, 1, 2, 4), (1, 2, 4, 3)),    # size-1 batch axes on both sides
+    ])
+    def test_batched_gradient_finite_differences(self, a_shape, b_shape):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        w = rng.normal(size=(a.data @ b.data).shape)
+
+        def loss_fn():
+            return T.tsum(T.mul(T.matmul(a, b), w))
+
+        worst, _ = finite_difference_check({"a": a, "b": b}, loss_fn)
+        assert worst < 1e-6
+
+
+class TestLayout:
+    def test_reshape_and_permute_values(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(T.reshape(Tensor(x), (6, 4)).data,
+                                      x.reshape(6, 4))
+        np.testing.assert_array_equal(T.permute(Tensor(x), (2, 0, 1)).data,
+                                      np.transpose(x, (2, 0, 1)))
+
+    def test_reshape_gradient(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 4))
+        worst, _ = finite_difference_check(
+            {"x": x}, lambda: T.tsum(T.mul(T.reshape(x, (2, 3, 4)), w)))
+        assert worst < 1e-6
+
+    def test_permute_gradient(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        w = rng.normal(size=(4, 2, 5, 3))
+        worst, _ = finite_difference_check(
+            {"x": x}, lambda: T.tsum(T.mul(T.permute(x, (2, 0, 3, 1)), w)))
+        assert worst < 1e-6
+
 
 class TestSoftmax:
     def test_uniform(self):

@@ -1,9 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from brainformer.model import BlockSpec, ModelSpec, LanguageModel
+from brainformer.model import BlockSpec, ModelSpec, LanguageModel, lm_loss
 from brainformer.training import (
     BYTE_VOCAB, TrainConfig, TrainingError, Budget, Adafactor, ByteCorpus,
     lr_at, train_steps, evaluate_perplexity, measure_step_time,
@@ -315,3 +316,25 @@ class TestStepTime:
         m = tiny_model()
         with pytest.raises(ValueError):
             measure_step_time(m, tiny_corpus(), TrainConfig(), repetitions=2)
+
+
+class TestGraphLifetime:
+    """A step's graph has no reference cycles, so dropping the loss frees it
+    by refcount alone; the cyclic collector then finds nothing."""
+
+    @pytest.mark.parametrize("g", ["top2", "expert_choice"])
+    def test_no_cyclic_garbage(self, g):
+        model = tiny_model(g=g)
+        corpus = tiny_corpus()
+        inputs, targets = corpus.sample_batch(np.random.default_rng(0), 2, 16)
+        gc.collect()
+        gc.disable()
+        try:
+            loss, ce = lm_loss(model, inputs, targets, seq_len=16)
+            loss.backward()
+            del loss, ce
+            assert gc.collect() == 0
+            evaluate_perplexity(model, corpus, seq_len=16, max_tokens=16)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
