@@ -16,7 +16,7 @@ from .model import (
     save_checkpoint, load_checkpoint, read_genome, write_genome,
 )
 from .training import (
-    TrainConfig, Budget, ByteCorpus, Adafactor,
+    TrainConfig, Budget, ByteCorpus, Adafactor, TrainState,
     lr_at, train_steps, evaluate_perplexity, measure_step_time,
 )
 from .search import (

@@ -205,13 +205,15 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     model = M.LanguageModel(spec, seed=cfg.seed)
+    state = TR.TrainState.fresh(model, cfg)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     if args.resume and os.path.exists(ckpt):
-        M.load_checkpoint(model, ckpt)
+        M.load_checkpoint(model, ckpt, state=state)
         log.info("resumed from step %d", model.step)
     traj = os.path.join(args.out, "trajectory.jsonl")
-    result = TR.train_steps(model, corpus, cfg, budget, trajectory_path=traj)
-    M.save_checkpoint(model, ckpt)
+    result = TR.train_steps(model, corpus, cfg, budget, trajectory_path=traj,
+                            state=state)
+    M.save_checkpoint(model, ckpt, state=state)
     report = {
         "steps": result.steps,
         "total_step": model.step,

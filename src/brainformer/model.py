@@ -297,9 +297,6 @@ class LanguageModel:
         self.params = p
         self.step = 0
 
-    def parameters(self):
-        return self.params
-
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
@@ -379,34 +376,50 @@ def lm_loss(model, inputs, targets, aux_coeff=0.01, seq_len=None):
 # Checkpoints: flat float64 binary + JSON sidecar with shapes/offsets
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model, path, meta=None):
-    names = sorted(model.params)
-    index = {}
+def save_checkpoint(model, path, meta=None, state=None):
+    """Params, then a training state's Adafactor moments, as flat float64;
+    the sidecar indexes them as "tensors" and "optimizer", with the RNG."""
+    sections = {"tensors": {n: model.params[n].data for n in sorted(model.params)}}
+    sidecar = {"dtype": "float64", "meta": dict(meta or {}, step=model.step)}
+    if state is not None:
+        sections["optimizer"] = {f"{n}.{k}": moments[k] for n, moments in
+                                 sorted(state.optimizer.state.items())
+                                 for k in sorted(moments)}
+        sidecar["rng"] = state.rng.bit_generator.state
     offset = 0
     with open(path, "wb") as fh:
-        for name in names:
-            arr = model.params[name].data
-            index[name] = {"shape": list(arr.shape), "offset": offset}
-            fh.write(arr.tobytes())
-            offset += arr.size
-    sidecar = {"dtype": "float64", "tensors": index,
-               "meta": dict(meta or {}, step=model.step)}
+        for section, arrays in sections.items():
+            sidecar[section] = {}
+            for name, arr in arrays.items():
+                sidecar[section][name] = {"shape": list(arr.shape), "offset": offset}
+                fh.write(arr.tobytes())
+                offset += arr.size
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_checkpoint(model, path):
+def load_checkpoint(model, path, state=None):
+    """Restore params and ``model.step``, and a given training state's
+    moments and RNG in place; a params-only checkpoint leaves it as is."""
     with open(str(path) + ".json") as fh:
         sidecar = json.load(fh)
     flat = np.fromfile(path, dtype=np.float64)
+
+    def read(entry):
+        size = int(np.prod(entry["shape"]))
+        chunk = flat[entry["offset"]: entry["offset"] + size]
+        return chunk.reshape(entry["shape"]).copy()
+
     for name, entry in sidecar["tensors"].items():
         if name not in model.params:
             raise ConfigError(f"checkpoint tensor {name!r} unknown to this model")
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        chunk = flat[entry["offset"]: entry["offset"] + size]
-        model.params[name].data = chunk.reshape(shape).copy()
+        model.params[name].data = read(entry)
+    if state is not None and "optimizer" in sidecar:
+        for key, entry in sidecar["optimizer"].items():
+            name, moment = key.rsplit(".", 1)
+            state.optimizer.state[name][moment] = read(entry)
+        state.rng.bit_generator.state = sidecar["rng"]
     model.step = int(sidecar["meta"].get("step", 0))
     return sidecar["meta"]
 

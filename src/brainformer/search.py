@@ -30,8 +30,8 @@ from .model import (
     scale_model_dim,
 )
 from .training import (
-    Adafactor, Budget, ByteCorpus, TrainConfig, evaluate_perplexity,
-    measure_step_time, train_steps, BYTE_VOCAB,
+    Budget, evaluate_perplexity, measure_step_time, model_has_valid,
+    train_steps, BYTE_VOCAB,
 )
 
 PROXY_STACK = 3  # proxy models stack the candidate block three times
@@ -370,16 +370,6 @@ class ProxyTrainingRunner:
         self.seed = seed
         self.baseline = None
 
-    def _step_cost(self, genome):
-        spec = proxy_model_spec(genome, max_seq_len=self.cfg.seq_len)
-        return float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
-
-    def _total_steps(self, genome, model):
-        if self.budget_cost is not None:
-            return int(math.floor(self.budget_cost / self._step_cost(genome)))
-        median, _ = measure_step_time(model, self.corpus, self.cfg, repetitions=3)
-        return int(math.floor(self.budget_seconds / max(median, 1e-9)))
-
     def baseline_record(self):
         if self.baseline is None:
             self.baseline = self._evaluate(self.baseline_genome, -1, None, None)
@@ -391,7 +381,7 @@ class ProxyTrainingRunner:
                               self.baseline_record())
 
     def _quality(self, model):
-        split = "valid" if self.corpus.valid_ids.size >= 2 else "train"
+        split = "valid" if model_has_valid(self.corpus) else "train"
         return evaluate_perplexity(model, self.corpus, split=split,
                                    seq_len=self.cfg.seq_len,
                                    max_tokens=self.cfg.eval_tokens)
@@ -400,7 +390,7 @@ class ProxyTrainingRunner:
         spec = proxy_model_spec(genome, vocab_size=self.corpus.vocab_size,
                                 max_seq_len=self.cfg.seq_len)
         model = LanguageModel(spec, seed=self.seed)
-        cost = self._step_cost(genome)
+        cost = float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
         step_time = cost if self.budget_cost is not None else \
             measure_step_time(model, self.corpus, self.cfg, repetitions=3)[0]
         rec = TrialRecord(trial_id=trial_id, parent_id=parent_id,
@@ -410,11 +400,12 @@ class ProxyTrainingRunner:
         if baseline is not None and \
                 early_stop_check(step_time, baseline.step_time) == STOP_STEP_TIME:
             return rec
-        total_steps = self._total_steps(genome, model)
+        budget = self.budget_cost if self.budget_cost is not None else self.budget_seconds
+        total_steps = int(math.floor(budget / max(step_time, 1e-9)))
         if total_steps < 1:
             return rec
         check_at = max(1, total_steps // 4)
-        cfg = replace_cfg(self.cfg, seed=self.seed + max(trial_id, 0))
+        cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
         res1 = train_steps(model, self.corpus, cfg, Budget(max_steps=check_at))
         if res1.diverged:
             rec.stop_reason = STOP_DIVERGED
@@ -430,7 +421,8 @@ class ProxyTrainingRunner:
             rec.steps = res1.steps
             return rec
         res2 = train_steps(model, self.corpus, cfg,
-                           Budget(max_steps=total_steps - check_at))
+                           Budget(max_steps=total_steps - check_at),
+                           state=res1.state)
         rec.steps = res1.steps + res2.steps
         if res2.diverged:
             rec.stop_reason = STOP_DIVERGED
@@ -448,12 +440,6 @@ def _thin(records, keep=10):
         return records
     idx = np.linspace(0, len(records) - 1, keep).astype(int)
     return [records[i] for i in idx]
-
-
-def replace_cfg(cfg, **kw):
-    doc = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    doc.update(kw)
-    return TrainConfig(**doc)
 
 
 # ---------------------------------------------------------------------------

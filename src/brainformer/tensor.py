@@ -57,9 +57,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -365,10 +362,3 @@ def top_k_indices(scores, k):
         raise ValueError(f"k={k} exceeds row length {scores.size}")
     order = np.argsort(-scores, kind="stable")
     return [int(i) for i in order[:k]]
-
-
-def check_finite(t, what="tensor"):
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values in {what}")
-    return t

@@ -1,13 +1,15 @@
 """Desk-scale LM training: Adafactor, constant-then-inverse-sqrt schedule,
-byte-level corpus ingestion, budgeted step loops, perplexity evaluation.
+byte-level corpus ingestion, one budgeted step loop with carried state,
+perplexity evaluation.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,31 +187,47 @@ class Adafactor:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class TrainState:
+    """What a run carries between ``train_steps`` calls besides the params
+    and ``model.step``: the optimizer moments and the batch RNG."""
+
+    optimizer: Adafactor
+    rng: np.random.Generator
+
+    @classmethod
+    def fresh(cls, model, cfg):
+        return cls(Adafactor(model.params, beta2=cfg.beta2),
+                   np.random.default_rng(cfg.seed))
+
+
+@dataclass
 class TrainResult:
     records: list = field(default_factory=list)
     steps: int = 0
     consumed_cost: float = 0.0
     diverged: bool = False
     final_loss: float = None
+    state: TrainState = None
 
     def losses(self):
         return [r["loss"] for r in self.records]
 
 
 def train_steps(model, corpus, cfg, budget, trajectory_path=None,
-                cost_per_step=None, optimizer=None):
-    """Run training steps until the budget is exhausted.
+                cost_per_step=None, state=None):
+    """Run training steps until this call's budget is exhausted.
 
+    ``state=None`` starts fresh (zero moments, RNG from ``cfg.seed``);
+    passing the returned ``result.state`` on continues the run bitwise.
     Cost-unit budgets consume a fixed analytic amount per step, so runs
     are deterministic and machine-independent; wall-clock budgets measure
     real time. Divergence (non-finite loss) aborts with the partial
     trajectory retained.
     """
-    rng = np.random.default_rng(cfg.seed)
-    opt = optimizer or Adafactor(model.params, beta2=cfg.beta2)
+    state = state or TrainState.fresh(model, cfg)
     if cost_per_step is None:
         cost_per_step = float(step_cost_units(model.spec, cfg.batch_size, cfg.seq_len))
-    result = TrainResult()
+    result = TrainResult(state=state)
     out = open(trajectory_path, "a") if trajectory_path else None
     deadline = None
     if budget.max_seconds is not None:
@@ -224,7 +242,7 @@ def train_steps(model, corpus, cfg, budget, trajectory_path=None,
             if deadline is not None and time.monotonic() >= deadline:
                 break
             t0 = time.monotonic()
-            inputs, targets = corpus.sample_batch(rng, cfg.batch_size, cfg.seq_len)
+            inputs, targets = corpus.sample_batch(state.rng, cfg.batch_size, cfg.seq_len)
             loss, ce = lm_loss(model, inputs, targets,
                                aux_coeff=cfg.aux_coeff, seq_len=cfg.seq_len)
             loss_val = loss.item()
@@ -234,7 +252,7 @@ def train_steps(model, corpus, cfg, budget, trajectory_path=None,
             model.zero_grad()
             loss.backward()
             lr = lr_at(model.step + 1, cfg)
-            opt.update(model.params, lr)
+            state.optimizer.update(model.params, lr)
             model.step += 1
             result.steps += 1
             result.consumed_cost += cost_per_step
@@ -276,24 +294,15 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
 
 
 def measure_step_time(model, corpus, cfg, repetitions=5):
-    """Median wall time of forward+backward+update after one warm-up step;
-    also returns the deterministic analytic cost for reproducible modes.
+    """Median recorded ``step_time`` after one warm-up step of training a
+    throwaway copy of the model (inf if it diverges first); also returns
+    the deterministic analytic cost for reproducible modes.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
-    rng = np.random.default_rng(cfg.seed)
-    opt = Adafactor(model.params, beta2=cfg.beta2)
-    times = []
-    for i in range(repetitions + 1):
-        inputs, targets = corpus.sample_batch(rng, cfg.batch_size, cfg.seq_len)
-        t0 = time.monotonic()
-        loss, _ = lm_loss(model, inputs, targets,
-                          aux_coeff=cfg.aux_coeff, seq_len=cfg.seq_len)
-        model.zero_grad()
-        loss.backward()
-        opt.update(model.params, lr_at(model.step + 1, cfg))
-        elapsed = time.monotonic() - t0
-        if i > 0:  # first pass is warm-up
-            times.append(elapsed)
+    res = train_steps(copy.deepcopy(model), corpus,
+                      replace(cfg, log_every=1, eval_every=0),
+                      Budget(max_steps=repetitions + 1))
+    times = [r["step_time"] for r in res.records[1:]]  # first is warm-up
     analytic = float(step_cost_units(model.spec, cfg.batch_size, cfg.seq_len))
-    return float(np.median(times)), analytic
+    return (float(np.median(times)) if times else math.inf), analytic

@@ -295,8 +295,10 @@ def test_criterion_07_overfit_tiny_corpus():
     cfg = TrainConfig(base_lr=0.05, warmup_constant_steps=100, batch_size=4,
                       seq_len=64, valid_fraction=0.0, log_every=50)
     ppl = float("inf")
+    state = None  # carried across chunks, so this is one 2000-step run
     while model.step < 2000:
-        train_steps(model, corpus, cfg, Budget(max_steps=100))
+        state = train_steps(model, corpus, cfg, Budget(max_steps=100),
+                            state=state).state
         ppl = evaluate_perplexity(model, corpus, split="train", seq_len=64,
                                   max_tokens=512)
         if ppl < 1.1:

@@ -165,6 +165,28 @@ class TestTrainCommand:
         report = json.loads((tmp_path / "run/train_report.json").read_text())
         assert report["total_step"] == 5
 
+    def test_resume_is_bitwise(self, tmp_path, genome_file, corpus_file):
+        """3 steps then --resume for 2 leaves the same files as 5 steps
+        (on one machine and numpy/BLAS build)."""
+        def train(out, steps, *extra):
+            assert main(["train", "--genome", genome_file, "--corpus",
+                         corpus_file, "--out", str(out), "--config",
+                         self.train_cfg(tmp_path, max_steps=steps),
+                         *extra]) == EXIT_OK
+
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        train(split, 3)
+        train(split, 2, "--resume")
+        train(whole, 5)
+        for name in ("checkpoint.bin", "checkpoint.bin.json"):
+            assert (split / name).read_bytes() == (whole / name).read_bytes()
+
+        def losses(out):
+            return [json.loads(line)["loss"] for line in
+                    (out / "trajectory.jsonl").read_text().splitlines()]
+        assert len(losses(whole)) == 5
+        assert losses(split) == losses(whole)
+
     def test_budget_key_overrides_max_steps(self, tmp_path, genome_file,
                                             corpus_file):
         cfg = self.train_cfg(tmp_path, budget={"max_steps": 1})

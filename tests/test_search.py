@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,39 @@ class TestProxyTrainingRunner:
         assert math.isfinite(rec.reward)
         assert abs(rec.reward + rec.final_loss) < 1e-12
         assert rec.quality_25 is not None
+
+    def test_completed_trial_is_one_run(self):
+        """Training resumes after the 25% checkpoint with the first chunk's
+        optimizer and RNG, so the trial equals one uninterrupted run."""
+        from brainformer.model import LanguageModel, step_cost_units
+        from brainformer.training import Budget, evaluate_perplexity, train_steps
+        spec = proxy_model_spec(toy_baseline(), max_seq_len=8)
+        cost = step_cost_units(spec, 2, 8)
+        runner = ProxyTrainingRunner(self.corpus(), self.cfg(),
+                                     budget_cost_units=6.5 * cost,
+                                     baseline_genome=toy_baseline())
+        rec = runner.evaluate(Candidate(genome=toy_baseline(), id=3))
+        assert rec.stop_reason == STOP_COMPLETED
+        model = LanguageModel(spec, seed=runner.seed)
+        ref = train_steps(model, runner.corpus, replace(self.cfg(), seed=3),
+                          Budget(max_steps=6))  # the trial's seed: runner seed + id
+        assert rec.trajectory == [[r["step"], r["loss"]] for r in ref.records]
+        assert rec.final_loss == math.log(evaluate_perplexity(
+            model, runner.corpus, seq_len=8, max_tokens=64))
+
+    def test_wallclock_trial_measures_once(self, monkeypatch):
+        calls = []
+
+        def fake_measure(model, corpus, cfg, repetitions=5):
+            calls.append(model)
+            return 0.25, 0.0
+        monkeypatch.setattr("brainformer.search.measure_step_time", fake_measure)
+        runner = ProxyTrainingRunner(self.corpus(), self.cfg(), budget_seconds=2.0,
+                                     baseline_genome=toy_baseline())
+        rec = runner.baseline_record()
+        assert len(calls) == 1
+        assert rec.step_time == 0.25
+        assert rec.steps == 8
 
     def test_costly_genome_pruned_on_step_time(self):
         from brainformer.model import step_cost_units

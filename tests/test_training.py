@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brainformer.model import BlockSpec, ModelSpec, LanguageModel, lm_loss
+from brainformer.model import (
+    BlockSpec, ModelSpec, LanguageModel, lm_loss, step_cost_units,
+    save_checkpoint, load_checkpoint,
+)
 from brainformer.training import (
     BYTE_VOCAB, TrainConfig, TrainingError, Budget, Adafactor, ByteCorpus,
-    lr_at, train_steps, evaluate_perplexity, measure_step_time,
+    TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
 )
 from brainformer.tensor import Tensor
 
@@ -316,6 +320,92 @@ class TestStepTime:
         m = tiny_model()
         with pytest.raises(ValueError):
             measure_step_time(m, tiny_corpus(), TrainConfig(), repetitions=2)
+
+    def test_leaves_model_untouched(self):
+        m = tiny_model()
+        before = {k: v.data.copy() for k, v in m.params.items()}
+        measure_step_time(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2),
+                          repetitions=3)
+        assert m.step == 0
+        for k in before:
+            np.testing.assert_array_equal(m.params[k].data, before[k])
+
+
+def assert_same_params(a, b):
+    assert set(a.params) == set(b.params)
+    for name in a.params:
+        assert np.max(np.abs(a.params[name].data - b.params[name].data)) == 0.0, name
+
+
+class TestCarriedState:
+    """Chunks that pass ``result.state`` on are one run, bitwise. Equality
+    is exact on one machine and numpy/BLAS build; across builds float
+    results may differ."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(g=st.sampled_from(["top2", "expert_choice"]),
+           chunks=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+           by_cost=st.booleans())
+    def test_chunks_equal_one_run(self, g, chunks, by_cost):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=3, seed=7)
+        whole, parts = tiny_model(g=g), tiny_model(g=g)
+        cost = float(step_cost_units(whole.spec, cfg.batch_size, cfg.seq_len))
+
+        def budget(n):
+            return Budget(max_cost_units=(n + 0.5) * cost) if by_cost \
+                else Budget(max_steps=n)
+
+        ref = train_steps(whole, corpus, cfg, budget(sum(chunks)))
+        state, losses = None, []
+        for n in chunks:
+            res = train_steps(parts, corpus, cfg, budget(n), state=state)
+            assert res.steps == n
+            state, losses = res.state, losses + res.losses()
+        assert parts.step == whole.step == sum(chunks)
+        assert np.max(np.abs(np.subtract(losses, ref.losses())), initial=0.0) == 0.0
+        assert_same_params(parts, whole)
+
+    def test_no_state_starts_fresh(self):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        m = tiny_model()
+        first = train_steps(m, corpus, cfg, Budget(max_steps=2))
+        again = train_steps(m, corpus, cfg, Budget(max_steps=2))
+        assert again.state is not first.state
+        assert again.state.rng.bit_generator.state == \
+            first.state.rng.bit_generator.state  # both drew two fresh batches
+
+    def test_checkpoint_resume_equals_one_run(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=2)
+        whole = tiny_model()
+        ref = train_steps(whole, corpus, cfg, Budget(max_steps=5))
+        first = tiny_model()
+        res = train_steps(first, corpus, cfg, Budget(max_steps=3))
+        save_checkpoint(first, tmp_path / "ckpt.bin", state=res.state)
+        resumed = LanguageModel(first.spec, seed=1)
+        state = TrainState.fresh(resumed, cfg)
+        load_checkpoint(resumed, tmp_path / "ckpt.bin", state=state)
+        res2 = train_steps(resumed, corpus, cfg, Budget(max_steps=2), state=state)
+        assert res.losses() + res2.losses() == ref.losses()
+        assert_same_params(resumed, whole)
+
+    def test_params_only_checkpoint_gives_fresh_state(self, tmp_path):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        m = tiny_model()
+        train_steps(m, corpus, cfg, Budget(max_steps=2))
+        save_checkpoint(m, tmp_path / "ckpt.bin")
+        loaded = LanguageModel(m.spec, seed=1)
+        state = TrainState.fresh(loaded, cfg)
+        load_checkpoint(loaded, tmp_path / "ckpt.bin", state=state)
+        assert loaded.step == 2
+        assert_same_params(loaded, m)
+        assert state.rng.bit_generator.state == \
+            np.random.default_rng(cfg.seed).bit_generator.state
+        for moments in state.optimizer.state.values():
+            assert all(not v.any() for v in moments.values())
 
 
 class TestGraphLifetime:
