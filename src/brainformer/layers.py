@@ -7,7 +7,7 @@ applied per sequence segment; routing sees the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,10 +83,32 @@ class MoeConfig:
 
 @dataclass
 class RoutingDecision:
-    """Token/expert assignments plus the tokens that fell through to residual."""
+    """Token/expert assignments plus the tokens that fell through to residual.
+
+    ``tokens`` and ``experts`` are the assignments' index arrays, in the
+    same (routing) order as the ``assignments`` tuples.
+    """
 
     assignments: list  # (token_index, expert_index, combine_weight)
-    dropped_tokens: set = field(default_factory=set)
+    dropped_tokens: set
+    tokens: np.ndarray
+    experts: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, tokens, experts, scores):
+        """Assign token ``tokens[i]`` to expert ``experts[i]`` with weight
+        ``scores[tokens[i], experts[i]]``; unassigned tokens are dropped."""
+        dropped = np.ones(scores.shape[0], dtype=bool)
+        dropped[tokens] = False
+        weights = scores[tokens, experts]
+        return cls(list(zip(tokens.tolist(), experts.tolist(), weights.tolist())),
+                   set(np.flatnonzero(dropped).tolist()), tokens, experts)
+
+    def expert_tokens(self, n_experts):
+        """Each expert's token indices as an int array, in routing order."""
+        order = np.argsort(self.experts, kind="stable")
+        ends = np.cumsum(np.bincount(self.experts, minlength=n_experts))
+        return np.split(self.tokens[order], ends[:-1])
 
     def per_expert_tokens(self, n_experts):
         groups = [[] for _ in range(n_experts)]
@@ -197,25 +219,25 @@ def gate_scores(x, wg):
 def route_top2(scores, capacity):
     """Token-based routing: each token takes its top-2 experts, greedily
     filled in token-index order; assignments to full experts are dropped.
+
+    The greedy fill in array form (GShard): taking the (token, expert)
+    pairs in token-major, rank-minor order, a pair is kept when fewer than
+    ``capacity`` earlier pairs target its expert.
     """
     data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n, n_experts = data.shape
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    load = [0] * n_experts
-    assignments = []
-    dropped = set()
-    for tok in range(n):
-        picked = 0
-        # degenerates to top-1 when only one expert exists
-        for exp in T.top_k_indices(data[tok], min(2, n_experts)):
-            if load[exp] < capacity:
-                load[exp] += 1
-                assignments.append((tok, exp, float(data[tok, exp])))
-                picked += 1
-        if picked == 0:
-            dropped.add(tok)
-    return RoutingDecision(assignments, dropped)
+    k = min(2, n_experts)  # degenerates to top-1 when only one expert exists
+    # descending per row, lowest index first on ties, as top_k_indices
+    experts = np.argsort(-data, axis=1, kind="stable")[:, :k].reshape(-1)
+    tokens = np.repeat(np.arange(n), k)
+    pair = np.arange(experts.size)
+    onehot = np.zeros((experts.size, n_experts), dtype=np.int64)
+    onehot[pair, experts] = 1
+    earlier = np.cumsum(onehot, axis=0)[pair, experts] - 1
+    keep = earlier < capacity
+    return RoutingDecision.from_pairs(tokens[keep], experts[keep], data)
 
 
 def route_expert_choice(scores, capacity):
@@ -228,17 +250,13 @@ def route_expert_choice(scores, capacity):
     n, n_experts = data.shape
     if capacity > n:
         raise ValueError(f"capacity {capacity} exceeds {n} tokens")
-    assignments = []
-    chosen = set()
-    for exp in range(n_experts):
-        for tok in T.top_k_indices(data[:, exp], capacity):
-            assignments.append((tok, exp, float(data[tok, exp])))
-            chosen.add(tok)
-    dropped = set(range(n)) - chosen
-    return RoutingDecision(assignments, dropped)
+    # descending per column, lowest token first on ties, as top_k_indices
+    top = np.argsort(-data, axis=0, kind="stable")[:capacity]
+    return RoutingDecision.from_pairs(top.T.reshape(-1),
+                                      np.repeat(np.arange(n_experts), capacity), data)
 
 
-def load_balance_aux_loss(scores, decision=None):
+def load_balance_aux_loss(scores):
     """Importance-times-load balance penalty for top-2 gating.
 
     E * sum_e (fraction of tokens whose top-1 expert is e) * (mean gate
@@ -268,21 +286,18 @@ def moe_forward(x, cfg, params, prefix=""):
     scores = gate_scores(x, params[prefix + "wg"])
     if cfg.gating == GATE_TOP2:
         decision = route_top2(scores, k)
-        aux = load_balance_aux_loss(scores, decision)
+        aux = load_balance_aux_loss(scores)
     else:
         decision = route_expert_choice(scores, k)
         aux = Tensor(0.0)
-    out = None
     expert_cfg = FfnConfig(cfg.model_dim, cfg.expert_hidden_dim, cfg.activation)
-    for exp, group in enumerate(decision.per_expert_tokens(cfg.n_experts)):
-        if not group:
+    pairs = []
+    for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)):
+        if toks.size == 0:
             continue
-        toks = np.array([t for t, _ in group], dtype=np.int64)
         xe = T.take_rows(x, toks)
         ye = ffn_forward(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
         w = T.take_entries(scores, toks, np.full_like(toks, exp))
-        contrib = T.scatter_rows(T.mul(ye, w), toks, n)
-        out = contrib if out is None else T.add(out, contrib)
-    if out is None:
-        out = Tensor(np.zeros_like(x.data))
+        pairs.append((T.mul(ye, w), toks))
+    out = T.scatter_rows(pairs, n) if pairs else Tensor(np.zeros_like(x.data))
     return out, aux, decision

@@ -316,7 +316,7 @@ class SurrogateRunner:
             self.baseline.stop_reason = STOP_BASELINE
         return self.baseline
 
-    def evaluate(self, candidate, trial_seed=0):
+    def evaluate(self, candidate):
         return self._evaluate(candidate.genome, candidate.id, candidate.parent_id,
                               baseline=self.baseline_record())
 
@@ -376,7 +376,7 @@ class ProxyTrainingRunner:
             self.baseline.stop_reason = STOP_BASELINE
         return self.baseline
 
-    def evaluate(self, candidate, trial_seed=0):
+    def evaluate(self, candidate):
         return self._evaluate(candidate.genome, candidate.id, candidate.parent_id,
                               self.baseline_record())
 

@@ -11,6 +11,14 @@ into the parents with ``_accum``. A backward closure may capture its
 parents and plain arrays, but never the output tensor itself: a graph
 without reference cycles is freed by refcount as soon as the loss is
 dropped, with no help from the cyclic garbage collector.
+
+Gradient ownership: a parent's first gradient becomes its ``.grad`` as is
+when the op has just computed it (``_accum(t, g)``), and later ones are
+added in place, so no tensor's ``.grad`` may share memory with another
+array. A gradient that can alias the output's (``add``, ``reshape`` and
+``permute`` pass ``g`` through as a view) is handed over as a copy
+(``_accum(t, g, fresh=False)``). Gathers (``take_rows``, ``take_entries``)
+scatter-add straight into the parent's ``.grad``.
 """
 
 from __future__ import annotations
@@ -127,12 +135,31 @@ def _make(data, parents, backward):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, fresh=True):
+    """Add g into t.grad; a first g is kept as t.grad if fresh, else copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
+        t.grad = g if fresh else g.copy()
+    else:
+        t.grad += g
+
+
+def _grad_of(t):
+    """t.grad, allocated as zeros if this is its first gradient."""
+    if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    return t.grad
+
+
+def _scatter_add_rows(dst, idx, values):
+    """dst[idx] += values for non-negative row indices, repeats summed in
+    order: np.add.at's result, by plain indexed addition when no index
+    repeats (several times faster on row blocks)."""
+    if idx.size and np.bincount(idx).max() > 1:
+        np.add.at(dst, idx, values)
+    else:
+        dst[idx] += values
 
 
 def _unbroadcast(g, shape):
@@ -150,9 +177,9 @@ def add(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape), fresh=False)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+            _accum(b, _unbroadcast(g, b.data.shape), fresh=False)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -190,7 +217,7 @@ def reshape(x, shape):
     x = _coerce(x)
 
     def backward(g):
-        _accum(x, g.reshape(x.data.shape))
+        _accum(x, g.reshape(x.data.shape), fresh=False)
 
     return _make(x.data.reshape(shape), (x,), backward)
 
@@ -201,7 +228,7 @@ def permute(x, axes):
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accum(x, g.transpose(inverse))
+        _accum(x, g.transpose(inverse), fresh=False)
 
     return _make(x.data.transpose(axes), (x,), backward)
 
@@ -255,7 +282,7 @@ def layer_norm(x, gain, bias, eps=1e-6):
     def backward(g):
         gy = g * gain.data
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
+        _accum(bias, _unbroadcast(g, bias.data.shape), fresh=False)
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv_sigma * (gy - m1 - xhat * m2))
@@ -316,24 +343,25 @@ def take_rows(x, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        _accum(x, gx)
+        _scatter_add_rows(_grad_of(x), idx, g)
 
     return _make(x.data[idx], (x,), backward)
 
 
-def scatter_rows(values, idx, n_rows):
-    """Inverse of take_rows: out[idx[i]] += values[i], duplicates summed."""
-    values = _coerce(values)
-    idx = np.asarray(idx, dtype=np.int64)
-    data = np.zeros((n_rows,) + values.data.shape[1:], dtype=np.float64)
-    np.add.at(data, idx, values.data)
+def scatter_rows(pairs, n_rows):
+    """Inverse of take_rows, summed over a non-empty list of ``(values,
+    idx)`` pairs: out[idx[i]] += values[i] for every pair in order,
+    duplicates summed."""
+    pairs = [(_coerce(v), np.asarray(idx, dtype=np.int64)) for v, idx in pairs]
+    data = np.zeros((n_rows,) + pairs[0][0].data.shape[1:], dtype=np.float64)
+    for values, idx in pairs:
+        _scatter_add_rows(data, idx, values.data)
 
     def backward(g):
-        _accum(values, g[idx])
+        for values, idx in pairs:
+            _accum(values, g[idx])
 
-    return _make(data, (values,), backward)
+    return _make(data, [values for values, _ in pairs], backward)
 
 
 def take_entries(x, rows, cols):
@@ -343,9 +371,7 @@ def take_entries(x, rows, cols):
     cols = np.asarray(cols, dtype=np.int64)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g[:, 0])
-        _accum(x, gx)
+        np.add.at(_grad_of(x), (rows, cols), g[:, 0])
 
     return _make(x.data[rows, cols][:, None], (x,), backward)
 

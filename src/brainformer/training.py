@@ -160,26 +160,46 @@ class Adafactor:
                 self.state[name] = {"v": np.zeros_like(p.data)}
 
     def update(self, params, lr):
+        """One step on every parameter that has a gradient.
+
+        The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
+        which equals g / sqrt(outer(r, c) / sum(r)) without building the
+        outer product. Raises TrainingError naming the first parameter
+        whose gradient holds a NaN or inf.
+        """
+        b2 = self.beta2
         for name, p in params.items():
-            if p.grad is None:
-                continue
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in {name!r}")
+            if g is None:
+                continue
             st = self.state[name]
-            g2 = g * g + self.EPS1
+            # one fresh buffer per parameter holds g * g, then the step u,
+            # then the new params (out= keeps it an array for 0-d params)
+            g2 = np.multiply(g, g, out=np.empty_like(p.data))
             if "r" in st:
-                st["r"] = self.beta2 * st["r"] + (1 - self.beta2) * g2.sum(axis=1)
-                st["c"] = self.beta2 * st["c"] + (1 - self.beta2) * g2.sum(axis=0)
-                v = np.outer(st["r"], st["c"]) / st["r"].sum()
+                rows = g2.sum(axis=1)
+                self._check_finite(name, g, rows)
+                st["r"] = b2 * st["r"] + (1 - b2) * (rows + g.shape[1] * self.EPS1)
+                st["c"] = b2 * st["c"] + (1 - b2) * (g2.sum(axis=0) + g.shape[0] * self.EPS1)
+                u = np.multiply(g, (1.0 / np.sqrt(st["r"] / st["r"].sum()))[:, None], out=g2)
+                u *= 1.0 / np.sqrt(st["c"])
             else:
-                st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * g2
-                v = st["v"]
-            u = g / np.sqrt(v)
-            rms_u = np.sqrt(np.mean(u * u))
-            u /= max(1.0, rms_u / self.CLIP)
-            alpha = lr * max(self.EPS2, np.sqrt(np.mean(p.data * p.data)))
-            p.data = p.data - alpha * u
+                self._check_finite(name, g, g2)
+                g2 += self.EPS1
+                st["v"] = b2 * st["v"] + (1 - b2) * g2
+                u = np.divide(g, np.sqrt(st["v"]), out=g2)
+            flat_u, flat_p = u.reshape(-1), p.data.reshape(-1)
+            rms_u = math.sqrt(np.dot(flat_u, flat_u) / flat_u.size)
+            rms_p = math.sqrt(np.dot(flat_p, flat_p) / flat_p.size)
+            u *= lr * max(self.EPS2, rms_p) / max(1.0, rms_u / self.CLIP)
+            p.data = np.subtract(p.data, u, out=u)
+
+    @staticmethod
+    def _check_finite(name, g, reduced):
+        """Raise if g holds a NaN or inf. ``reduced`` (g * g or its row
+        sums) is non-finite whenever g is, so g is scanned only then."""
+        if not np.isfinite(reduced).all() and not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient in {name!r}")
 
 
 # ---------------------------------------------------------------------------

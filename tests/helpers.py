@@ -4,6 +4,11 @@ independent oracles.
 
 import numpy as np
 
+from brainformer import layers as L
+from brainformer import tensor as T
+from brainformer.tensor import Tensor
+from brainformer.training import TrainingError
+
 
 def finite_difference_check(params, loss_fn, eps=1e-5, rng=None,
                             max_per_tensor=None):
@@ -109,3 +114,61 @@ def attention_oracle(x, params, n_heads, head_dim, seq_len=None):
             heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
         outs.append(np.concatenate(heads, axis=1) @ w["wo"])
     return np.concatenate(outs, axis=0)
+
+
+def adafactor_oracle(opt, params, lr):
+    """``Adafactor.update`` as first written: it builds outer(r, c), its
+    sqrt and the quotient, and takes plain means. Reads ``opt``'s constants
+    and updates its state in place."""
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in {name!r}")
+        st = opt.state[name]
+        g2 = g * g + opt.EPS1
+        if "r" in st:
+            st["r"] = opt.beta2 * st["r"] + (1 - opt.beta2) * g2.sum(axis=1)
+            st["c"] = opt.beta2 * st["c"] + (1 - opt.beta2) * g2.sum(axis=0)
+            v = np.outer(st["r"], st["c"]) / st["r"].sum()
+        else:
+            st["v"] = opt.beta2 * st["v"] + (1 - opt.beta2) * g2
+            v = st["v"]
+        u = g / np.sqrt(v)
+        rms_u = np.sqrt(np.mean(u * u))
+        u /= max(1.0, rms_u / opt.CLIP)
+        alpha = lr * max(opt.EPS2, np.sqrt(np.mean(p.data * p.data)))
+        p.data = p.data - alpha * u
+
+
+def moe_oracle(x, cfg, params, prefix=""):
+    """The sparse MoE layer as first written: routed by the loop oracles
+    above, each expert's weighted output scattered into its own
+    parent-sized array, the arrays joined by a chain of adds."""
+    n = x.shape[0]
+    k = cfg.capacity(n)
+    scores = L.gate_scores(x, params[prefix + "wg"])
+    if cfg.gating == L.GATE_TOP2:
+        assignments, _ = brute_force_top2(scores.data, k)
+        aux = L.load_balance_aux_loss(scores)
+    else:
+        assignments = expert_choice_oracle(scores.data, k)
+        aux = Tensor(0.0)
+    groups = [[] for _ in range(cfg.n_experts)]
+    for tok, exp, _ in assignments:
+        groups[exp].append(tok)
+    out = None
+    expert_cfg = L.FfnConfig(cfg.model_dim, cfg.expert_hidden_dim, cfg.activation)
+    for exp, group in enumerate(groups):
+        if not group:
+            continue
+        toks = np.array(group, dtype=np.int64)
+        xe = T.take_rows(x, toks)
+        ye = L.ffn_forward(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
+        w = T.take_entries(scores, toks, np.full_like(toks, exp))
+        contrib = T.scatter_rows([(T.mul(ye, w), toks)], n)
+        out = contrib if out is None else T.add(out, contrib)
+    if out is None:
+        out = Tensor(np.zeros_like(x.data))
+    return out, aux

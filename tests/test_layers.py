@@ -9,7 +9,7 @@ from brainformer.tensor import Tensor
 
 from helpers import (
     finite_difference_check, brute_force_top2, expert_choice_oracle,
-    softmax_oracle, attention_oracle,
+    softmax_oracle, attention_oracle, moe_oracle,
 )
 
 
@@ -205,6 +205,19 @@ class TestRouteTop2:
             assert sorted(dec.assignments) == sorted(expected)
             assert dec.dropped_tokens == expected_dropped
 
+    def test_matches_brute_force_in_order_with_ties(self):
+        # few distinct score values: most rows hold ties
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 20))
+            e = int(rng.integers(1, 6))
+            cap = int(rng.integers(1, n + 1))
+            scores = rng.integers(0, 3, size=(n, e)).astype(float)
+            dec = L.route_top2(scores, cap)
+            expected, expected_dropped = brute_force_top2(scores, cap)
+            assert dec.assignments == expected
+            assert dec.dropped_tokens == expected_dropped
+
     def test_capacity_invariant(self):
         rng = np.random.default_rng(12)
         scores = rng.random((16, 4))
@@ -243,6 +256,18 @@ class TestRouteExpertChoice:
         scores = rng.random((6, 3))
         dec = L.route_expert_choice(scores, capacity=2)
         assert sorted(dec.assignments) == sorted(expert_choice_oracle(scores, 2))
+
+    def test_matches_sort_oracle_in_order_with_ties(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 20))
+            e = int(rng.integers(1, 6))
+            cap = int(rng.integers(1, n + 1))
+            scores = rng.integers(0, 3, size=(n, e)).astype(float)
+            dec = L.route_expert_choice(scores, cap)
+            expected = expert_choice_oracle(scores, cap)
+            assert dec.assignments == expected
+            assert dec.dropped_tokens == set(range(n)) - {t for t, _, _ in expected}
 
     def test_capacity_exceeds_tokens(self):
         with pytest.raises(ValueError):
@@ -355,6 +380,37 @@ class TestMoeForward:
         assert worst < 1e-4, worst_name
         assert params["wg"].grad is not None
         assert np.abs(params["wg"].grad).max() > 0
+
+    @pytest.mark.parametrize("gating,activation", [
+        (L.GATE_TOP2, "gated_gelu"), (L.GATE_TOP2, "relu"),
+        (L.GATE_EXPERT_CHOICE, "gated_relu"), (L.GATE_EXPERT_CHOICE, "gelu")])
+    def test_matches_per_expert_scatter_oracle_bitwise(self, gating, activation):
+        # one N-ary scatter over all experts sums each row in the same
+        # order as per-expert scatters joined by adds
+        cfg = moe_cfg(model_dim=8, expert_hidden_dim=12, n_experts=6,
+                      gating=gating, capacity_factor=2, activation=activation)
+        rng = np.random.default_rng(22)
+        params = L.init_moe_params(cfg, rng)
+        x = Tensor(rng.normal(size=(30, 8)), requires_grad=True)
+        w = rng.normal(size=(30, 8))
+        tensors = dict(params, x=x)
+
+        def run(forward):
+            for t in tensors.values():
+                t.zero_grad()
+            out, aux = forward(x, cfg, params)[:2]
+            T.add(T.tsum(T.mul(out, w)), aux).backward()
+            return out.data, aux.data, {k: t.grad for k, t in tensors.items()}
+
+        out, aux, grads = run(L.moe_forward)
+        want_out, want_aux, want_grads = run(moe_oracle)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(aux, want_aux)
+        for name, want in want_grads.items():
+            if want is None:
+                assert grads[name] is None, name
+            else:
+                np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
     def test_capacity_error(self):
         cfg = moe_cfg(n_experts=2, capacity_factor=1)

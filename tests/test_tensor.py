@@ -233,6 +233,44 @@ class TestBackward:
         T.tsum(T.add(a, b)).backward()
         np.testing.assert_allclose(x.grad, [8.0, 8.0])
 
+    @staticmethod
+    def _fan_in_graph(case, a, b):
+        """A graph where one upstream gradient reaches two parents; returns
+        the loss and every tensor in the graph."""
+        if case == "add_leaves":
+            nodes = [T.add(a, b)]
+        elif case == "add_self":
+            nodes = [T.add(a, a)]
+        elif case == "reshape_permute":
+            r = T.reshape(a, (2, 6))
+            nodes = [r, T.permute(r, (1, 0))]
+        else:  # one tensor feeding two ops
+            y1, y2 = T.mul(a, b), T.gelu(a)
+            nodes = [y1, y2, T.add(y1, y2)]
+        top = nodes[-1]
+        weighted = T.mul(top, np.linspace(-1.0, 2.0, top.size).reshape(top.shape))
+        loss = T.tsum(weighted)
+        return loss, [a, b, *nodes, weighted, loss]
+
+    @pytest.mark.parametrize("case", ["add_leaves", "add_self",
+                                      "reshape_permute", "fan_out"])
+    def test_gradients_own_their_memory(self, case):
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        worst, _ = finite_difference_check(
+            {"a": a, "b": b}, lambda: self._fan_in_graph(case, a, b)[0])
+        assert worst < 1e-7
+        loss, tensors = self._fan_in_graph(case, a, b)
+        a.zero_grad()
+        b.zero_grad()
+        loss.backward()
+        grads = [t.grad for t in tensors if t.grad is not None]
+        assert len(grads) >= 3
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0], requires_grad=True).backward()
@@ -245,10 +283,25 @@ class TestBackward:
 
         def loss_fn():
             taken = T.take_rows(x, idx)
-            back = T.scatter_rows(taken, idx, 5)
+            back = T.scatter_rows([(taken, idx)], 5)
             return T.tsum(T.mul(back, w))
 
         worst, _ = finite_difference_check({"x": x}, loss_fn)
+        assert worst < 1e-7
+
+        # three pairs whose indices overlap within and across pairs
+        vals = {f"v{i}": Tensor(rng.normal(size=(m, 3)), requires_grad=True)
+                for i, m in enumerate((4, 2, 3))}
+        idxs = [np.array([0, 2, 2, 4]), np.array([2, 0]), np.array([4, 1, 2])]
+
+        def scatter():
+            return T.scatter_rows(list(zip(vals.values(), idxs)), 5)
+
+        expected = np.zeros((5, 3))
+        for v, i in zip(vals.values(), idxs):
+            np.add.at(expected, i, v.data)
+        np.testing.assert_array_equal(scatter().data, expected)
+        worst, _ = finite_difference_check(vals, lambda: T.tsum(T.mul(scatter(), w)))
         assert worst < 1e-7
 
 

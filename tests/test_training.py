@@ -15,6 +15,8 @@ from brainformer.training import (
 )
 from brainformer.tensor import Tensor
 
+from helpers import adafactor_oracle
+
 
 def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
     spec = BlockSpec(layers=("attn", "moe"), d=8, d_moe=16, d_ffn=16,
@@ -171,6 +173,48 @@ class TestAdafactor:
         opt = Adafactor({"b": p})
         with pytest.raises(TrainingError):
             opt.update({"b": p}, lr=0.1)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
+    def test_matches_unfactored_oracle(self, shape):
+        # the oracle builds outer(r, c) and divides by its sqrt; the update
+        # scales g by row and column factors instead, so only the rounding
+        # differs. Params are re-synced each step so every update is
+        # compared on the same inputs.
+        rng = np.random.default_rng(30)
+        p = Tensor(rng.normal(size=shape), requires_grad=True)
+        q = Tensor(p.data.copy(), requires_grad=True)
+        opt, ref = Adafactor({"w": p}, beta2=0.9), Adafactor({"w": q}, beta2=0.9)
+        clipped = []
+        for step in range(10):
+            g = rng.normal(size=shape) * (1.0 if step < 5 else 1e-3)
+            p.grad, q.grad = g.copy(), g.copy()
+            before = np.array(q.data)
+            opt.update({"w": p}, lr=0.1)
+            adafactor_oracle(ref, {"w": q}, lr=0.1)
+            np.testing.assert_allclose(p.data - before, q.data - before,
+                                       rtol=1e-12, atol=0)
+            for key, value in ref.state["w"].items():
+                np.testing.assert_allclose(opt.state["w"][key], value,
+                                           rtol=1e-12, atol=0)
+            step_rms = math.sqrt(np.mean((q.data - before) ** 2))
+            alpha = 0.1 * max(1e-3, math.sqrt(np.mean(before * before)))
+            clipped.append(step_rms > alpha * (1 - 1e-9))
+            p.data = np.array(q.data)
+        assert any(clipped) and not all(clipped)  # both regimes were compared
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_grad_names_the_parameter(self, shape, bad):
+        rng = np.random.default_rng(31)
+        p = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = rng.normal(size=shape)
+        g.reshape(-1)[-1] = bad
+        p.grad = g
+        before = p.data.copy()
+        opt = Adafactor({"layer0.w": p})
+        with pytest.raises(TrainingError, match="'layer0.w'"):
+            opt.update({"layer0.w": p}, lr=0.1)
+        np.testing.assert_array_equal(p.data, before)
 
     def test_update_magnitude_bounded(self):
         # clip threshold 1.0 and relative scaling bound each step
