@@ -140,8 +140,7 @@ def cmd_search(args):
         raise UsageError(f"ledger already exists (use --resume): {ledger_path}")
     state = S.evolve(space, cfg["population"], cfg["rounds"], runner,
                      seed=seed, tournament_size=cfg.get("tournament_size"),
-                     ledger_path=ledger_path, resume=args.resume,
-                     workers=args.workers or cfg.get("workers", 1))
+                     ledger_path=ledger_path, resume=args.resume)
     topk_cfg = cfg.get("topk", {})
     topk = S.finalize_topk(state, topk_cfg.get("k", 2),
                            factors=tuple(topk_cfg.get("factors", (2, 4))),
@@ -198,10 +197,11 @@ def cmd_train(args):
                                          valid_fraction=cfg.valid_fraction)
     except (FileNotFoundError, ValueError) as exc:
         raise UsageError(f"corpus: {exc}")
-    if budget_doc:
-        budget = TR.Budget(**budget_doc)
-    else:
-        budget = TR.Budget(max_steps=cfg.max_steps)
+    try:
+        budget = TR.Budget(**budget_doc) if budget_doc else \
+            TR.Budget(max_steps=cfg.max_steps)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"train config: {exc}")
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     model = M.LanguageModel(spec, seed=cfg.seed)
@@ -351,7 +351,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--budget-mode", choices=["wallclock", "cost"], dest="budget_mode")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_search)

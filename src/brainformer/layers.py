@@ -85,24 +85,35 @@ class MoeConfig:
 class RoutingDecision:
     """Token/expert assignments plus the tokens that fell through to residual.
 
-    ``tokens`` and ``experts`` are the assignments' index arrays, in the
-    same (routing) order as the ``assignments`` tuples.
+    Held as index arrays in routing order: assignment i sends token
+    ``tokens[i]`` to expert ``experts[i]`` with combine weight
+    ``weights[i]``; ``n_tokens`` is the size of the routed batch.
     """
 
-    assignments: list  # (token_index, expert_index, combine_weight)
-    dropped_tokens: set
     tokens: np.ndarray
     experts: np.ndarray
+    weights: np.ndarray
+    n_tokens: int
 
     @classmethod
     def from_pairs(cls, tokens, experts, scores):
         """Assign token ``tokens[i]`` to expert ``experts[i]`` with weight
         ``scores[tokens[i], experts[i]]``; unassigned tokens are dropped."""
-        dropped = np.ones(scores.shape[0], dtype=bool)
-        dropped[tokens] = False
-        weights = scores[tokens, experts]
-        return cls(list(zip(tokens.tolist(), experts.tolist(), weights.tolist())),
-                   set(np.flatnonzero(dropped).tolist()), tokens, experts)
+        return cls(tokens, experts, scores[tokens, experts], scores.shape[0])
+
+    @property
+    def assignments(self):
+        """``(token_index, expert_index, combine_weight)`` tuples in routing
+        order, as Python ints and floats."""
+        return list(zip(self.tokens.tolist(), self.experts.tolist(),
+                        self.weights.tolist()))
+
+    @property
+    def dropped_tokens(self):
+        """Indices of the tokens no expert took, as a set of ints."""
+        dropped = np.ones(self.n_tokens, dtype=bool)
+        dropped[self.tokens] = False
+        return set(np.flatnonzero(dropped).tolist())
 
     def expert_tokens(self, n_experts):
         """Each expert's token indices as an int array, in routing order."""

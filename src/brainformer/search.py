@@ -2,11 +2,17 @@
 
 Regularized (aging) evolution over the block genome space: tournament
 selection from the population, single-field mutation, oldest-member
-eviction. Each trial stacks the candidate block three times, trains it
-under a fixed budget (faster blocks complete more steps), and is pruned
-early if it violates the step-time constraint or trails the baseline's
-quality at the 25% checkpoint. Pruned trials score -1; completed trials
-score the negative final validation loss.
+eviction. Trials run serially, one at a time in trial-id order, so a
+wall-clock trial times nothing but itself.
+
+Every trial follows one protocol (``run_trial``): it stacks the candidate
+block three times and trains it under a fixed budget (faster blocks
+complete more steps); it is pruned if its step time exceeds the
+baseline's, or if its quality at the 25% checkpoint trails the
+baseline's there. Pruned and diverged trials score -1; completed trials
+score the negative final validation loss. The runners differ only in how
+they time a step, train, and measure quality: a closed-form surrogate
+curve, or real proxy training.
 
 All per-trial randomness derives from (seed, phase, index), so a search
 is bitwise reproducible and crash-resumable from its JSONL ledger alone.
@@ -17,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +30,7 @@ import numpy as np
 from . import layers as L
 from .model import (
     BlockSpec, ModelSpec, ConfigError, LanguageModel,
-    KIND_ATTN, KIND_FFN, KIND_MOE, LAYER_KINDS,
+    KIND_ATTN, LAYER_KINDS,
     count_params, step_cost_units, glam_baseline_block,
     scale_model_dim,
 )
@@ -277,14 +282,64 @@ def proxy_model_spec(genome, vocab_size=BYTE_VOCAB, max_seq_len=128):
                      vocab_size=vocab_size, max_seq_len=max_seq_len)
 
 
+def run_trial(genome, trial_id, parent_id, baseline, budget, step_time,
+              cost_per_step, train, quality, finish):
+    """The trial protocol every runner shares.
+
+    In order: prune if ``step_time`` exceeds the baseline's; plan
+    ``floor(budget / step_time)`` steps (none planned: pruned); train the
+    first quarter, then prune if the quality there is worse than the
+    baseline's at its own first quarter; train the rest; score the
+    negative final loss. A chunk that diverges ends the trial with its
+    steps counted and its trajectory points dropped. ``baseline=None``
+    runs the baseline itself, which is never pruned against anything.
+
+    The runner supplies the strategies: ``train(n)`` trains n more steps
+    and returns ``(steps trained, trajectory points, diverged)``;
+    ``quality(step)`` is the validation quality (lower is better) after
+    ``step`` steps; ``finish(step)`` returns ``(final loss, further
+    trajectory points)``.
+    """
+    rec = TrialRecord(trial_id=trial_id, parent_id=parent_id,
+                      genome=genome.to_json_dict(), step_time=step_time,
+                      cost_per_step=cost_per_step, steps=0, final_loss=None,
+                      reward=-1.0, stop_reason=STOP_STEP_TIME)
+    if baseline is not None and \
+            early_stop_check(step_time, baseline.step_time) == STOP_STEP_TIME:
+        return rec
+    total = int(math.floor(budget / max(step_time, 1e-9)))
+    if total < 1:  # the budget cannot cover even one step
+        return rec
+    check_at = max(1, total // 4)
+    for at_check, n in ((True, check_at), (False, total - check_at)):
+        steps, points, diverged = train(n)
+        rec.steps += steps
+        if diverged:
+            rec.stop_reason = STOP_DIVERGED
+            return rec
+        rec.trajectory += points
+        if at_check:
+            rec.quality_25 = quality(rec.steps)
+            if baseline is not None and early_stop_check(
+                    step_time, baseline.step_time, rec.quality_25,
+                    baseline.quality_25) == STOP_PERPLEXITY:
+                rec.stop_reason = STOP_PERPLEXITY
+                return rec
+    rec.final_loss, points = finish(rec.steps)
+    rec.trajectory += points
+    rec.reward = -rec.final_loss
+    rec.stop_reason = STOP_COMPLETED
+    return rec
+
+
 class SurrogateRunner:
     """Deterministic analytic stand-in for proxy training.
 
     Per-step cost is the analytic FLOP estimate (or an injected cost
     function); the loss trajectory is a closed-form power-law curve whose
-    floor and decay depend only on the genome. Exercises the same budget,
-    early-stopping, and reward logic as real training, which makes search
-    tests fast and machine-independent.
+    floor and decay depend only on the genome. Runs the same trial
+    protocol as real training, which makes search tests fast and
+    machine-independent.
     """
 
     def __init__(self, budget_cost_units, baseline_genome=None,
@@ -322,41 +377,22 @@ class SurrogateRunner:
 
     def _evaluate(self, genome, trial_id, parent_id, baseline):
         cost = self.cost_fn(genome)
-        steps = int(math.floor(self.budget / cost))
-        rec = TrialRecord(trial_id=trial_id, parent_id=parent_id,
-                          genome=genome.to_json_dict(), step_time=cost,
-                          cost_per_step=cost, steps=0, final_loss=None,
-                          reward=-1.0, stop_reason=STOP_STEP_TIME)
-        if baseline is not None and \
-                early_stop_check(cost, baseline.step_time) == STOP_STEP_TIME:
-            return rec
-        if steps < 1:
-            # the budget cannot cover even one step
-            return rec
-        check_at = max(1, steps // 4)
-        quality_25 = self.loss_curve(genome, check_at)
-        rec.quality_25 = quality_25
-        if baseline is not None:
-            stop = early_stop_check(cost, baseline.step_time,
-                                    quality_25, baseline.quality_25)
-            if stop == STOP_PERPLEXITY:
-                rec.stop_reason = STOP_PERPLEXITY
-                rec.steps = check_at
-                return rec
-        final = self.loss_curve(genome, steps)
-        traj_steps = sorted({max(1, steps * i // 10) for i in range(1, 11)})
-        rec.trajectory = [[s, self.loss_curve(genome, s)] for s in traj_steps]
-        rec.steps = steps
-        rec.final_loss = final
-        rec.reward = -final
-        rec.stop_reason = STOP_COMPLETED
-        return rec
+
+        def curve(step):
+            return self.loss_curve(genome, step)
+
+        def finish(steps):
+            points = sorted({max(1, steps * i // 10) for i in range(1, 11)})
+            return curve(steps), [[s, curve(s)] for s in points]
+        return run_trial(genome, trial_id, parent_id, baseline, self.budget,
+                         cost, cost, lambda n: (n, [], False), curve, finish)
 
 
 class ProxyTrainingRunner:
     """Real proxy training: stack the block three times, train under the
     fixed budget, prune at the 25% checkpoint, reward the negative final
-    validation loss."""
+    validation loss. The two chunks of a trial are one run: the second
+    carries on the first's optimizer moments and batch RNG."""
 
     def __init__(self, corpus, train_cfg, budget_cost_units=None,
                  budget_seconds=None, baseline_genome=None, seed=0):
@@ -364,8 +400,8 @@ class ProxyTrainingRunner:
             raise ConfigError("set exactly one of budget_cost_units / budget_seconds")
         self.corpus = corpus
         self.cfg = train_cfg
-        self.budget_cost = budget_cost_units
-        self.budget_seconds = budget_seconds
+        self.wallclock = budget_seconds is not None
+        self.budget = budget_seconds if self.wallclock else budget_cost_units
         self.baseline_genome = baseline_genome or glam_baseline_block()
         self.seed = seed
         self.baseline = None
@@ -380,59 +416,32 @@ class ProxyTrainingRunner:
         return self._evaluate(candidate.genome, candidate.id, candidate.parent_id,
                               self.baseline_record())
 
-    def _quality(self, model):
-        split = "valid" if model_has_valid(self.corpus) else "train"
-        return evaluate_perplexity(model, self.corpus, split=split,
-                                   seq_len=self.cfg.seq_len,
-                                   max_tokens=self.cfg.eval_tokens)
-
     def _evaluate(self, genome, trial_id, parent_id, baseline):
         spec = proxy_model_spec(genome, vocab_size=self.corpus.vocab_size,
                                 max_seq_len=self.cfg.seq_len)
         model = LanguageModel(spec, seed=self.seed)
         cost = float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
-        step_time = cost if self.budget_cost is not None else \
-            measure_step_time(model, self.corpus, self.cfg, repetitions=3)[0]
-        rec = TrialRecord(trial_id=trial_id, parent_id=parent_id,
-                          genome=genome.to_json_dict(), step_time=step_time,
-                          cost_per_step=cost, steps=0, final_loss=None,
-                          reward=-1.0, stop_reason=STOP_STEP_TIME)
-        if baseline is not None and \
-                early_stop_check(step_time, baseline.step_time) == STOP_STEP_TIME:
-            return rec
-        budget = self.budget_cost if self.budget_cost is not None else self.budget_seconds
-        total_steps = int(math.floor(budget / max(step_time, 1e-9)))
-        if total_steps < 1:
-            return rec
-        check_at = max(1, total_steps // 4)
+        step_time = measure_step_time(model, self.corpus, self.cfg, repetitions=3) \
+            if self.wallclock else cost
         cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
-        res1 = train_steps(model, self.corpus, cfg, Budget(max_steps=check_at))
-        if res1.diverged:
-            rec.stop_reason = STOP_DIVERGED
-            rec.steps = res1.steps
-            return rec
-        quality_25 = self._quality(model)
-        rec.quality_25 = quality_25
-        rec.trajectory = [[r["step"], r["loss"]] for r in _thin(res1.records)]
-        if baseline is not None and early_stop_check(
-                step_time, baseline.step_time, quality_25,
-                baseline.quality_25) == STOP_PERPLEXITY:
-            rec.stop_reason = STOP_PERPLEXITY
-            rec.steps = res1.steps
-            return rec
-        res2 = train_steps(model, self.corpus, cfg,
-                           Budget(max_steps=total_steps - check_at),
-                           state=res1.state)
-        rec.steps = res1.steps + res2.steps
-        if res2.diverged:
-            rec.stop_reason = STOP_DIVERGED
-            return rec
-        rec.trajectory += [[r["step"], r["loss"]] for r in _thin(res2.records)]
-        final_ppl = self._quality(model)
-        rec.final_loss = math.log(final_ppl)
-        rec.reward = -rec.final_loss
-        rec.stop_reason = STOP_COMPLETED
-        return rec
+        state = None
+
+        def train(n):
+            nonlocal state
+            res = train_steps(model, self.corpus, cfg, Budget(max_steps=n),
+                              state=state)
+            state = res.state
+            return (res.steps, [[r["step"], r["loss"]] for r in _thin(res.records)],
+                    res.diverged)
+
+        def quality(step):
+            split = "valid" if model_has_valid(self.corpus) else "train"
+            return evaluate_perplexity(model, self.corpus, split=split,
+                                       seq_len=self.cfg.seq_len,
+                                       max_tokens=self.cfg.eval_tokens)
+        return run_trial(genome, trial_id, parent_id, baseline, self.budget,
+                         step_time, cost, train, quality,
+                         lambda step: (math.log(quality(step)), []))
 
 
 def _thin(records, keep=10):
@@ -465,9 +474,11 @@ def _phase_rng(seed, phase, index):
 
 
 def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
-           ledger_path=None, resume=False, workers=1):
+           ledger_path=None, resume=False):
     """Run (or resume) a regularized-evolution search.
 
+    Trials run one at a time in trial-id order: the initial population
+    (ids 0..p-1), then one tournament-selected, mutated child per round.
     The ledger, when given, receives one JSON line per trial (baseline
     first, trial_id -1). Resuming replays completed trials from the
     ledger and continues; because all randomness is derived from the
@@ -479,72 +490,40 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     ts = tournament_size or max(2, p // 5)
     state = EvolutionState(population_size=p, seed=seed)
 
-    existing = []
+    replayed = {}
     if resume and ledger_path:
         try:
-            existing = read_ledger(ledger_path)
+            replayed = {rec.trial_id: rec for rec in read_ledger(ledger_path)}
         except FileNotFoundError:
-            existing = []
+            pass
     ledger = open(ledger_path, "a") if ledger_path else None
-
-    replayed_ids = set()
 
     def emit(rec):
         if rec.stop_reason != STOP_BASELINE:
             state.history.append(rec)
-        if ledger and rec.trial_id not in replayed_ids:
+        if ledger and rec.trial_id not in replayed:
             ledger.write(record_to_line(rec) + "\n")
             ledger.flush()
     try:
-        baseline = None
-        replayed = {}
-        for rec in existing:
-            if rec.stop_reason == STOP_BASELINE:
-                baseline = rec
-            else:
-                replayed[rec.trial_id] = rec
-        if baseline is None:
-            baseline = runner.baseline_record()
-            if ledger:
-                ledger.write(record_to_line(baseline) + "\n")
-                ledger.flush()
-        else:
-            runner.baseline = baseline
-        state.baseline = baseline
-        replayed_ids.update(replayed)
-
-        # initial population
-        todo = []
-        for i in range(p):
-            if i in replayed:
-                state.history.append(replayed[i])
-                continue
-            cand = sample_candidate(space, _phase_rng(seed, "sample", i), cand_id=i)
-            todo.append(cand)
-        if todo and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(runner.evaluate, todo))
-        else:
-            results = [runner.evaluate(c) for c in todo]
-        for rec in sorted(results, key=lambda r: r.trial_id):
-            emit(rec)
-        state.history.sort(key=lambda r: r.trial_id)
-
-        # rounds: one tournament-selected, mutated child per round
-        start_round = len(state.history) - p
-        for t in range(start_round, rounds):
-            trial_id = p + t
+        if -1 in replayed:
+            runner.baseline = replayed[-1]
+        state.baseline = runner.baseline_record()
+        emit(state.baseline)
+        for trial_id in range(p + rounds):
             if trial_id in replayed:
                 emit(replayed[trial_id])
                 continue
-            rng = _phase_rng(seed, "round", t)
-            pop = state.population()
-            contenders = [pop[i] for i in sorted(rng.sample(range(len(pop)),
-                                                            min(ts, len(pop))))]
-            best = max(contenders, key=lambda r: (r.reward, -r.trial_id))
-            child_genome = mutate(best.block_spec(), space, rng)
-            cand = Candidate(genome=child_genome, id=trial_id,
-                             parent_id=best.trial_id)
+            if trial_id < p:
+                cand = sample_candidate(space, _phase_rng(seed, "sample", trial_id),
+                                        cand_id=trial_id)
+            else:
+                rng = _phase_rng(seed, "round", trial_id - p)
+                pop = state.population()
+                contenders = [pop[i] for i in sorted(rng.sample(range(len(pop)),
+                                                                min(ts, len(pop))))]
+                best = max(contenders, key=lambda r: (r.reward, -r.trial_id))
+                cand = Candidate(genome=mutate(best.block_spec(), space, rng),
+                                 id=trial_id, parent_id=best.trial_id)
             emit(runner.evaluate(cand))
     finally:
         if ledger:

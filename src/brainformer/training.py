@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -59,8 +60,13 @@ class Budget:
     max_cost_units: float = None
 
     def __post_init__(self):
-        if all(v is None for v in (self.max_steps, self.max_seconds, self.max_cost_units)):
+        limits = {"max_steps": self.max_steps, "max_seconds": self.max_seconds,
+                  "max_cost_units": self.max_cost_units}
+        if all(v is None for v in limits.values()):
             raise ValueError("budget needs max_steps, max_seconds, or max_cost_units")
+        for name, v in limits.items():
+            if v is not None and not isinstance(v, numbers.Real):
+                raise ValueError(f"budget {name} must be a number, got {v!r}")
 
 
 def lr_at(step, cfg):
@@ -315,14 +321,11 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
 
 def measure_step_time(model, corpus, cfg, repetitions=5):
     """Median recorded ``step_time`` after one warm-up step of training a
-    throwaway copy of the model (inf if it diverges first); also returns
-    the deterministic analytic cost for reproducible modes.
-    """
+    throwaway copy of the model (inf if it diverges first)."""
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
     res = train_steps(copy.deepcopy(model), corpus,
                       replace(cfg, log_every=1, eval_every=0),
                       Budget(max_steps=repetitions + 1))
     times = [r["step_time"] for r in res.records[1:]]  # first is warm-up
-    analytic = float(step_cost_units(model.spec, cfg.batch_size, cfg.seq_len))
-    return (float(np.median(times)) if times else math.inf), analytic
+    return float(np.median(times)) if times else math.inf

@@ -108,6 +108,22 @@ class TestSearchCommand:
                      "--out", str(tmp_path / "o"),
                      "--budget-mode", "wallclock"]) == EXIT_USAGE
 
+    def test_workers_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--config", search_config(tmp_path),
+                  "--out", str(tmp_path / "o"), "--workers", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
+    def test_config_keys_it_does_not_read_are_ignored(self, tmp_path):
+        # e.g. "workers", which older configs carry
+        plain = tmp_path / "plain"
+        main(["search", "--config", search_config(tmp_path), "--out", str(plain)])
+        assert main(["search", "--config", search_config(tmp_path, workers=1),
+                     "--out", str(tmp_path / "old")]) == EXIT_OK
+        assert (tmp_path / "old/ledger.jsonl").read_bytes() == \
+            (plain / "ledger.jsonl").read_bytes()
+
     def test_unknown_space_field_rejected(self, tmp_path):
         cfg = search_config(tmp_path, space={"depth": 3})
         assert main(["search", "--config", cfg,
@@ -195,6 +211,17 @@ class TestTrainCommand:
               "--config", cfg, "--out", str(out)])
         report = json.loads((out / "train_report.json").read_text())
         assert report["steps"] == 1
+
+    @pytest.mark.parametrize("budget", [{"max_stepz": 3}, {"max_steps": None},
+                                        {"max_steps": "x"}])
+    def test_malformed_budget(self, tmp_path, genome_file, corpus_file,
+                              budget, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path, budget=budget),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "train config:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_corpus(self, tmp_path, genome_file):
         assert main(["train", "--genome", genome_file,

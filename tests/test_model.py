@@ -306,6 +306,8 @@ class TestFlops:
         ms = ModelSpec(block=tiny_block(), n_blocks=1, vocab_size=11,
                        max_seq_len=8)
         assert step_cost_units(ms, 4, 8) == 2 * step_cost_units(ms, 2, 8)
+        # forward plus backward: three times the model FLOPs per token
+        assert step_cost_units(ms, 2, 8) == 3 * 2 * 8 * model_flops_per_token(ms, 8)
 
 
 class TestCheckpoint:

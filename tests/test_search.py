@@ -13,6 +13,7 @@ from brainformer.search import (
     sample_candidate, mutate, early_stop_check, evolve, finalize_topk,
     read_ledger, record_to_line, proxy_model_spec,
     STOP_COMPLETED, STOP_STEP_TIME, STOP_PERPLEXITY, STOP_BASELINE,
+    STOP_DIVERGED,
 )
 
 
@@ -316,17 +317,6 @@ class TestEvolve:
             evolve(toy_space(), p=1, rounds=1,
                    runner=SurrogateRunner(1e12, baseline_genome=toy_baseline()))
 
-    def test_workers_match_serial(self, tmp_path):
-        space = toy_space()
-        s1 = evolve(space, p=4, rounds=4,
-                    runner=SurrogateRunner(1e12, baseline_genome=toy_baseline()),
-                    seed=1, workers=1)
-        s2 = evolve(space, p=4, rounds=4,
-                    runner=SurrogateRunner(1e12, baseline_genome=toy_baseline()),
-                    seed=1, workers=3)
-        assert [record_to_line(r) for r in s1.history] == \
-            [record_to_line(r) for r in s2.history]
-
 
 class TestProxyTrainingRunner:
     def corpus(self):
@@ -384,7 +374,7 @@ class TestProxyTrainingRunner:
 
         def fake_measure(model, corpus, cfg, repetitions=5):
             calls.append(model)
-            return 0.25, 0.0
+            return 0.25
         monkeypatch.setattr("brainformer.search.measure_step_time", fake_measure)
         runner = ProxyTrainingRunner(self.corpus(), self.cfg(), budget_seconds=2.0,
                                      baseline_genome=toy_baseline())
@@ -392,6 +382,49 @@ class TestProxyTrainingRunner:
         assert len(calls) == 1
         assert rec.step_time == 0.25
         assert rec.steps == 8
+
+    def diverging_trial(self, monkeypatch, chunk):
+        """A trial of the baseline genome (12 steps, checkpoint at 3) whose
+        ``chunk``-th call to train_steps diverges one step before its end."""
+        from brainformer.model import step_cost_units
+        from brainformer.training import Budget, train_steps
+        cost = step_cost_units(proxy_model_spec(toy_baseline(), max_seq_len=8),
+                               2, 8)
+        runner = ProxyTrainingRunner(self.corpus(), self.cfg(),
+                                     budget_cost_units=12.5 * cost,
+                                     baseline_genome=toy_baseline())
+        baseline = runner.baseline_record()  # trains without the fault
+        calls = []
+
+        def faulty(model, corpus, cfg, budget, **kw):
+            calls.append(budget.max_steps)
+            if len(calls) != chunk:
+                return train_steps(model, corpus, cfg, budget, **kw)
+            res = train_steps(model, corpus, cfg,
+                              Budget(max_steps=budget.max_steps - 1), **kw)
+            res.diverged = True
+            return res
+        monkeypatch.setattr("brainformer.search.train_steps", faulty)
+        # id 0 trains with the baseline's seed, so it passes the checkpoint
+        rec = runner.evaluate(Candidate(genome=toy_baseline(), id=0))
+        assert calls == [3, 9][:chunk]
+        assert rec.stop_reason == STOP_DIVERGED
+        assert rec.reward == -1.0
+        assert rec.final_loss is None
+        return rec, baseline
+
+    def test_diverged_in_first_chunk(self, monkeypatch):
+        rec, _ = self.diverging_trial(monkeypatch, chunk=1)
+        assert rec.steps == 2
+        assert rec.trajectory == []
+        assert rec.quality_25 is None
+
+    def test_diverged_in_second_chunk(self, monkeypatch):
+        rec, baseline = self.diverging_trial(monkeypatch, chunk=2)
+        assert rec.steps == 3 + 8
+        assert rec.trajectory == baseline.trajectory[:3]
+        assert [s for s, _ in rec.trajectory] == [1, 2, 3]
+        assert rec.quality_25 == baseline.quality_25
 
     def test_costly_genome_pruned_on_step_time(self):
         from brainformer.model import step_cost_units

@@ -351,14 +351,12 @@ class TestEvaluate:
 
 class TestStepTime:
     def test_returns_positive_median_and_analytic(self):
-        m = tiny_model()
-        t, cost = measure_step_time(m, tiny_corpus(),
-                                    TrainConfig(seq_len=8, batch_size=2),
-                                    repetitions=3)
-        assert t > 0
-        assert cost == 3 * 2 * 8 * __import__(
-            "brainformer.model", fromlist=["model_flops_per_token"]
-        ).model_flops_per_token(m.spec, 8)
+        """Only the measured median; the analytic cost is
+        ``step_cost_units``, checked in test_model."""
+        t = measure_step_time(tiny_model(), tiny_corpus(),
+                              TrainConfig(seq_len=8, batch_size=2),
+                              repetitions=3)
+        assert isinstance(t, float) and t > 0
 
     def test_too_few_repetitions(self):
         m = tiny_model()
