@@ -81,43 +81,42 @@ def _load_json(path, what):
 # search
 # ---------------------------------------------------------------------------
 
-def _build_runner(cfg, budget_mode):
+def _build_runner(cfg):
+    """The trial runner a search config asks for. Its budget holds exactly
+    one of ``cost_units`` and ``seconds``, and that key picks the mode:
+    analytic cost units, or wall-clock seconds (proxy training only)."""
     mode = cfg.get("mode", "surrogate")
     baseline_doc = cfg.get("baseline_genome")
     baseline = M.BlockSpec.from_json_dict(baseline_doc) if baseline_doc else None
     budget = cfg.get("budget", {})
+    cost_units, seconds = budget.get("cost_units"), budget.get("seconds")
+    if (cost_units is None) == (seconds is None):
+        raise UsageError("search config: budget needs exactly one of "
+                         "cost_units, seconds")
+    train_doc = cfg.get("train", {})
+    if "valid_fraction" in train_doc:
+        raise UsageError("search config: train.valid_fraction is not read; "
+                         "set the top-level valid_fraction")
+    try:
+        TR.Budget(max_cost_units=cost_units, max_seconds=seconds)  # number check
+        train_cfg = TR.TrainConfig.from_dict(train_doc)
+    except ValueError as exc:
+        raise UsageError(f"search config: {exc}")
     if mode == "surrogate":
-        if budget_mode == "wallclock":
+        if seconds is not None:
             raise UsageError("surrogate mode only supports cost budgets")
-        if "cost_units" not in budget:
-            raise UsageError("search config: budget.cost_units required")
-        train = cfg.get("train", {})
-        return S.SurrogateRunner(
-            budget_cost_units=budget["cost_units"],
-            baseline_genome=baseline,
-            batch_size=train.get("batch_size", 8),
-            seq_len=train.get("seq_len", 128),
-        )
+        return S.SurrogateRunner(budget_cost_units=cost_units,
+                                 baseline_genome=baseline,
+                                 batch_size=train_cfg.batch_size,
+                                 seq_len=train_cfg.seq_len)
     if mode == "train":
         if "corpus" not in cfg:
             raise UsageError("search config: corpus path required in train mode")
         corpus = TR.ByteCorpus.from_file(
             cfg["corpus"], valid_fraction=cfg.get("valid_fraction", 0.1))
-        try:
-            train_cfg = TR.TrainConfig.from_dict(cfg.get("train", {}))
-        except ValueError as exc:
-            raise UsageError(f"search config: {exc}")
-        kw = {}
-        if budget_mode == "wallclock":
-            if "seconds" not in budget:
-                raise UsageError("search config: budget.seconds required for wallclock")
-            kw["budget_seconds"] = budget["seconds"]
-        else:
-            if "cost_units" not in budget:
-                raise UsageError("search config: budget.cost_units required")
-            kw["budget_cost_units"] = budget["cost_units"]
-        return S.ProxyTrainingRunner(corpus, train_cfg, baseline_genome=baseline,
-                                     seed=cfg.get("seed", 0), **kw)
+        return S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
+                                     budget_seconds=seconds, baseline_genome=baseline,
+                                     seed=cfg.get("seed", 0))
     raise UsageError(f"search config: unknown mode {mode!r}")
 
 
@@ -127,12 +126,11 @@ def cmd_search(args):
         if name not in cfg:
             raise UsageError(f"search config: missing field {name!r}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    budget_mode = args.budget_mode or cfg.get("budget_mode", "cost")
     try:
         space = S.SearchSpace.from_dict(cfg.get("space", {}))
     except M.ConfigError as exc:
         raise UsageError(f"search config: {exc}")
-    runner = _build_runner(cfg, budget_mode)
+    runner = _build_runner(cfg)
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     ledger_path = os.path.join(args.out, "ledger.jsonl")
@@ -351,7 +349,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget-mode", choices=["wallclock", "cost"], dest="budget_mode")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_search)
 

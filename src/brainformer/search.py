@@ -14,16 +14,21 @@ score the negative final validation loss. The runners differ only in how
 they time a step, train, and measure quality: a closed-form surrogate
 curve, or real proxy training.
 
+The searched genome fields are stated once, in ``SEARCHED_FIELDS``; each
+draws from its ``<field>_choices`` domain of ``SearchSpace``, next to the
+block length and layer order.
+
 All per-trial randomness derives from (seed, phase, index), so a search
 is bitwise reproducible and crash-resumable from its JSONL ledger alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +52,10 @@ STOP_PERPLEXITY = "perplexity_violation"
 STOP_DIVERGED = "diverged"
 STOP_BASELINE = "baseline"  # reference entry, not a search trial
 
+# The genome fields drawn from a SearchSpace domain besides the block length
+# and layer order, in sample-draw and mutation-item order.
+SEARCHED_FIELDS = ("d", "d_moe", "d_ffn", "h", "g", "c", "a")
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -66,9 +75,8 @@ class SearchSpace:
     d_head: int = 64
 
     def __post_init__(self):
-        for name in ("k_choices", "layer_kinds", "d_choices", "d_moe_choices",
-                     "d_ffn_choices", "h_choices", "g_choices", "c_choices",
-                     "a_choices"):
+        for name in ("k_choices", "layer_kinds",
+                     *(f"{f}_choices" for f in SEARCHED_FIELDS)):
             vals = tuple(getattr(self, name))
             object.__setattr__(self, name, vals)
             if not vals:
@@ -82,33 +90,28 @@ class SearchSpace:
             raise ConfigError(f"unknown search space fields: {sorted(bad)}")
         return cls(**doc)
 
+    def domain(self, name):
+        """The choices of one of ``SEARCHED_FIELDS``."""
+        return getattr(self, f"{name}_choices")
+
     def contains(self, spec):
         return (len(spec.layers) in self.k_choices
                 and all(kind in self.layer_kinds for kind in spec.layers)
-                and spec.d in self.d_choices
-                and spec.d_moe in self.d_moe_choices
-                and spec.d_ffn in self.d_ffn_choices
-                and spec.h in self.h_choices
-                and spec.g in self.g_choices
-                and spec.c in self.c_choices
-                and spec.a in self.a_choices
+                and all(getattr(spec, f) in self.domain(f) for f in SEARCHED_FIELDS)
                 and spec.n_experts == self.n_experts
                 and spec.d_head == self.d_head)
 
     def enumerate(self, limit=None):
         """Every genome in the space (for exhaustive oracles on toy spaces)."""
-        import itertools
+        domains = [self.domain(f) for f in SEARCHED_FIELDS]
         out = []
         for k in self.k_choices:
             for combo in itertools.product(self.layer_kinds, repeat=k):
                 if KIND_ATTN not in combo:
                     continue
-                for d, dm, df, h, g, c, a in itertools.product(
-                        self.d_choices, self.d_moe_choices, self.d_ffn_choices,
-                        self.h_choices, self.g_choices, self.c_choices,
-                        self.a_choices):
-                    out.append(BlockSpec(layers=combo, d=d, d_moe=dm, d_ffn=df,
-                                         h=h, g=g, c=c, a=a,
+                for values in itertools.product(*domains):
+                    out.append(BlockSpec(layers=combo,
+                                         **dict(zip(SEARCHED_FIELDS, values)),
                                          n_experts=self.n_experts,
                                          d_head=self.d_head))
                     if limit is not None and len(out) > limit:
@@ -132,13 +135,7 @@ def sample_candidate(space, rng, cand_id=0, parent_id=None, max_tries=1000):
             continue
         genome = BlockSpec(
             layers=layers,
-            d=rng.choice(space.d_choices),
-            d_moe=rng.choice(space.d_moe_choices),
-            d_ffn=rng.choice(space.d_ffn_choices),
-            h=rng.choice(space.h_choices),
-            g=rng.choice(space.g_choices),
-            c=rng.choice(space.c_choices),
-            a=rng.choice(space.a_choices),
+            **{f: rng.choice(space.domain(f)) for f in SEARCHED_FIELDS},
             n_experts=space.n_experts,
             d_head=space.d_head,
         )
@@ -147,13 +144,8 @@ def sample_candidate(space, rng, cand_id=0, parent_id=None, max_tries=1000):
 
 
 def _mutable_items(space, genome):
-    items = []
-    for name, choices in (("d", space.d_choices), ("d_moe", space.d_moe_choices),
-                          ("d_ffn", space.d_ffn_choices), ("h", space.h_choices),
-                          ("g", space.g_choices), ("c", space.c_choices),
-                          ("a", space.a_choices)):
-        if len(choices) > 1:
-            items.append(("field", name, choices))
+    items = [("field", f, space.domain(f)) for f in SEARCHED_FIELDS
+             if len(space.domain(f)) > 1]
     if len(space.layer_kinds) > 1:
         for pos in range(len(genome.layers)):
             items.append(("layer", pos, space.layer_kinds))
@@ -215,19 +207,7 @@ class TrialRecord:
     quality_25: float = None  # validation quality at the 25% checkpoint
 
     def to_json_dict(self):
-        return {
-            "trial_id": self.trial_id,
-            "parent_id": self.parent_id,
-            "genome": self.genome,
-            "step_time": self.step_time,
-            "cost_per_step": self.cost_per_step,
-            "steps": self.steps,
-            "final_loss": self.final_loss,
-            "reward": self.reward,
-            "stop_reason": self.stop_reason,
-            "trajectory": self.trajectory,
-            "quality_25": self.quality_25,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -255,6 +235,21 @@ def read_ledger(path, strict=True):
                     raise
                 skipped += 1
     return (records, skipped) if not strict else records
+
+
+def _resume_ledger(path):
+    """The records of a ledger to resume, by trial id. A torn last line (a
+    crash mid-write) is cut off first, so its trial re-runs and appends a
+    whole line; any other line that is not a trial record is an error."""
+    try:
+        with open(path, "rb+") as fh:
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+    except FileNotFoundError:
+        return {}
+    try:
+        return {rec.trial_id: rec for rec in read_ledger(path)}
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ConfigError(f"cannot resume from {path}: {exc}")
 
 
 def early_stop_check(step_time, baseline_step_time, quality_at_fraction=None,
@@ -480,22 +475,17 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     Trials run one at a time in trial-id order: the initial population
     (ids 0..p-1), then one tournament-selected, mutated child per round.
     The ledger, when given, receives one JSON line per trial (baseline
-    first, trial_id -1). Resuming replays completed trials from the
-    ledger and continues; because all randomness is derived from the
-    seed and trial indices, the resumed ledger is byte-identical to an
-    uninterrupted run.
+    first, trial_id -1). Resuming replays the ledger's trials (a torn
+    last line is cut off and its trial re-run) and continues; because all
+    randomness is derived from the seed and trial indices, the resumed
+    ledger is byte-identical to an uninterrupted run.
     """
     if p < 2:
         raise ConfigError("population size must be >= 2")
     ts = tournament_size or max(2, p // 5)
     state = EvolutionState(population_size=p, seed=seed)
 
-    replayed = {}
-    if resume and ledger_path:
-        try:
-            replayed = {rec.trial_id: rec for rec in read_ledger(ledger_path)}
-        except FileNotFoundError:
-            pass
+    replayed = _resume_ledger(ledger_path) if resume and ledger_path else {}
     ledger = open(ledger_path, "a") if ledger_path else None
 
     def emit(rec):

@@ -38,7 +38,6 @@ class TrainConfig:
     beta2: float = 0.99
     valid_fraction: float = 0.1
     log_every: int = 1
-    eval_every: int = 0  # 0 disables periodic validation
     eval_tokens: int = 2048
     # no dropout field on purpose: training never uses dropout
 
@@ -286,11 +285,6 @@ def train_steps(model, corpus, cfg, budget, trajectory_path=None,
             if result.steps % cfg.log_every == 0:
                 rec = {"step": model.step, "loss": ce.item(), "lr": lr,
                        "step_time": time.monotonic() - t0}
-                if cfg.eval_every and result.steps % cfg.eval_every == 0 \
-                        and model_has_valid(corpus):
-                    rec["valid_ppl"] = evaluate_perplexity(
-                        model, corpus, seq_len=cfg.seq_len,
-                        max_tokens=cfg.eval_tokens)
                 result.records.append(rec)
                 if out:
                     out.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -325,7 +319,7 @@ def measure_step_time(model, corpus, cfg, repetitions=5):
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
     res = train_steps(copy.deepcopy(model), corpus,
-                      replace(cfg, log_every=1, eval_every=0),
+                      replace(cfg, log_every=1),
                       Budget(max_steps=repetitions + 1))
     times = [r["step_time"] for r in res.records[1:]]  # first is warm-up
     return float(np.median(times)) if times else math.inf

@@ -1,12 +1,16 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from brainformer.cli import main, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
+from brainformer.cli import main, _build_runner, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 from brainformer.model import BlockSpec, ModelSpec, LanguageModel, write_genome
 from brainformer.search import TrialRecord, record_to_line, STOP_COMPLETED
+from brainformer.training import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def toy_block(**kw):
@@ -104,9 +108,45 @@ class TestSearchCommand:
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
     def test_surrogate_rejects_wallclock(self, tmp_path):
-        assert main(["search", "--config", search_config(tmp_path),
-                     "--out", str(tmp_path / "o"),
-                     "--budget-mode", "wallclock"]) == EXIT_USAGE
+        cfg = search_config(tmp_path, budget={"seconds": 10})
+        assert main(["search", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("budget", [{"cost_units": "x"}, {},
+                                        {"cost_units": 1e12, "seconds": 10}])
+    def test_malformed_budget(self, tmp_path, budget, capsys):
+        out = tmp_path / "o"
+        assert main(["search", "--config", search_config(tmp_path, budget=budget),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "search config:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seconds_budget_runs_wallclock(self, tmp_path, corpus_file):
+        cfg = json.loads(Path(search_config(
+            tmp_path, mode="train", corpus=corpus_file, budget={"seconds": 0.5},
+            train={"batch_size": 2, "seq_len": 8})).read_text())
+        runner = _build_runner(cfg)
+        assert runner.wallclock and runner.budget == 0.5
+        cfg["budget"] = {"cost_units": 1e9}
+        runner = _build_runner(cfg)
+        assert not runner.wallclock and runner.budget == 1e9
+
+    def test_budget_mode_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--config", search_config(tmp_path),
+                  "--out", str(tmp_path / "o"), "--budget-mode", "cost"])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("train, message", [
+        ({"valid_fraction": 0.0}, "top-level valid_fraction"),
+        ({"dropout": 0.1}, "unknown train config fields")])
+    def test_bad_train_section(self, tmp_path, train, message, capsys):
+        out = tmp_path / "o"
+        assert main(["search", "--config", search_config(tmp_path, train=train),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -116,13 +156,40 @@ class TestSearchCommand:
         assert not (tmp_path / "o").exists()
 
     def test_config_keys_it_does_not_read_are_ignored(self, tmp_path):
-        # e.g. "workers", which older configs carry
+        # e.g. "workers" and "budget_mode", which older configs carry
         plain = tmp_path / "plain"
         main(["search", "--config", search_config(tmp_path), "--out", str(plain)])
-        assert main(["search", "--config", search_config(tmp_path, workers=1),
+        assert main(["search", "--config",
+                     search_config(tmp_path, workers=1, budget_mode="cost"),
                      "--out", str(tmp_path / "old")]) == EXIT_OK
         assert (tmp_path / "old/ledger.jsonl").read_bytes() == \
             (plain / "ledger.jsonl").read_bytes()
+
+    def test_resume_after_torn_last_line(self, tmp_path):
+        """A crash mid-write leaves part of the last record; --resume cuts it
+        and re-runs that trial, so the ledger ends as if never stopped."""
+        cfg = search_config(tmp_path, rounds=1)
+        whole = tmp_path / "whole"
+        main(["search", "--config", cfg, "--out", str(whole)])
+        full = (whole / "ledger.jsonl").read_bytes()
+        last = full.rstrip(b"\n").rfind(b"\n") + 1
+        out = tmp_path / "cut"
+        for cut in range(last + 1, len(full)):
+            out.mkdir(exist_ok=True)
+            (out / "ledger.jsonl").write_bytes(full[:cut])
+            assert main(["search", "--config", cfg, "--out", str(out),
+                         "--resume"]) == EXIT_OK, cut
+            assert (out / "ledger.jsonl").read_bytes() == full, cut
+
+    def test_resume_rejects_corrupt_complete_line(self, tmp_path, capsys):
+        cfg = search_config(tmp_path)
+        out = tmp_path / "run"
+        main(["search", "--config", cfg, "--out", str(out)])
+        lines = (out / "ledger.jsonl").read_text().splitlines(keepends=True)
+        (out / "ledger.jsonl").write_text("".join(lines[:2]) + "{oops\n")
+        assert main(["search", "--config", cfg, "--out", str(out),
+                     "--resume"]) == EXIT_USAGE
+        assert "cannot resume" in capsys.readouterr().err
 
     def test_unknown_space_field_rejected(self, tmp_path):
         cfg = search_config(tmp_path, space={"depth": 3})
@@ -353,3 +420,21 @@ class TestEnvironment:
             monkeypatch.setenv("BRAINFORMER_LOG_LEVEL", level)
             assert main(["count-params", "--genome", genome_file]) == EXIT_OK
             capsys.readouterr()
+
+
+class TestShippedConfigs:
+    """Every file under configs/ still loads, so removing an option cannot
+    silently break a shipped config."""
+
+    def test_search_config_runs(self, tmp_path):
+        assert main(["search", "--config", str(CONFIGS / "search_surrogate.json"),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    def test_train_config_loads(self):
+        TrainConfig.from_dict(json.loads((CONFIGS / "train_overfit.json").read_text()))
+
+    @pytest.mark.parametrize("name", ["brainformer1_like.json",
+                                      "glam_0p1b_32e.json"])
+    def test_genome_counts(self, name, capsys):
+        assert main(["count-params", "--genome", str(CONFIGS / name)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_params"] > 0
