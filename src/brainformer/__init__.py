@@ -13,11 +13,12 @@ from .model import (
     BlockSpec, ModelSpec, ParamCount, LanguageModel, ConfigError,
     compose_block, stack_n_times, scale_model_dim, count_params,
     glam_baseline_block, brainformer1_like_block,
-    save_checkpoint, load_checkpoint, read_genome, write_genome,
+    read_genome, write_genome,
 )
 from .training import (
     TrainConfig, Budget, ByteCorpus, Adafactor, TrainState,
     lr_at, train_steps, evaluate_perplexity, measure_step_time,
+    save_checkpoint, load_checkpoint,
 )
 from .search import (
     SearchSpace, Candidate, TrialRecord, EvolutionState,

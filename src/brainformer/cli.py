@@ -67,6 +67,14 @@ def _write_manifest(out_dir, command, config_path, seed, started, artifacts):
         fh.write("\n")
 
 
+def _load_corpus(path, valid_fraction):
+    try:
+        with open(path, "rb") as fh:
+            return TR.ByteCorpus(fh.read(), valid_fraction=valid_fraction)
+    except (FileNotFoundError, TypeError, ValueError) as exc:
+        raise UsageError(f"corpus: {exc}")
+
+
 def _load_json(path, what):
     try:
         with open(path) as fh:
@@ -112,8 +120,7 @@ def _build_runner(cfg):
     if mode == "train":
         if "corpus" not in cfg:
             raise UsageError("search config: corpus path required in train mode")
-        corpus = TR.ByteCorpus.from_file(
-            cfg["corpus"], valid_fraction=cfg.get("valid_fraction", 0.1))
+        corpus = _load_corpus(cfg["corpus"], cfg.get("valid_fraction", 0.1))
         return S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
                                      budget_seconds=seconds, baseline_genome=baseline,
                                      seed=cfg.get("seed", 0))
@@ -125,6 +132,9 @@ def cmd_search(args):
     for name in ("population", "rounds"):
         if name not in cfg:
             raise UsageError(f"search config: missing field {name!r}")
+    for name in ("budget", "space", "train", "topk", "baseline_genome"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise UsageError(f"search config: {name} must be a JSON object")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     try:
         space = S.SearchSpace.from_dict(cfg.get("space", {}))
@@ -180,6 +190,8 @@ def cmd_train(args):
     budget_doc = cfg_doc.pop("budget", None)
     try:
         cfg = TR.TrainConfig.from_dict(cfg_doc)
+        budget = TR.Budget(**budget_doc) if budget_doc else \
+            TR.Budget(max_steps=cfg.max_steps)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"train config: {exc}")
     if args.seed is not None:
@@ -190,28 +202,24 @@ def cmd_train(args):
     if cfg.seq_len > spec.max_seq_len:
         raise UsageError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
                          f"{spec.max_seq_len}")
-    try:
-        corpus = TR.ByteCorpus.from_file(args.corpus,
-                                         valid_fraction=cfg.valid_fraction)
-    except (FileNotFoundError, ValueError) as exc:
-        raise UsageError(f"corpus: {exc}")
-    try:
-        budget = TR.Budget(**budget_doc) if budget_doc else \
-            TR.Budget(max_steps=cfg.max_steps)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"train config: {exc}")
-    os.makedirs(args.out, exist_ok=True)
-    started = time.strftime("%Y-%m-%dT%H:%M:%S")
+    corpus = _load_corpus(args.corpus, cfg.valid_fraction)
+    ckpt = os.path.join(args.out, "checkpoint.bin")
+    traj = os.path.join(args.out, "trajectory.jsonl")
     model = M.LanguageModel(spec, seed=cfg.seed)
     state = TR.TrainState.fresh(model, cfg)
-    ckpt = os.path.join(args.out, "checkpoint.bin")
-    if args.resume and os.path.exists(ckpt):
-        M.load_checkpoint(model, ckpt, state=state)
-        log.info("resumed from step %d", model.step)
-    traj = os.path.join(args.out, "trajectory.jsonl")
+    if args.resume:
+        if os.path.exists(ckpt):
+            TR.load_checkpoint(model, ckpt, state=state)
+            log.info("resumed from step %d", model.step)
+        if os.path.exists(traj):
+            TR.cut_trajectory(traj, model.step)
+    elif os.path.exists(ckpt) or os.path.exists(traj):
+        raise UsageError(f"{args.out} holds a run (use --resume)")
+    os.makedirs(args.out, exist_ok=True)
+    started = time.strftime("%Y-%m-%dT%H:%M:%S")
     result = TR.train_steps(model, corpus, cfg, budget, trajectory_path=traj,
                             state=state)
-    M.save_checkpoint(model, ckpt, state=state)
+    TR.save_checkpoint(model, ckpt, state=state)
     report = {
         "steps": result.steps,
         "total_step": model.step,
@@ -225,8 +233,7 @@ def cmd_train(args):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(args.out, "train", args.config, cfg.seed, started,
-                    ["checkpoint.bin", "checkpoint.bin.json",
-                     "trajectory.jsonl", "train_report.json"])
+                    ["checkpoint.bin", "trajectory.jsonl", "train_report.json"])
     if result.diverged:
         log.error("training diverged at step %d", model.step)
         return EXIT_RUNTIME

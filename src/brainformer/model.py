@@ -185,12 +185,6 @@ def _ffn_weights(d, hidden, activation):
     return d * hidden * gated + hidden * d
 
 
-def _activated_experts(kind_cfg):
-    if kind_cfg.gating == L.GATE_TOP2:
-        return min(2, kind_cfg.n_experts)
-    return min(kind_cfg.capacity_factor, kind_cfg.n_experts)
-
-
 def layer_param_counts(spec, kind):
     """(total, activated) parameter count of one sub-layer incl. its pre-norm."""
     ln = 2 * spec.d
@@ -205,7 +199,9 @@ def layer_param_counts(spec, kind):
     expert = _ffn_weights(spec.d, spec.d_moe, spec.a)
     gate = spec.d * cfg.n_experts
     total = gate + cfg.n_experts * expert + ln
-    activated = gate + _activated_experts(cfg) * expert + ln
+    # experts a token reaches: two under top-2, c under expert choice
+    k = min(2 if cfg.gating == L.GATE_TOP2 else cfg.capacity_factor, cfg.n_experts)
+    activated = gate + k * expert + ln
     return total, activated
 
 
@@ -234,18 +230,11 @@ def count_params(model_spec):
 # ---------------------------------------------------------------------------
 
 def layer_flops_per_token(spec, kind, seq_len):
-    cfg = spec.layer_config(kind)
-    if kind == KIND_ATTN:
-        hw = cfg.n_heads * cfg.head_dim
-        proj = 2 * spec.d * hw * 3 + 2 * hw * spec.d
-        # scores and weighted combine over the full window
-        mix = 4 * hw * seq_len
-        return proj + mix
-    if kind == KIND_FFN:
-        return 2 * _ffn_weights(spec.d, spec.d_ffn, spec.a)
-    gate = 2 * spec.d * cfg.n_experts
-    expert = 2 * _ffn_weights(spec.d, spec.d_moe, spec.a)
-    return gate + _activated_experts(cfg) * expert
+    """Two FLOPs per activated weight (the pre-norm's 2*d parameters are
+    not multiplied), plus attention's scores and weighted combine over the
+    full window."""
+    mix = 4 * spec.h * spec.d_head * seq_len if kind == KIND_ATTN else 0
+    return 2 * (layer_param_counts(spec, kind)[1] - 2 * spec.d) + mix
 
 
 def model_flops_per_token(model_spec, seq_len):
@@ -370,58 +359,6 @@ def lm_loss(model, inputs, targets, aux_coeff=0.01, seq_len=None):
     logits, aux = model.forward(inputs, seq_len=seq_len)
     ce = T.cross_entropy(logits, targets)
     return T.add(ce, T.mul(aux, aux_coeff)), ce
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: flat float64 binary + JSON sidecar with shapes/offsets
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(model, path, meta=None, state=None):
-    """Params, then a training state's Adafactor moments, as flat float64;
-    the sidecar indexes them as "tensors" and "optimizer", with the RNG."""
-    sections = {"tensors": {n: model.params[n].data for n in sorted(model.params)}}
-    sidecar = {"dtype": "float64", "meta": dict(meta or {}, step=model.step)}
-    if state is not None:
-        sections["optimizer"] = {f"{n}.{k}": moments[k] for n, moments in
-                                 sorted(state.optimizer.state.items())
-                                 for k in sorted(moments)}
-        sidecar["rng"] = state.rng.bit_generator.state
-    offset = 0
-    with open(path, "wb") as fh:
-        for section, arrays in sections.items():
-            sidecar[section] = {}
-            for name, arr in arrays.items():
-                sidecar[section][name] = {"shape": list(arr.shape), "offset": offset}
-                fh.write(arr.tobytes())
-                offset += arr.size
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_checkpoint(model, path, state=None):
-    """Restore params and ``model.step``, and a given training state's
-    moments and RNG in place; a params-only checkpoint leaves it as is."""
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    flat = np.fromfile(path, dtype=np.float64)
-
-    def read(entry):
-        size = int(np.prod(entry["shape"]))
-        chunk = flat[entry["offset"]: entry["offset"] + size]
-        return chunk.reshape(entry["shape"]).copy()
-
-    for name, entry in sidecar["tensors"].items():
-        if name not in model.params:
-            raise ConfigError(f"checkpoint tensor {name!r} unknown to this model")
-        model.params[name].data = read(entry)
-    if state is not None and "optimizer" in sidecar:
-        for key, entry in sidecar["optimizer"].items():
-            name, moment = key.rsplit(".", 1)
-            state.optimizer.state[name][moment] = read(entry)
-        state.rng.bit_generator.state = sidecar["rng"]
-    model.step = int(sidecar["meta"].get("step", 0))
-    return sidecar["meta"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Desk-scale LM training: Adafactor, constant-then-inverse-sqrt schedule,
-byte-level corpus ingestion, one budgeted step loop with carried state,
-perplexity evaluation.
+byte-level corpus ingestion, one budgeted step loop with carried state
+and its one-file checkpoint, perplexity evaluation.
 """
 
 from __future__ import annotations
@@ -9,13 +9,15 @@ import copy
 import json
 import math
 import numbers
+import os
 import time
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .model import lm_loss, step_cost_units
+from .model import ConfigError, lm_loss, step_cost_units
 
 BYTE_VOCAB = 258  # 256 byte values + 2 reserved specials
 TOK_BOS = 256
@@ -97,11 +99,6 @@ class ByteCorpus:
         self.train_ids = ids[:split]
         self.valid_ids = ids[split:]
         self.vocab_size = BYTE_VOCAB
-
-    @classmethod
-    def from_file(cls, path, valid_fraction=0.1):
-        with open(path, "rb") as fh:
-            return cls(fh.read(), valid_fraction=valid_fraction)
 
     def _split(self, split):
         ids = self.train_ids if split == "train" else self.valid_ids
@@ -225,6 +222,50 @@ class TrainState:
                    np.random.default_rng(cfg.seed))
 
 
+def save_checkpoint(model, path, state=None):
+    """One ``.npz`` of the params, a training state's Adafactor moments and
+    a JSON ``meta`` entry (step, batch RNG). It is written and fsynced as
+    ``path + ".tmp"``, then renamed onto ``path``, so a crash leaves the
+    old checkpoint or the new one, never a mix."""
+    meta = {"step": model.step}
+    arrays = {f"param/{n}": model.params[n].data for n in sorted(model.params)}
+    if state is not None:
+        meta["rng"] = state.rng.bit_generator.state
+        arrays.update((f"{k}/{n}", moments[k]) for n, moments in
+                      sorted(state.optimizer.state.items()) for k in sorted(moments))
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def load_checkpoint(model, path, state=None):
+    """Restore params and ``model.step``, and a given training state's
+    moments and RNG in place; a params-only checkpoint leaves it as is.
+    A file that does not read as a checkpoint raises ConfigError."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        step = int(meta["step"])
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError,
+            NotImplementedError) as exc:
+        raise ConfigError(f"unreadable checkpoint {path}: {exc!r}") from None
+    for key, arr in arrays.items():
+        section, name = key.split("/", 1)
+        if section == "param":
+            if name not in model.params or model.params[name].data.shape != arr.shape:
+                raise ConfigError(f"checkpoint tensor {name!r} does not fit this model")
+            model.params[name].data = arr
+        elif state is not None:  # an Adafactor moment: "r", "c" or "v"
+            state.optimizer.state[name][section] = arr
+    if state is not None and "rng" in meta:
+        state.rng.bit_generator.state = meta["rng"]
+    model.step = step
+
+
 @dataclass
 class TrainResult:
     records: list = field(default_factory=list)
@@ -293,6 +334,19 @@ def train_steps(model, corpus, cfg, budget, trajectory_path=None,
         if out:
             out.close()
     return result
+
+
+def cut_trajectory(path, step):
+    """Keep the records of a ``train_steps`` trajectory up to ``step``, so
+    a resumed run appends to what its checkpoint holds; a torn last line
+    goes too."""
+    with open(path, "rb+") as fh:
+        keep = 0
+        for line in fh:
+            if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+                break
+            keep += len(line)
+        fh.truncate(keep)
 
 
 def model_has_valid(corpus):

@@ -8,6 +8,7 @@ import pytest
 from brainformer.cli import main, _build_runner, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 from brainformer.model import BlockSpec, ModelSpec, LanguageModel, write_genome
 from brainformer.search import TrialRecord, record_to_line, STOP_COMPLETED
+from brainformer import training as TR
 from brainformer.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -155,6 +156,29 @@ class TestSearchCommand:
         assert exc.value.code == EXIT_USAGE
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section", ["budget", "space", "train", "topk",
+                                         "baseline_genome"])
+    def test_section_must_be_object(self, tmp_path, section, capsys):
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, **{section: 5})
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corpus, valid_fraction", [("missing", 0.1),
+                                                        ("corpus", 1.0),
+                                                        ("corpus", "x")])
+    def test_bad_corpus(self, tmp_path, corpus_file, corpus, valid_fraction,
+                        capsys):
+        path = corpus_file if corpus == "corpus" else str(tmp_path / "nope.bin")
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, mode="train", corpus=path,
+                            valid_fraction=valid_fraction,
+                            train={"batch_size": 2, "seq_len": 8})
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "corpus:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_keys_it_does_not_read_are_ignored(self, tmp_path):
         # e.g. "workers" and "budget_mode", which older configs carry
         plain = tmp_path / "plain"
@@ -228,7 +252,7 @@ class TestTrainCommand:
         spec = ModelSpec(block=toy_block(), n_blocks=1, vocab_size=258,
                          max_seq_len=1024)
         fresh = LanguageModel(spec, seed=0)
-        from brainformer.model import load_checkpoint
+        from brainformer.training import load_checkpoint
         loaded = LanguageModel(spec, seed=1)
         load_checkpoint(loaded, out / "checkpoint.bin")
         for name in fresh.params:
@@ -261,14 +285,94 @@ class TestTrainCommand:
         train(split, 3)
         train(split, 2, "--resume")
         train(whole, 5)
-        for name in ("checkpoint.bin", "checkpoint.bin.json"):
-            assert (split / name).read_bytes() == (whole / name).read_bytes()
+        assert (split / "checkpoint.bin").read_bytes() == \
+            (whole / "checkpoint.bin").read_bytes()
 
         def losses(out):
             return [json.loads(line)["loss"] for line in
                     (out / "trajectory.jsonl").read_text().splitlines()]
         assert len(losses(whole)) == 5
         assert losses(split) == losses(whole)
+
+    def test_crash_then_resume_equals_one_run(self, tmp_path, genome_file,
+                                              corpus_file, monkeypatch):
+        """Runs that die mid-step, before the first checkpoint and after
+        one, then --resume, end with the checkpoint and trajectory of a run
+        that never stopped; a torn last trajectory line is cut."""
+        class Crash(Exception):
+            pass
+
+        real_update = TR.Adafactor.update
+
+        def train(out, steps, *extra, crash_at=None):
+            calls = []
+
+            def update(self, params, lr):
+                calls.append(lr)
+                if len(calls) == crash_at:
+                    raise Crash
+                real_update(self, params, lr)
+
+            monkeypatch.setattr(TR.Adafactor, "update", update)
+            argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                    "--out", str(out), "--config",
+                    self.train_cfg(tmp_path, max_steps=steps), *extra]
+            if crash_at:
+                with pytest.raises(Crash):
+                    main(argv)
+            else:
+                assert main(argv) == EXIT_OK
+
+        def records(out):
+            return [(r["step"], r["loss"]) for r in map(
+                json.loads, (out / "trajectory.jsonl").read_text().splitlines())]
+
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        train(split, 3, crash_at=3)  # dies in step 3, before any checkpoint
+        assert not (split / "checkpoint.bin").exists()
+        assert [s for s, _ in records(split)] == [1, 2]
+        train(split, 3, "--resume")  # no checkpoint: starts over
+        train(split, 2, "--resume", crash_at=1)  # dies in step 4
+        with open(split / "trajectory.jsonl", "a") as fh:
+            fh.write('{"loss": 1.5, "st')  # and tears step 4's record
+        train(split, 2, "--resume")
+        train(whole, 5)
+        assert (split / "checkpoint.bin").read_bytes() == \
+            (whole / "checkpoint.bin").read_bytes()
+        assert records(split) == records(whole)
+        assert [s for s, _ in records(whole)] == [1, 2, 3, 4, 5]
+
+    def test_refuses_existing_run(self, tmp_path, genome_file, corpus_file,
+                                  capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                "--config", self.train_cfg(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv) == EXIT_USAGE
+        assert "use --resume" in capsys.readouterr().err
+        (out / "checkpoint.bin").unlink()
+        del before["checkpoint.bin"]
+        assert main(argv) == EXIT_USAGE  # the trajectory alone is a run too
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("damage", ["truncated", "old flat format"])
+    def test_resume_from_unreadable_checkpoint(self, tmp_path, genome_file,
+                                              corpus_file, damage, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                "--config", self.train_cfg(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        ckpt = out / "checkpoint.bin"
+        if damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        else:  # flat float64 params with a JSON sidecar of offsets
+            ckpt.write_bytes(np.zeros(64).tobytes())
+            (out / "checkpoint.bin.json").write_text('{"tensors": {}}\n')
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--resume"]) == EXIT_USAGE
+        assert "unreadable checkpoint" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_budget_key_overrides_max_steps(self, tmp_path, genome_file,
                                             corpus_file):

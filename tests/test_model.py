@@ -10,11 +10,11 @@ from brainformer.model import (
     BlockSpec, ModelSpec, ConfigError, LanguageModel,
     compose_block, stack_n_times, scale_model_dim, count_params,
     layer_param_counts, layer_flops_per_token, model_flops_per_token,
-    step_cost_units, save_checkpoint, load_checkpoint,
-    glam_baseline_block, brainformer1_like_block, lm_loss,
+    step_cost_units, glam_baseline_block, brainformer1_like_block, lm_loss,
     read_genome, write_genome,
 )
 from brainformer.tensor import Tensor
+from brainformer.training import save_checkpoint, load_checkpoint
 
 from helpers import finite_difference_check
 
@@ -310,6 +310,65 @@ class TestFlops:
         assert step_cost_units(ms, 2, 8) == 3 * 2 * 8 * model_flops_per_token(ms, 8)
 
 
+def counted_forward_flops(monkeypatch, model, tokens, seq_len):
+    """Two FLOPs per multiply-add of every matmul in one forward pass,
+    counted by wrapping ``tensor.matmul``; and the MoE routing decisions."""
+    macs, decisions = [], []
+    real_matmul, real_moe = T.matmul, L.moe_forward
+
+    def matmul(a, b):
+        out = real_matmul(a, b)
+        macs.append(out.data.size * a.shape[-1])
+        return out
+
+    def moe_forward(*args, **kw):
+        out = real_moe(*args, **kw)
+        decisions.append(out[2])
+        return out
+
+    monkeypatch.setattr(T, "matmul", matmul)
+    monkeypatch.setattr(L, "moe_forward", moe_forward)
+    model.forward(tokens, seq_len=seq_len)
+    monkeypatch.undo()
+    return 2 * sum(macs), decisions
+
+
+class TestCountedFlops:
+    """The analytic FLOPs behind cost-unit budgets against the FLOPs a
+    forward pass performs: equal when no assignment is dropped."""
+
+    n, seq = 32, 8
+
+    def model(self, **kw):
+        spec = tiny_block(a="gated_gelu", n_experts=4, **kw)
+        ms = ModelSpec(block=spec, n_blocks=2, vocab_size=11, max_seq_len=8)
+        return ms, LanguageModel(ms, seed=3)
+
+    def tokens(self):
+        return np.random.default_rng(0).integers(0, 11, self.n)
+
+    @pytest.mark.parametrize("g, c", [("expert_choice", 1), ("expert_choice", 2),
+                                      ("top2", 8)])
+    def test_equal_without_drops(self, monkeypatch, g, c):
+        ms, m = self.model(g=g, c=c)
+        counted, decisions = counted_forward_flops(monkeypatch, m, self.tokens(),
+                                                   self.seq)
+        per_token = c if g == "expert_choice" else 2
+        assert all(len(dec.tokens) == per_token * self.n for dec in decisions)
+        assert counted == model_flops_per_token(ms, self.seq) * self.n
+
+    def test_top2_drops_are_charged(self, monkeypatch):
+        """A top-2 genome pays for the assignments its capacity drops."""
+        ms, m = self.model(g="top2", c=1)
+        counted, decisions = counted_forward_flops(monkeypatch, m, self.tokens(),
+                                                   self.seq)
+        dropped = sum(2 * self.n - len(dec.tokens) for dec in decisions)
+        assert dropped > 0
+        spec = ms.block
+        expert = 2 * (2 * spec.d * spec.d_moe + spec.d_moe * spec.d)  # gated
+        assert counted == model_flops_per_token(ms, self.seq) * self.n - dropped * expert
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         ms = ModelSpec(block=tiny_block(), n_blocks=1, vocab_size=11,
@@ -317,20 +376,20 @@ class TestCheckpoint:
         m = LanguageModel(ms, seed=0)
         m.step = 42
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(m, path, meta={"note": "x"})
+        save_checkpoint(m, path)
         m2 = LanguageModel(ms, seed=99)
-        meta = load_checkpoint(m2, path)
-        assert meta["note"] == "x"
+        load_checkpoint(m2, path)
         assert m2.step == 42
         for name in m.params:
             assert np.array_equal(m.params[name].data, m2.params[name].data)
 
-    def test_sidecar_is_json(self, tmp_path):
+    def test_one_npz_file(self, tmp_path):
         ms = ModelSpec(block=tiny_block(), n_blocks=1, vocab_size=11,
                        max_seq_len=8)
         m = LanguageModel(ms, seed=0)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(m, path)
-        doc = json.loads((tmp_path / "ckpt.bin.json").read_text())
-        assert doc["dtype"] == "float64"
-        assert set(doc["tensors"]) == set(m.params)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+        with np.load(path) as npz:
+            assert set(npz.files) == {"meta"} | {f"param/{n}" for n in m.params}
+            assert json.loads(str(npz["meta"])) == {"step": 0}

@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brainformer.model import (
-    BlockSpec, ModelSpec, LanguageModel, lm_loss, step_cost_units,
-    save_checkpoint, load_checkpoint,
+    BlockSpec, ModelSpec, ConfigError, LanguageModel, lm_loss, step_cost_units,
 )
 from brainformer.training import (
     BYTE_VOCAB, TrainConfig, TrainingError, Budget, Adafactor, ByteCorpus,
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
+    save_checkpoint, load_checkpoint,
 )
 from brainformer.tensor import Tensor
 
@@ -448,6 +449,64 @@ class TestCarriedState:
             np.random.default_rng(cfg.seed).bit_generator.state
         for moments in state.optimizer.state.values():
             assert all(not v.any() for v in moments.values())
+
+
+class TestCheckpointFile:
+    """The checkpoint is one file, replaced whole: a crash mid-save leaves
+    the previous one, and a cut file never loads."""
+
+    cfg = TrainConfig(seq_len=8, batch_size=2)
+    corpus = ByteCorpus(bytes(range(11)) * 8)
+
+    def saved(self, tmp_path):
+        """A small model after one step, saved with its training state."""
+        m = tiny_model(vocab=11, seq=8)
+        res = train_steps(m, self.corpus, self.cfg, Budget(max_steps=1))
+        save_checkpoint(m, tmp_path / "ckpt.bin", state=res.state)
+        return m, res.state
+
+    def test_interrupted_save_keeps_previous(self, tmp_path, monkeypatch):
+        m, state = self.saved(tmp_path)
+        path = tmp_path / "ckpt.bin"
+        before = path.read_bytes()
+        real_savez = np.savez
+
+        class Crash(Exception):
+            pass
+
+        def torn_savez(fh, **arrays):
+            buf = io.BytesIO()
+            real_savez(buf, **arrays)
+            fh.write(buf.getvalue()[:len(before) // 2])
+            raise Crash
+
+        train_steps(m, self.corpus, self.cfg, Budget(max_steps=1), state=state)
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(Crash):
+            save_checkpoint(m, path, state=state)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        loaded = tiny_model(vocab=11, seq=8)
+        load_checkpoint(loaded, path)
+        assert loaded.step == 1
+
+    def test_every_truncation_is_a_config_error(self, tmp_path):
+        m, _ = self.saved(tmp_path)
+        full = (tmp_path / "ckpt.bin").read_bytes()
+        state = TrainState.fresh(m, self.cfg)
+        for cut in range(len(full)):
+            with pytest.raises(ConfigError):
+                load_checkpoint(m, io.BytesIO(full[:cut]), state=state)
+        load_checkpoint(m, io.BytesIO(full), state=state)
+
+    def test_old_flat_format_is_a_config_error(self, tmp_path):
+        """Earlier versions wrote the params as raw float64 bytes."""
+        m = tiny_model(vocab=11, seq=8)
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(np.concatenate([p.data.ravel() for p in m.params.values()])
+                         .tobytes())
+        with pytest.raises(ConfigError):
+            load_checkpoint(m, path)
 
 
 class TestGraphLifetime:
