@@ -11,7 +11,7 @@ from .layers import (
 )
 from .model import (
     BlockSpec, ModelSpec, ParamCount, LanguageModel, ConfigError,
-    compose_block, stack_n_times, scale_model_dim, count_params,
+    scale_model_dim, count_params,
     glam_baseline_block, brainformer1_like_block,
     read_genome, write_genome,
 )
@@ -22,7 +22,7 @@ from .training import (
 )
 from .search import (
     SearchSpace, Candidate, TrialRecord, EvolutionState,
-    sample_candidate, mutate, early_stop_check, evolve, finalize_topk,
+    sample_candidate, mutate, evolve, finalize_topk,
     SurrogateRunner, ProxyTrainingRunner,
 )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -49,6 +50,12 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, command, config_path, seed, started, artifacts):
     manifest = {
         "command": command,
@@ -61,10 +68,7 @@ def _write_manifest(out_dir, command, config_path, seed, started, artifacts):
                       for name in artifacts
                       if os.path.exists(os.path.join(out_dir, name))},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _load_corpus(path, valid_fraction):
@@ -140,6 +144,9 @@ def cmd_search(args):
         space = S.SearchSpace.from_dict(cfg.get("space", {}))
     except M.ConfigError as exc:
         raise UsageError(f"search config: {exc}")
+    topk = cfg.get("topk", {})
+    topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
+    S.check_topk(*topk_args)
     runner = _build_runner(cfg)
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -149,13 +156,7 @@ def cmd_search(args):
     state = S.evolve(space, cfg["population"], cfg["rounds"], runner,
                      seed=seed, tournament_size=cfg.get("tournament_size"),
                      ledger_path=ledger_path, resume=args.resume)
-    topk_cfg = cfg.get("topk", {})
-    topk = S.finalize_topk(state, topk_cfg.get("k", 2),
-                           factors=tuple(topk_cfg.get("factors", (2, 4))),
-                           stacks=tuple(topk_cfg.get("stacks", (6, 8))))
-    with open(os.path.join(args.out, "topk.json"), "w") as fh:
-        json.dump(topk, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "topk.json"), S.finalize_topk(state, *topk_args))
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trial_id", "reward", "step_time", "final_loss", "stop_reason"])
@@ -229,9 +230,7 @@ def cmd_train(args):
     if TR.model_has_valid(corpus) and result.steps > 0 and not result.diverged:
         report["valid_ppl"] = TR.evaluate_perplexity(
             model, corpus, seq_len=cfg.seq_len, max_tokens=cfg.eval_tokens)
-    with open(os.path.join(args.out, "train_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "train_report.json"), report)
     _write_manifest(args.out, "train", args.config, cfg.seed, started,
                     ["checkpoint.bin", "trajectory.jsonl", "train_report.json"])
     if result.diverged:
@@ -250,13 +249,10 @@ def cmd_count_params(args):
         spec = M.ModelSpec(block=M.scale_model_dim(spec.block, args.scale),
                            n_blocks=spec.n_blocks, vocab_size=spec.vocab_size,
                            max_seq_len=spec.max_seq_len)
-    counts = M.count_params(spec)
+    counts = dataclasses.asdict(M.count_params(spec))
     report = {
+        **counts,
         "genome": spec.to_json_dict(),
-        "n_params": counts.n_params,
-        "n_act_params": counts.n_act_params,
-        "n_params_no_embed": counts.n_params_no_embed,
-        "n_act_params_no_embed": counts.n_act_params_no_embed,
         "flops_per_token": M.model_flops_per_token(spec, spec.max_seq_len),
         "counting_convention": (
             "n_params / n_act_params include the input embedding, position "
@@ -268,24 +264,19 @@ def cmd_count_params(args):
             ref_total, ref_act = (float(x) for x in args.reference.split(","))
         except ValueError:
             raise UsageError("--reference expects TOTAL,ACTIVATED")
+        # totals compare to the reference total, activated counts to activated
+        refs = {name: ref_act if name.startswith("n_act") else ref_total
+                for name in counts}
         report["reference_comparison"] = {
             "reference_n_params": ref_total,
             "reference_n_act_params": ref_act,
-            "deviation_pct": {
-                "n_params": 100.0 * (counts.n_params - ref_total) / ref_total,
-                "n_act_params": 100.0 * (counts.n_act_params - ref_act) / ref_act,
-                "n_params_no_embed":
-                    100.0 * (counts.n_params_no_embed - ref_total) / ref_total,
-                "n_act_params_no_embed":
-                    100.0 * (counts.n_act_params_no_embed - ref_act) / ref_act,
-            },
+            "deviation_pct": {name: 100.0 * (n - refs[name]) / refs[name]
+                              for name, n in counts.items()},
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "param_report.json"), "w") as fh:
-            fh.write(text + "\n")
+        _write_json(os.path.join(args.out, "param_report.json"), report)
     return EXIT_OK
 
 
@@ -335,9 +326,7 @@ def cmd_report(args):
         "best_trial": best.trial_id if best else None,
         "best_lineage": lineage,
     }
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "report.json"), summary)
     _write_manifest(args.out, "report", args.ledger, None, started,
                     ["reward_over_time.csv", "report.json"])
     return EXIT_OK
@@ -372,7 +361,7 @@ def build_parser():
 
     p = sub.add_parser("count-params", help="parameter and FLOP accounting")
     p.add_argument("--genome", required=True)
-    p.add_argument("--scale", type=int, choices=[2, 4])
+    p.add_argument("--scale", type=int, choices=M.SCALE_FACTORS)
     p.add_argument("--stack", type=int, default=1)
     p.add_argument("--reference", help="TOTAL,ACTIVATED reference counts to compare")
     p.add_argument("--out")

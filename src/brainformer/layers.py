@@ -140,35 +140,32 @@ def apply_activation(kind, u, v=None):
     return T.relu(u) if kind == ACT_RELU else T.gelu(u)
 
 
+def _weight(rng, shape):
+    """A trainable weight drawn from N(0, 1/fan_in), fan_in = shape[0]."""
+    return Tensor(rng.normal(0.0, shape[0] ** -0.5, size=shape), requires_grad=True)
+
+
 def init_attention_params(cfg, rng, prefix=""):
     d, hw = cfg.model_dim, cfg.n_heads * cfg.head_dim
-    def w(shape):
-        return Tensor(rng.normal(0.0, shape[0] ** -0.5, size=shape), requires_grad=True)
     return {
-        prefix + "wq": w((d, hw)),
-        prefix + "wk": w((d, hw)),
-        prefix + "wv": w((d, hw)),
-        prefix + "wo": w((hw, d)),
+        prefix + "wq": _weight(rng, (d, hw)),
+        prefix + "wk": _weight(rng, (d, hw)),
+        prefix + "wv": _weight(rng, (d, hw)),
+        prefix + "wo": _weight(rng, (hw, d)),
     }
 
 
 def init_ffn_params(cfg, rng, prefix=""):
     d, dh = cfg.model_dim, cfg.hidden_dim
-    def w(shape):
-        return Tensor(rng.normal(0.0, shape[0] ** -0.5, size=shape), requires_grad=True)
-    params = {prefix + "w_in": w((d, dh)), prefix + "w_out": w((dh, d))}
+    params = {prefix + "w_in": _weight(rng, (d, dh)), prefix + "w_out": _weight(rng, (dh, d))}
     if cfg.activation in GATED_ACTIVATIONS:
-        params[prefix + "w_gate"] = w((d, dh))
+        params[prefix + "w_gate"] = _weight(rng, (d, dh))
     return params
 
 
 def init_moe_params(cfg, rng, prefix=""):
     d = cfg.model_dim
-    params = {
-        prefix + "wg": Tensor(
-            rng.normal(0.0, d ** -0.5, size=(d, cfg.n_experts)), requires_grad=True
-        )
-    }
+    params = {prefix + "wg": _weight(rng, (d, cfg.n_experts))}
     expert_cfg = FfnConfig(d, cfg.expert_hidden_dim, cfg.activation)
     for e in range(cfg.n_experts):
         params.update(init_ffn_params(expert_cfg, rng, prefix=f"{prefix}expert{e}."))

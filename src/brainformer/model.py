@@ -57,15 +57,11 @@ class BlockSpec:
                 raise ConfigError(f"unknown layer kind {kind!r}")
         if KIND_ATTN not in self.layers:
             raise ConfigError("block needs at least one attention layer")
-        for name in ("d", "d_moe", "d_ffn", "h", "n_experts", "d_head"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.c < 1:
-            raise ConfigError("capacity factor must be >= 1")
-        if self.g not in L.GATINGS:
-            raise ConfigError(f"unknown gating {self.g!r}")
-        if self.a not in L.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.a!r}")
+        try:  # the layer configs check widths, gating and activation
+            for kind in LAYER_KINDS:
+                self.layer_config(kind)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def layer_config(self, kind):
         if kind == KIND_ATTN:
@@ -110,7 +106,9 @@ class ModelSpec:
             raise ConfigError("max_seq_len must be >= 1")
 
     def body_layers(self):
-        return stack_n_times(self.block, self.n_blocks)
+        """Body layer kinds: the block repeated n_blocks times (no weight
+        sharing)."""
+        return list(self.block.layers) * self.n_blocks
 
     def to_json_dict(self):
         return {
@@ -145,11 +143,7 @@ def read_genome(path):
     return BlockSpec.from_json_dict(doc)
 
 
-def stack_n_times(spec, n):
-    """Body layer-kind list for n repetitions of the block (no weight sharing)."""
-    if n < 1:
-        raise ValueError("stack count must be >= 1")
-    return list(spec.layers) * n
+SCALE_FACTORS = (2, 4)
 
 
 def scale_model_dim(spec, factor):
@@ -158,7 +152,7 @@ def scale_model_dim(spec, factor):
     Scaled genomes intentionally leave the search-space domains; callers
     wanting the original domains should check against the search space.
     """
-    if factor not in (2, 4):
+    if factor not in SCALE_FACTORS:
         raise ValueError("scale factor must be 2 or 4")
     return replace(spec, d=spec.d * factor, d_moe=spec.d_moe * factor, d_ffn=spec.d_ffn * factor)
 
@@ -265,6 +259,8 @@ class LanguageModel:
         self.body = spec.body_layers()
         rng = np.random.default_rng(seed)
         d = self.block.d
+        init = {KIND_ATTN: L.init_attention_params, KIND_FFN: L.init_ffn_params,
+                KIND_MOE: L.init_moe_params}
         p = {
             "embed": Tensor(rng.normal(0.0, 1.0, size=(spec.vocab_size, d)), requires_grad=True),
             "pos": Tensor(rng.normal(0.0, 0.01, size=(spec.max_seq_len, d)), requires_grad=True),
@@ -276,13 +272,7 @@ class LanguageModel:
             prefix = f"layer{i}."
             p[prefix + "ln.g"] = Tensor(np.ones(d), requires_grad=True)
             p[prefix + "ln.b"] = Tensor(np.zeros(d), requires_grad=True)
-            cfg = self.block.layer_config(kind)
-            if kind == KIND_ATTN:
-                p.update(L.init_attention_params(cfg, rng, prefix=prefix))
-            elif kind == KIND_FFN:
-                p.update(L.init_ffn_params(cfg, rng, prefix=prefix))
-            else:
-                p.update(L.init_moe_params(cfg, rng, prefix=prefix))
+            p.update(init[kind](self.block.layer_config(kind), rng, prefix=prefix))
         self.params = p
         self.step = 0
 
@@ -318,40 +308,20 @@ class LanguageModel:
     def forward_body(self, x, seq_len=None):
         """Apply every sub-layer (pre-norm + residual) to [n, d] activations."""
         aux = Tensor(0.0)
-        for i, kind in enumerate(self.body):
-            x, aux = self._apply_layer(x, i, kind, aux, seq_len)
-        return x, aux
-
-    def _apply_layer(self, x, i, kind, aux, seq_len):
-        prefix = f"layer{i}."
         p = self.params
-        h = T.layer_norm(x, p[prefix + "ln.g"], p[prefix + "ln.b"])
-        cfg = self.block.layer_config(kind)
-        if kind == KIND_ATTN:
-            y = L.attention_forward(h, cfg, p, seq_len=seq_len, prefix=prefix)
-        elif kind == KIND_FFN:
-            y = L.ffn_forward(h, cfg, p, prefix=prefix)
-        else:
-            y, layer_aux, _ = L.moe_forward(h, cfg, p, prefix=prefix)
-            aux = T.add(aux, layer_aux)
-        return T.add(x, y), aux
-
-
-def compose_block(spec, params_owner=None, seed=0):
-    """One block as a callable (x, seq_len) -> (y, aux_loss).
-
-    Builds a single-repetition model body when no parameter owner is
-    given; the callable applies the layers in genome order, each wrapped
-    in pre-norm + residual.
-    """
-    if params_owner is None:
-        dummy = ModelSpec(block=spec, n_blocks=1, vocab_size=2, max_seq_len=1)
-        params_owner = LanguageModel(dummy, seed=seed)
-
-    def block_fn(x, seq_len=None):
-        return params_owner.forward_body(x, seq_len=seq_len)
-
-    return block_fn, params_owner
+        for i, kind in enumerate(self.body):
+            prefix = f"layer{i}."
+            h = T.layer_norm(x, p[prefix + "ln.g"], p[prefix + "ln.b"])
+            cfg = self.block.layer_config(kind)
+            if kind == KIND_ATTN:
+                y = L.attention_forward(h, cfg, p, seq_len=seq_len, prefix=prefix)
+            elif kind == KIND_FFN:
+                y = L.ffn_forward(h, cfg, p, prefix=prefix)
+            else:
+                y, layer_aux, _ = L.moe_forward(h, cfg, p, prefix=prefix)
+                aux = T.add(aux, layer_aux)
+            x = T.add(x, y)
+        return x, aux
 
 
 def lm_loss(model, inputs, targets, aux_coeff=0.01, seq_len=None):

@@ -37,7 +37,7 @@ from .model import (
     BlockSpec, ModelSpec, ConfigError, LanguageModel,
     KIND_ATTN, LAYER_KINDS,
     count_params, step_cost_units, glam_baseline_block,
-    scale_model_dim,
+    SCALE_FACTORS, scale_model_dim,
 )
 from .training import (
     Budget, evaluate_perplexity, measure_step_time, model_has_valid,
@@ -252,22 +252,6 @@ def _resume_ledger(path):
         raise ConfigError(f"cannot resume from {path}: {exc}")
 
 
-def early_stop_check(step_time, baseline_step_time, quality_at_fraction=None,
-                     baseline_quality_at_fraction=None):
-    """Stop reason, or None to continue.
-
-    The step-time constraint is a hard inequality against the baseline;
-    the quality check prunes strictly-worse-than-baseline trials at the
-    same trajectory fraction (equality continues).
-    """
-    if step_time > baseline_step_time:
-        return STOP_STEP_TIME
-    if quality_at_fraction is not None and baseline_quality_at_fraction is not None \
-            and quality_at_fraction > baseline_quality_at_fraction:
-        return STOP_PERPLEXITY
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Trial runners
 # ---------------------------------------------------------------------------
@@ -283,7 +267,7 @@ def run_trial(genome, trial_id, parent_id, baseline, budget, step_time,
 
     In order: prune if ``step_time`` exceeds the baseline's; plan
     ``floor(budget / step_time)`` steps (none planned: pruned); train the
-    first quarter, then prune if the quality there is worse than the
+    first quarter, then prune if the quality there is strictly worse than the
     baseline's at its own first quarter; train the rest; score the
     negative final loss. A chunk that diverges ends the trial with its
     steps counted and its trajectory points dropped. ``baseline=None``
@@ -299,8 +283,7 @@ def run_trial(genome, trial_id, parent_id, baseline, budget, step_time,
                       genome=genome.to_json_dict(), step_time=step_time,
                       cost_per_step=cost_per_step, steps=0, final_loss=None,
                       reward=-1.0, stop_reason=STOP_STEP_TIME)
-    if baseline is not None and \
-            early_stop_check(step_time, baseline.step_time) == STOP_STEP_TIME:
+    if baseline is not None and step_time > baseline.step_time:
         return rec
     total = int(math.floor(budget / max(step_time, 1e-9)))
     if total < 1:  # the budget cannot cover even one step
@@ -315,9 +298,9 @@ def run_trial(genome, trial_id, parent_id, baseline, budget, step_time,
         rec.trajectory += points
         if at_check:
             rec.quality_25 = quality(rec.steps)
-            if baseline is not None and early_stop_check(
-                    step_time, baseline.step_time, rec.quality_25,
-                    baseline.quality_25) == STOP_PERPLEXITY:
+            # a baseline that diverged before its checkpoint has no quality
+            if baseline is not None and baseline.quality_25 is not None \
+                    and rec.quality_25 > baseline.quality_25:
                 rec.stop_reason = STOP_PERPLEXITY
                 return rec
     rec.final_loss, points = finish(rec.steps)
@@ -521,6 +504,20 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     return state
 
 
+def check_topk(k, factors, stacks):
+    """Raise ConfigError unless k is a positive int and every factor (2 or
+    4) pairs up with a stack (a positive block count)."""
+    def count(v):
+        return type(v) is int and v >= 1
+    if not (count(k) and isinstance(factors, (list, tuple))
+            and isinstance(stacks, (list, tuple)) and len(factors) == len(stacks)
+            and all(count(f) and f in SCALE_FACTORS for f in factors)
+            and all(map(count, stacks))):
+        raise ConfigError(f"topk needs k >= 1 and factors (each 2 or 4) paired "
+                          f"with stacks >= 1, got k={k!r}, factors={factors!r}, "
+                          f"stacks={stacks!r}")
+
+
 def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8),
                   vocab_size=BYTE_VOCAB, max_seq_len=1024):
     """Scale-and-stack the k best completed trials into full model specs.
@@ -528,6 +525,7 @@ def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8),
     Ties in reward break toward the earlier trial id. If fewer than k
     trials completed, all of them are returned and the result is flagged.
     """
+    check_topk(k, factors, stacks)
     history = state.history if isinstance(state, EvolutionState) else list(state)
     completed = [r for r in history if r.stop_reason == STOP_COMPLETED]
     ranked = sorted(completed, key=lambda r: (-r.reward, r.trial_id))
@@ -538,8 +536,6 @@ def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8),
         "flagged_short": len(selected) < k,
         "selected": [],
     }
-    if len(factors) != len(stacks):
-        raise ConfigError("factors and stacks must pair up")
     for rec in selected:
         genome = rec.block_spec()
         scaled = []

@@ -100,27 +100,20 @@ class ByteCorpus:
         self.valid_ids = ids[split:]
         self.vocab_size = BYTE_VOCAB
 
-    def _split(self, split):
-        ids = self.train_ids if split == "train" else self.valid_ids
-        if ids.size == 0:
-            raise ValueError(f"{split} slice is empty")
-        return ids
-
-    def sample_batch(self, rng, batch_size, seq_len, split="train"):
-        """Flat (inputs, targets) of shape [batch_size * seq_len]."""
-        ids = self._split(split)
+    def sample_batch(self, rng, batch_size, seq_len):
+        """Flat training (inputs, targets) of shape [batch_size * seq_len]."""
+        ids = self.train_ids
         if ids.size < seq_len + 1:
             # wrap short corpora so any seq_len is usable
             reps = (seq_len + 1) // ids.size + 1
             ids = np.tile(ids, reps)
         starts = rng.integers(0, ids.size - seq_len, size=batch_size)
-        inputs = np.stack([ids[s:s + seq_len] for s in starts]).reshape(-1)
-        targets = np.stack([ids[s + 1:s + seq_len + 1] for s in starts]).reshape(-1)
-        return inputs, targets
+        win = ids[starts[:, None] + np.arange(seq_len + 1)]
+        return win[:, :-1].reshape(-1), win[:, 1:].reshape(-1)
 
     def windows(self, seq_len, split="valid", max_tokens=None):
         """Consecutive non-overlapping (inputs, targets) evaluation windows."""
-        ids = self._split(split)
+        ids = self.train_ids if split == "train" else self.valid_ids
         total = 0
         for s in range(0, ids.size - seq_len, seq_len):
             yield ids[s:s + seq_len], ids[s + 1:s + seq_len + 1]

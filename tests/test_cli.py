@@ -165,6 +165,17 @@ class TestSearchCommand:
         assert f"{section} must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("topk", [
+        {"k": "x"}, {"k": 0}, {"k": True}, {"factors": [3], "stacks": [6]},
+        {"factors": [2]}, {"factors": "24", "stacks": "68"},
+        {"stacks": [6, 0]}, {"stacks": [6, 8.0]}])
+    def test_bad_topk_rejected_before_any_trial(self, tmp_path, topk, capsys):
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, topk=topk)
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "topk" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corpus, valid_fraction", [("missing", 0.1),
                                                         ("corpus", 1.0),
                                                         ("corpus", "x")])
@@ -533,6 +544,9 @@ class TestShippedConfigs:
     def test_search_config_runs(self, tmp_path):
         assert main(["search", "--config", str(CONFIGS / "search_surrogate.json"),
                      "--out", str(tmp_path / "run")]) == EXIT_OK
+        # the example finds something: a trial completes and is selected
+        topk = json.loads((tmp_path / "run" / "topk.json").read_text())
+        assert topk["n_completed"] >= 1 and topk["selected"]
 
     def test_train_config_loads(self):
         TrainConfig.from_dict(json.loads((CONFIGS / "train_overfit.json").read_text()))

@@ -8,7 +8,7 @@ from brainformer import layers as L
 from brainformer import tensor as T
 from brainformer.model import (
     BlockSpec, ModelSpec, ConfigError, LanguageModel,
-    compose_block, stack_n_times, scale_model_dim, count_params,
+    scale_model_dim, count_params,
     layer_param_counts, layer_flops_per_token, model_flops_per_token,
     step_cost_units, glam_baseline_block, brainformer1_like_block, lm_loss,
     read_genome, write_genome,
@@ -39,6 +39,13 @@ class TestBlockSpec:
         with pytest.raises(ConfigError):
             tiny_block(layers=("attn", "conv"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("d_moe", 0), ("d_ffn", 0), ("h", 0), ("n_experts", 0),
+        ("d_head", 0), ("c", 0), ("g", "top3"), ("a", "swish")])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ConfigError):
+            tiny_block(**{field: value})
+
     def test_json_roundtrip(self):
         spec = tiny_block()
         doc = spec.to_json_dict()
@@ -53,15 +60,17 @@ class TestBlockSpec:
         assert read_genome(path) == ms
 
 
+def one_block_model(spec, seed):
+    return LanguageModel(ModelSpec(spec, 1, 2, 1), seed)
+
+
 class TestCompose:
     def test_single_ffn_block_is_residual_ffn(self):
-        spec = tiny_block(layers=("attn",))
-        # single-layer composition check done with ffn via manual model
         spec = tiny_block(layers=("attn", "ffn"))
-        block_fn, owner = compose_block(spec, seed=0)
+        owner = one_block_model(spec, seed=0)
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 8)))
-        out, aux = block_fn(x)
+        out, aux = owner.forward_body(x)
         # manual: pre-norm + residual per layer, in order
         p = owner.params
         h0 = T.layer_norm(x, p["layer0.ln.g"], p["layer0.ln.b"])
@@ -76,10 +85,10 @@ class TestCompose:
 
     def test_three_layer_manual_composition(self):
         spec = tiny_block()
-        block_fn, owner = compose_block(spec, seed=1)
+        owner = one_block_model(spec, seed=1)
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(4, 8)))
-        out, aux = block_fn(x)
+        out, aux = owner.forward_body(x)
         p = owner.params
         cur = x
         total_aux = 0.0
@@ -100,24 +109,27 @@ class TestCompose:
         assert abs(aux.item() - total_aux) < 1e-12
 
 
+def body(spec, n):
+    return ModelSpec(block=spec, n_blocks=n, vocab_size=2, max_seq_len=1).body_layers()
+
+
 class TestStackScale:
     def test_stack_three_times_eight_layers(self):
         spec = brainformer1_like_block()
         assert len(spec.layers) == 8
-        assert len(stack_n_times(spec, 3)) == 24
+        assert len(body(spec, 3)) == 24
 
     def test_stack_once_is_identity(self):
         spec = tiny_block()
-        assert stack_n_times(spec, 1) == list(spec.layers)
+        assert body(spec, 1) == list(spec.layers)
 
     def test_stack_zero_rejected(self):
-        with pytest.raises(ValueError):
-            stack_n_times(tiny_block(), 0)
+        with pytest.raises(ConfigError):
+            body(tiny_block(), 0)
 
     def test_stack_associativity(self):
         spec = tiny_block()
-        assert stack_n_times(spec, 2) + stack_n_times(spec, 3) == \
-            stack_n_times(spec, 5)
+        assert body(spec, 2) + body(spec, 3) == body(spec, 5)
 
     def test_params_not_shared_across_repetitions(self):
         ms = ModelSpec(block=tiny_block(), n_blocks=2, vocab_size=7,

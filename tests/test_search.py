@@ -10,7 +10,7 @@ from brainformer.model import BlockSpec, ConfigError, glam_baseline_block
 from brainformer.training import ByteCorpus, TrainConfig
 from brainformer.search import (
     SearchSpace, Candidate, TrialRecord, SurrogateRunner, ProxyTrainingRunner,
-    sample_candidate, mutate, early_stop_check, evolve, finalize_topk,
+    sample_candidate, mutate, evolve, finalize_topk, run_trial,
     read_ledger, record_to_line, proxy_model_spec,
     STOP_COMPLETED, STOP_STEP_TIME, STOP_PERPLEXITY, STOP_BASELINE,
     STOP_DIVERGED,
@@ -164,18 +164,48 @@ class TestMutate:
 
 
 class TestEarlyStop:
+    """``run_trial``'s two prunes compare strictly against the baseline:
+    equal step time or equal quality continues. Stub callbacks log what
+    ran; a budget of 8 at step time 1 trains 2 steps, then 6."""
+
+    def run(self, step_time, quality, baseline_quality=5.0):
+        baseline = TrialRecord(trial_id=-1, parent_id=None, genome={},
+                               step_time=1.0, cost_per_step=1.0, steps=8,
+                               final_loss=1.0, reward=-1.0,
+                               stop_reason=STOP_BASELINE,
+                               quality_25=baseline_quality)
+        calls = []
+
+        def train(n):
+            calls.append(("train", n))
+            return n, [], False
+
+        def measure(step):
+            calls.append(("quality", step))
+            return quality
+        rec = run_trial(toy_baseline(), 0, None, baseline, 8.0, step_time,
+                        step_time, train, measure, lambda step: (1.0, []))
+        return rec.stop_reason, calls
+
     def test_step_time_strict(self):
-        assert early_stop_check(2.0, 1.0) == STOP_STEP_TIME
-        assert early_stop_check(1.0, 1.0) is None
-        assert early_stop_check(0.5, 1.0) is None
+        assert self.run(2.0, 4.0) == (STOP_STEP_TIME, [])
+        assert self.run(1.0, 4.0)[0] == STOP_COMPLETED
+        assert self.run(0.5, 4.0)[0] == STOP_COMPLETED
 
     def test_quality_strict(self):
-        assert early_stop_check(1.0, 1.0, 5.1, 5.0) == STOP_PERPLEXITY
-        assert early_stop_check(1.0, 1.0, 5.0, 5.0) is None
-        assert early_stop_check(1.0, 1.0, 4.9, 5.0) is None
+        assert self.run(1.0, 5.1) == (STOP_PERPLEXITY,
+                                      [("train", 2), ("quality", 2)])
+        assert self.run(1.0, 5.0) == (STOP_COMPLETED,
+                                      [("train", 2), ("quality", 2), ("train", 6)])
+        assert self.run(1.0, 4.9)[0] == STOP_COMPLETED
 
     def test_step_time_checked_first(self):
-        assert early_stop_check(2.0, 1.0, 4.0, 5.0) == STOP_STEP_TIME
+        # pruned before any training or quality measurement
+        assert self.run(2.0, 6.0) == (STOP_STEP_TIME, [])
+
+    def test_baseline_without_quality_never_prunes(self):
+        # a baseline that diverged before its 25% checkpoint has no quality
+        assert self.run(1.0, 1e9, baseline_quality=None)[0] == STOP_COMPLETED
 
 
 class TestSurrogateRunner:

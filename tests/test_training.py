@@ -101,6 +101,17 @@ class TestCorpus:
             np.testing.assert_array_equal(row_in[1:], row_tg[:-1])
             assert row_in.tobytes() in ids.tobytes()
 
+    def test_batch_rows_are_windows_at_drawn_starts(self):
+        # row b is the window at the b-th start of one integers() draw
+        c = tiny_corpus()
+        ids = c.train_ids
+        inputs, targets = c.sample_batch(np.random.default_rng(3), 4, 16)
+        starts = np.random.default_rng(3).integers(0, ids.size - 16, size=4)
+        np.testing.assert_array_equal(
+            inputs, np.concatenate([ids[s:s + 16] for s in starts]))
+        np.testing.assert_array_equal(
+            targets, np.concatenate([ids[s + 1:s + 17] for s in starts]))
+
     def test_short_corpus_wraps(self):
         c = ByteCorpus(b"abcd", valid_fraction=0.0)
         rng = np.random.default_rng(0)
