@@ -3,7 +3,7 @@ attention / dense-FFN / MoE sub-layers, two MoE routing algorithms, and a
 budget-constrained evolutionary block search.
 """
 
-from .tensor import Tensor, top_k_indices
+from .tensor import Tensor
 from .layers import (
     AttentionConfig, FfnConfig, MoeConfig, RoutingDecision,
     attention_forward, ffn_forward, gate_scores, moe_forward,
@@ -12,8 +12,7 @@ from .layers import (
 from .model import (
     BlockSpec, ModelSpec, ParamCount, LanguageModel, ConfigError,
     scale_model_dim, count_params,
-    glam_baseline_block, brainformer1_like_block,
-    read_genome, write_genome,
+    glam_baseline_block,
 )
 from .training import (
     TrainConfig, Budget, ByteCorpus, Adafactor, TrainState,

@@ -80,13 +80,17 @@ def _load_corpus(path, valid_fraction):
 
 
 def _load_json(path, what):
+    """The JSON object in a config or genome file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} is not valid JSON ({path}): {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} must be a JSON object ({path})")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,8 @@ def cmd_search(args):
 # ---------------------------------------------------------------------------
 
 def _load_model_spec(path, default_blocks=1):
+    """A genome file holds a full model spec (it has a ``"block"`` key) or
+    a bare block, stacked ``default_blocks`` times over the byte vocab."""
     doc = _load_json(path, "genome")
     try:
         if "block" in doc:
@@ -182,8 +188,23 @@ def _load_model_spec(path, default_blocks=1):
         block = M.BlockSpec.from_json_dict(doc)
         return M.ModelSpec(block=block, n_blocks=default_blocks,
                            vocab_size=TR.BYTE_VOCAB, max_seq_len=1024)
-    except (M.ConfigError, KeyError) as exc:
+    except M.ConfigError as exc:
         raise UsageError(f"malformed genome {path}: {exc}")
+
+
+def _check_routing(block, cfg, corpus):
+    """Raise UsageError unless each MoE layer can route a training batch and
+    an evaluation window: its per-expert capacity must be at least 1."""
+    if M.KIND_MOE not in block.layers:
+        return
+    routed = [cfg.batch_size * cfg.seq_len]
+    if TR.model_has_valid(corpus):
+        routed.append(len(next(corpus.windows(cfg.seq_len))[0]))
+    try:
+        for n_tokens in routed:
+            block.layer_config(M.KIND_MOE).capacity(n_tokens)
+    except ValueError as exc:
+        raise UsageError(f"train config: {exc}")
 
 
 def cmd_train(args):
@@ -204,6 +225,7 @@ def cmd_train(args):
         raise UsageError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
                          f"{spec.max_seq_len}")
     corpus = _load_corpus(args.corpus, cfg.valid_fraction)
+    _check_routing(spec.block, cfg, corpus)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     traj = os.path.join(args.out, "trajectory.jsonl")
     model = M.LanguageModel(spec, seed=cfg.seed)
@@ -286,7 +308,7 @@ def cmd_count_params(args):
 
 def cmd_report(args):
     try:
-        records, skipped = S.read_ledger(args.ledger, strict=False)
+        records, skipped = S.read_ledger(args.ledger)
     except FileNotFoundError:
         raise UsageError(f"ledger not found: {args.ledger}")
     if skipped:

@@ -7,7 +7,7 @@ applied per sequence segment; routing sees the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,11 @@ GATINGS = (GATE_TOP2, GATE_EXPERT_CHOICE)
 NEG_MASK = -1e30  # exp(NEG_MASK - finite) underflows to exactly 0.0
 
 
+def positive_int(value):
+    """True for an int >= 1; a bool, float or string is not a count."""
+    return type(value) is int and value >= 1
+
+
 @dataclass(frozen=True)
 class AttentionConfig:
     model_dim: int
@@ -35,8 +40,8 @@ class AttentionConfig:
     head_dim: int
 
     def __post_init__(self):
-        if min(self.model_dim, self.n_heads, self.head_dim) < 1:
-            raise ValueError(f"attention dims must be positive: {self}")
+        if not all(map(positive_int, (self.model_dim, self.n_heads, self.head_dim))):
+            raise ValueError(f"attention dims must be positive integers: {self}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,8 @@ class FfnConfig:
     activation: str
 
     def __post_init__(self):
-        if min(self.model_dim, self.hidden_dim) < 1:
-            raise ValueError(f"ffn dims must be positive: {self}")
+        if not all(map(positive_int, (self.model_dim, self.hidden_dim))):
+            raise ValueError(f"ffn dims must be positive integers: {self}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -62,10 +67,11 @@ class MoeConfig:
     activation: str
 
     def __post_init__(self):
-        if min(self.model_dim, self.expert_hidden_dim, self.n_experts) < 1:
-            raise ValueError(f"moe dims must be positive: {self}")
-        if self.capacity_factor < 1:
-            raise ValueError("capacity_factor must be >= 1")
+        if not all(map(positive_int, (self.model_dim, self.expert_hidden_dim,
+                                      self.n_experts))):
+            raise ValueError(f"moe dims must be positive integers: {self}")
+        if not positive_int(self.capacity_factor):
+            raise ValueError("capacity_factor must be an integer >= 1")
         if self.gating not in GATINGS:
             raise ValueError(f"unknown gating {self.gating!r}")
         if self.activation not in ACTIVATIONS:
@@ -122,10 +128,10 @@ class RoutingDecision:
         return np.split(self.tokens[order], ends[:-1])
 
     def per_expert_tokens(self, n_experts):
-        groups = [[] for _ in range(n_experts)]
-        for tok, exp, w in self.assignments:
-            groups[exp].append((tok, w))
-        return groups
+        """Each expert's ``(token_index, combine_weight)`` pairs, in routing
+        order; ``expert_tokens`` over assignment indices picks them."""
+        rows = replace(self, tokens=np.arange(self.tokens.size)).expert_tokens(n_experts)
+        return [list(zip(self.tokens[r].tolist(), self.weights[r].tolist())) for r in rows]
 
 
 def apply_activation(kind, u, v=None):
@@ -237,7 +243,7 @@ def route_top2(scores, capacity):
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     k = min(2, n_experts)  # degenerates to top-1 when only one expert exists
-    # descending per row, lowest index first on ties, as top_k_indices
+    # descending per row, lowest index first on ties
     experts = np.argsort(-data, axis=1, kind="stable")[:, :k].reshape(-1)
     tokens = np.repeat(np.arange(n), k)
     pair = np.arange(experts.size)
@@ -258,7 +264,7 @@ def route_expert_choice(scores, capacity):
     n, n_experts = data.shape
     if capacity > n:
         raise ValueError(f"capacity {capacity} exceeds {n} tokens")
-    # descending per column, lowest token first on ties, as top_k_indices
+    # descending per column, lowest token first on ties
     top = np.argsort(-data, axis=0, kind="stable")[:capacity]
     return RoutingDecision.from_pairs(top.T.reshape(-1),
                                       np.repeat(np.arange(n_experts), capacity), data)
@@ -273,7 +279,7 @@ def load_balance_aux_loss(scores):
     """
     data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n, n_experts = data.shape
-    top1 = data.argmax(axis=1)  # first maximum: lowest-index ties, as top_k_indices
+    top1 = data.argmax(axis=1)  # first maximum: lowest index first on ties
     frac = np.bincount(top1, minlength=n_experts) / n
     mean_scores = T.tmean(scores, axis=0) if isinstance(scores, Tensor) else Tensor(
         data.mean(axis=0)

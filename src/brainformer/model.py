@@ -9,7 +9,6 @@ untied output projection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
@@ -80,14 +79,7 @@ class BlockSpec:
 
     @classmethod
     def from_json_dict(cls, doc):
-        doc = dict(doc)
-        version = doc.pop("schema_version", GENOME_SCHEMA_VERSION)
-        if version != GENOME_SCHEMA_VERSION:
-            raise ConfigError(f"unsupported genome schema version {version}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"malformed genome: {exc}") from None
+        return _from_genome_doc(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -98,12 +90,10 @@ class ModelSpec:
     max_seq_len: int
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ConfigError("n_blocks must be >= 1")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must be >= 2")
-        if self.max_seq_len < 1:
-            raise ConfigError("max_seq_len must be >= 1")
+        for name, least in (("n_blocks", 1), ("vocab_size", 2), ("max_seq_len", 1)):
+            value = getattr(self, name)
+            if not (L.positive_int(value) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def body_layers(self):
         """Body layer kinds: the block repeated n_blocks times (no weight
@@ -121,26 +111,23 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(
-            block=BlockSpec.from_json_dict(doc["block"]),
-            n_blocks=doc["n_blocks"],
-            vocab_size=doc["vocab_size"],
-            max_seq_len=doc["max_seq_len"],
-        )
+        model = _from_genome_doc(cls, doc)  # its block still a JSON object
+        return replace(model, block=BlockSpec.from_json_dict(model.block))
 
 
-def write_genome(path, spec):
-    with open(path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_genome(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "block" in doc:
-        return ModelSpec.from_json_dict(doc)
-    return BlockSpec.from_json_dict(doc)
+def _from_genome_doc(cls, doc):
+    """``cls`` built from a genome JSON object: its schema version must
+    match, and its other keys must be exactly the fields of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a genome must be a JSON object, got {doc!r}")
+    doc = dict(doc)
+    version = doc.pop("schema_version", GENOME_SCHEMA_VERSION)
+    if version != GENOME_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported genome schema version {version}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ConfigError(f"malformed genome: {exc}") from None
 
 
 SCALE_FACTORS = (2, 4)
@@ -280,9 +267,6 @@ class LanguageModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def n_params(self):
-        return sum(t.size for t in self.params.values())
-
     def forward(self, tokens, seq_len=None):
         """Logits [n, V] and the summed MoE auxiliary loss for a flat token
         batch; ``seq_len`` marks sequence boundaries for attention and
@@ -346,18 +330,3 @@ def glam_baseline_block(d=768, d_ffn=3072, d_moe=3072, h=12, d_head=64,
                      d=d, d_moe=d_moe, d_ffn=d_ffn, h=h, d_head=d_head,
                      g=g, c=c, a=a, n_experts=n_experts)
 
-
-def brainformer1_like_block(n_experts=32):
-    """Best-effort reconstruction of the published 8-sub-layer block.
-
-    The exact layer order is not recoverable from the source material;
-    this captures the described traits (d=1024, narrower hidden dims,
-    expert-choice gating with capacity factor 1, sparse attention usage)
-    and is labeled a reconstruction, not ground truth.
-    """
-    return BlockSpec(
-        layers=(KIND_MOE, KIND_FFN, KIND_ATTN, KIND_MOE, KIND_FFN, KIND_ATTN,
-                KIND_MOE, KIND_FFN),
-        d=1024, d_moe=2048, d_ffn=2048, h=16, d_head=64,
-        g=L.GATE_EXPERT_CHOICE, c=1, a=L.ACT_GATED_GELU, n_experts=n_experts,
-    )

@@ -126,9 +126,9 @@ class Candidate:
     parent_id: int = None
 
 
-def sample_candidate(space, rng, cand_id=0, parent_id=None, max_tries=1000):
+def sample_candidate(space, rng, cand_id=0):
     """Uniform independent draw per field, rejecting attention-free blocks."""
-    for _ in range(max_tries):
+    for _ in range(1000):
         k = rng.choice(space.k_choices)
         layers = tuple(rng.choice(space.layer_kinds) for _ in range(k))
         if KIND_ATTN not in layers:
@@ -139,7 +139,7 @@ def sample_candidate(space, rng, cand_id=0, parent_id=None, max_tries=1000):
             n_experts=space.n_experts,
             d_head=space.d_head,
         )
-        return Candidate(genome=genome, id=cand_id, parent_id=parent_id)
+        return Candidate(genome=genome, id=cand_id)
     raise ConfigError("could not sample a valid genome (space unsatisfiable?)")
 
 
@@ -154,14 +154,13 @@ def _mutable_items(space, genome):
     return items
 
 
-def mutate(parent, space, rng, max_tries=200):
+def mutate(genome, space, rng):
     """Resample exactly one genome field (or one layer position, or the
     block length) to a different value; the child stays valid."""
-    genome = parent.genome if isinstance(parent, Candidate) else parent
     items = _mutable_items(space, genome)
     if not items:
         raise ConfigError("no mutable fields in this search space")
-    for _ in range(max_tries):
+    for _ in range(200):
         kind, key, choices = items[rng.randrange(len(items))]
         if kind == "field":
             current = getattr(genome, key)
@@ -221,7 +220,9 @@ def record_to_line(rec):
     return json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def read_ledger(path, strict=True):
+def read_ledger(path):
+    """``(records, skipped)``: the trial records of a JSONL ledger, and the
+    count of non-blank lines that are not trial records."""
     records, skipped = [], 0
     with open(path) as fh:
         for line in fh:
@@ -231,10 +232,8 @@ def read_ledger(path, strict=True):
             try:
                 records.append(TrialRecord.from_json_dict(json.loads(line)))
             except (json.JSONDecodeError, TypeError):
-                if strict:
-                    raise
                 skipped += 1
-    return (records, skipped) if not strict else records
+    return records, skipped
 
 
 def _resume_ledger(path):
@@ -246,10 +245,11 @@ def _resume_ledger(path):
             fh.truncate(fh.read().rfind(b"\n") + 1)
     except FileNotFoundError:
         return {}
-    try:
-        return {rec.trial_id: rec for rec in read_ledger(path)}
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise ConfigError(f"cannot resume from {path}: {exc}")
+    records, skipped = read_ledger(path)
+    if skipped:
+        raise ConfigError(f"cannot resume from {path}: {skipped} complete "
+                          f"line(s) are not trial records")
+    return {rec.trial_id: rec for rec in records}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,6 @@ class EvolutionState:
     history: list = field(default_factory=list)   # TrialRecords, append-only
     baseline: TrialRecord = None
     population_size: int = 0
-    seed: int = 0
 
     def population(self):
         return self.history[-self.population_size:]
@@ -466,7 +465,7 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     if p < 2:
         raise ConfigError("population size must be >= 2")
     ts = tournament_size or max(2, p // 5)
-    state = EvolutionState(population_size=p, seed=seed)
+    state = EvolutionState(population_size=p)
 
     replayed = _resume_ledger(ledger_path) if resume and ledger_path else {}
     ledger = open(ledger_path, "a") if ledger_path else None
@@ -507,12 +506,10 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
 def check_topk(k, factors, stacks):
     """Raise ConfigError unless k is a positive int and every factor (2 or
     4) pairs up with a stack (a positive block count)."""
-    def count(v):
-        return type(v) is int and v >= 1
-    if not (count(k) and isinstance(factors, (list, tuple))
+    if not (L.positive_int(k) and isinstance(factors, (list, tuple))
             and isinstance(stacks, (list, tuple)) and len(factors) == len(stacks)
-            and all(count(f) and f in SCALE_FACTORS for f in factors)
-            and all(map(count, stacks))):
+            and all(L.positive_int(f) and f in SCALE_FACTORS for f in factors)
+            and all(map(L.positive_int, stacks))):
         raise ConfigError(f"topk needs k >= 1 and factors (each 2 or 4) paired "
                           f"with stacks >= 1, got k={k!r}, factors={factors!r}, "
                           f"stacks={stacks!r}")
@@ -526,8 +523,7 @@ def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8),
     trials completed, all of them are returned and the result is flagged.
     """
     check_topk(k, factors, stacks)
-    history = state.history if isinstance(state, EvolutionState) else list(state)
-    completed = [r for r in history if r.stop_reason == STOP_COMPLETED]
+    completed = state.completed()
     ranked = sorted(completed, key=lambda r: (-r.reward, r.trial_id))
     selected = ranked[:k]
     out = {

@@ -350,16 +350,3 @@ def take_entries(x, rows, cols):
 
     return _make(x.data[rows, cols][:, None], (x,), backward)
 
-
-def top_k_indices(scores, k):
-    """Indices of the k largest values, descending, ties broken by lowest index.
-
-    Pure function of its inputs; accepts a 1-D array-like or Tensor row.
-    """
-    if isinstance(scores, Tensor):
-        scores = scores.data
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if k > scores.size:
-        raise ValueError(f"k={k} exceeds row length {scores.size}")
-    order = np.argsort(-scores, kind="stable")
-    return [int(i) for i in order[:k]]

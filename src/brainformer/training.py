@@ -54,7 +54,8 @@ class TrainConfig:
 
 @dataclass
 class Budget:
-    """Exactly one of the limits drives the loop; max_steps=0 is a no-op run."""
+    """Limits of one ``train_steps`` call; at least one is set, and the
+    first one reached stops the loop. max_steps=0 is a no-op run."""
 
     max_steps: int = None
     max_seconds: float = None
@@ -267,9 +268,6 @@ class TrainResult:
     diverged: bool = False
     final_loss: float = None
     state: TrainState = None
-
-    def losses(self):
-        return [r["loss"] for r in self.records]
 
 
 def train_steps(model, corpus, cfg, budget, trajectory_path=None,

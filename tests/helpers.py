@@ -62,6 +62,18 @@ def softmax_oracle(row):
     return [e / s for e in exps]
 
 
+def top_k_indices(scores, k):
+    """Indices of the k largest values, descending, ties broken by lowest
+    index: the order routing's stable argsorts must give."""
+    if isinstance(scores, Tensor):
+        scores = scores.data
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if k > scores.size:
+        raise ValueError(f"k={k} exceeds row length {scores.size}")
+    order = np.argsort(-scores, kind="stable")
+    return [int(i) for i in order[:k]]
+
+
 def brute_force_top2(scores, capacity):
     """Literal simulation of the greedy top-2 capacity rule."""
     n, n_experts = scores.shape

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brainformer.cli import main, _build_runner, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
-from brainformer.model import BlockSpec, ModelSpec, LanguageModel, write_genome
+from brainformer.model import BlockSpec, ModelSpec, LanguageModel
 from brainformer.search import TrialRecord, record_to_line, STOP_COMPLETED
 from brainformer import training as TR
 from brainformer.training import TrainConfig
@@ -24,7 +24,7 @@ def toy_block(**kw):
 @pytest.fixture
 def genome_file(tmp_path):
     path = tmp_path / "genome.json"
-    write_genome(path, toy_block())
+    path.write_text(json.dumps(toy_block().to_json_dict()))
     return str(path)
 
 
@@ -423,11 +423,28 @@ class TestTrainCommand:
                      "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_expert_capacity_below_one(self, tmp_path, corpus_file, batch_size,
+                                       capsys):
+        """16 experts at c=1 get floor(8/16) = 0 tokens of an 8-token
+        window: batch 1 fails in the first step, batch 4 only in the
+        validation pass. Both are refused before --out is made."""
+        genome = tmp_path / "g.json"
+        genome.write_text(json.dumps(toy_block(
+            n_experts=16, g="expert_choice", c=1).to_json_dict()))
+        out = tmp_path / "run"
+        assert main(["train", "--genome", str(genome), "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path, batch_size=batch_size,
+                                                seq_len=8),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "capacity" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCountParams:
     def test_prints_all_tallies(self, tmp_path, capsys):
         path = tmp_path / "g.json"
-        write_genome(path, toy_block(n_experts=4))
+        path.write_text(json.dumps(toy_block(n_experts=4).to_json_dict()))
         assert main(["count-params", "--genome", str(path)]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         for key in ("n_params", "n_act_params", "n_params_no_embed",
@@ -438,7 +455,7 @@ class TestCountParams:
 
     def test_single_expert_total_equals_activated(self, tmp_path, capsys):
         path = tmp_path / "g.json"
-        write_genome(path, toy_block(n_experts=1))
+        path.write_text(json.dumps(toy_block(n_experts=1).to_json_dict()))
         main(["count-params", "--genome", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_params"] == doc["n_act_params"]
@@ -459,12 +476,48 @@ class TestCountParams:
         assert main(["count-params", "--genome", genome_file,
                      "--reference", "abc"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("edit", [
+        {"n_blocks": "6"}, {"vocab_size": "x"}, {"n_blocks": 2.5},
+        {"n_blocks": True}, {"block": {"d": 64.5}}, {"block": {"c": True}},
+        {"schema_version": 2}, {"n_block": 6}, {"block": 5}])
+    def test_malformed_model_genome(self, tmp_path, edit, capsys):
+        doc = json.loads((CONFIGS / "glam_0p1b_32e.json").read_text())
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                doc[key].update(value)
+            else:
+                doc[key] = value
+        path, out = tmp_path / "g.json", tmp_path / "rep"
+        path.write_text(json.dumps(doc))
+        assert main(["count-params", "--genome", str(path),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "malformed genome" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_file(self, tmp_path, genome_file, capsys):
         out = tmp_path / "rep"
         main(["count-params", "--genome", genome_file, "--out", str(out)])
         printed = json.loads(capsys.readouterr().out)
         saved = json.loads((out / "param_report.json").read_text())
         assert printed == saved
+
+
+@pytest.mark.parametrize("role, doc", [("train config", [1]), ("train config", 5),
+                                       ("search config", 5), ("genome", [1, 2])])
+def test_json_input_must_be_an_object(tmp_path, genome_file, corpus_file, role,
+                                      doc, capsys):
+    path, out = tmp_path / "input.json", tmp_path / "o"
+    path.write_text(json.dumps(doc))
+    if role == "search config":
+        argv = ["search", "--config", str(path)]
+    elif role == "train config":
+        argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                "--config", str(path)]
+    else:
+        argv = ["train", "--genome", str(path), "--corpus", corpus_file]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert f"{role} must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReport:
@@ -551,7 +604,7 @@ class TestShippedConfigs:
     def test_train_config_loads(self):
         TrainConfig.from_dict(json.loads((CONFIGS / "train_overfit.json").read_text()))
 
-    @pytest.mark.parametrize("name", ["brainformer1_like.json",
+    @pytest.mark.parametrize("name", ["brainformer1_like.json", "desk_top2.json",
                                       "glam_0p1b_32e.json"])
     def test_genome_counts(self, name, capsys):
         assert main(["count-params", "--genome", str(CONFIGS / name)]) == EXIT_OK

@@ -9,7 +9,7 @@ from brainformer.tensor import Tensor
 
 from helpers import (
     finite_difference_check, brute_force_top2, expert_choice_oracle,
-    softmax_oracle, attention_oracle, moe_oracle,
+    softmax_oracle, attention_oracle, moe_oracle, top_k_indices,
 )
 
 
@@ -314,7 +314,7 @@ class TestAuxLoss:
     def test_top1_ties_match_top_k_indices(self, scores):
         # few distinct values, so most rows hold ties for their maximum
         n, n_experts = scores.shape
-        top1 = [T.top_k_indices(row, 1)[0] for row in scores]
+        top1 = [top_k_indices(row, 1)[0] for row in scores]
         expected = n_experts * sum(
             top1.count(e) / n * scores[:, e].mean() for e in range(n_experts))
         got = L.load_balance_aux_loss(Tensor(scores)).item()

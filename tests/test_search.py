@@ -9,7 +9,8 @@ import pytest
 from brainformer.model import BlockSpec, ConfigError, glam_baseline_block
 from brainformer.training import ByteCorpus, TrainConfig
 from brainformer.search import (
-    SearchSpace, Candidate, TrialRecord, SurrogateRunner, ProxyTrainingRunner,
+    SearchSpace, Candidate, TrialRecord, EvolutionState, SurrogateRunner,
+    ProxyTrainingRunner,
     sample_candidate, mutate, evolve, finalize_topk, run_trial,
     read_ledger, record_to_line, proxy_model_spec,
     STOP_COMPLETED, STOP_STEP_TIME, STOP_PERPLEXITY, STOP_BASELINE,
@@ -283,11 +284,9 @@ class TestLedger:
         path = tmp_path / "ledger.jsonl"
         path.write_text(record_to_line(rec) + "\n{broken\n" +
                         record_to_line(rec) + "\n")
-        records, skipped = read_ledger(path, strict=False)
+        records, skipped = read_ledger(path)
         assert len(records) == 2
         assert skipped == 1
-        with pytest.raises(json.JSONDecodeError):
-            read_ledger(path, strict=True)
 
 
 def run_toy_search(ledger_path=None, rounds=8, resume=False, seed=3):
@@ -482,20 +481,20 @@ class TestFinalize:
     def test_sorted_by_reward_then_id(self):
         recs = [self.make_record(0, -3.0), self.make_record(1, -1.0),
                 self.make_record(2, -1.0), self.make_record(3, -2.0)]
-        out = finalize_topk(recs, k=3)
+        out = finalize_topk(EvolutionState(history=recs), k=3)
         assert [s["trial_id"] for s in out["selected"]] == [1, 2, 3]
         assert not out["flagged_short"]
 
     def test_pruned_trials_excluded(self):
         recs = [self.make_record(0, 5.0, stop=STOP_STEP_TIME),
                 self.make_record(1, -2.0)]
-        out = finalize_topk(recs, k=2)
+        out = finalize_topk(EvolutionState(history=recs), k=2)
         assert [s["trial_id"] for s in out["selected"]] == [1]
         assert out["flagged_short"]
         assert out["n_completed"] == 1
 
     def test_scaled_specs(self):
-        out = finalize_topk([self.make_record(0, -1.0)], k=1,
+        out = finalize_topk(EvolutionState(history=[self.make_record(0, -1.0)]), k=1,
                             factors=(2, 4), stacks=(6, 8))
         scaled = out["selected"][0]["scaled"]
         assert [(s["factor"], s["n_blocks"]) for s in scaled] == [(2, 6), (4, 8)]
@@ -505,7 +504,7 @@ class TestFinalize:
 
     def test_mismatched_factors_stacks(self):
         with pytest.raises(ConfigError):
-            finalize_topk([self.make_record(0, -1.0)], k=1,
+            finalize_topk(EvolutionState(history=[self.make_record(0, -1.0)]), k=1,
                           factors=(2,), stacks=(6, 8))
 
     def test_from_state(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from brainformer import tensor as T
 from brainformer.tensor import Tensor
 
-from helpers import finite_difference_check, softmax_oracle
+from helpers import finite_difference_check, softmax_oracle, top_k_indices
 
 
 class TestMatmul:
@@ -306,22 +306,24 @@ class TestBackward:
 
 
 class TestTopK:
+    """``helpers.top_k_indices``, the oracle of routing's tie rule."""
+
     def test_basic(self):
-        assert T.top_k_indices([0.1, 0.9, 0.5], 2) == [1, 2]
+        assert top_k_indices([0.1, 0.9, 0.5], 2) == [1, 2]
 
     def test_tie_break_lowest_index(self):
-        assert T.top_k_indices([0.3, 0.3, 0.3], 2) == [0, 1]
+        assert top_k_indices([0.3, 0.3, 0.3], 2) == [0, 1]
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            T.top_k_indices([1.0, 2.0], 3)
+            top_k_indices([1.0, 2.0], 3)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             row = rng.normal(size=10)
             k = int(rng.integers(1, 11))
-            got = T.top_k_indices(row, k)
+            got = top_k_indices(row, k)
             expected = sorted(range(10), key=lambda i: (-row[i], i))[:k]
             assert got == expected
 
@@ -330,4 +332,4 @@ class TestTopK:
     @settings(max_examples=50, deadline=None)
     def test_pure_function(self, row, data):
         k = data.draw(st.integers(1, len(row)))
-        assert T.top_k_indices(row, k) == T.top_k_indices(row, k)
+        assert top_k_indices(row, k) == top_k_indices(row, k)

@@ -26,6 +26,10 @@ def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
                                    max_seq_len=seq), seed=0)
 
 
+def losses(result):
+    return [r["loss"] for r in result.records]
+
+
 def tiny_corpus(n=512, valid_fraction=0.1):
     rng = np.random.default_rng(0)
     return ByteCorpus(bytes(rng.integers(0, 256, size=n, dtype=np.uint8)),
@@ -279,7 +283,7 @@ class TestBudget:
             res = train_steps(m, tiny_corpus(),
                               TrainConfig(seq_len=8, batch_size=2, seed=5),
                               Budget(max_cost_units=5.0), cost_per_step=1.0)
-            runs.append((res.steps, tuple(res.losses())))
+            runs.append((res.steps, tuple(losses(res))))
         assert runs[0] == runs[1]
 
     def test_seconds_budget_stops(self):
@@ -298,8 +302,8 @@ class TestTrainLoop:
                           TrainConfig(seq_len=16, batch_size=4, base_lr=0.05,
                                       valid_fraction=0.0),
                           Budget(max_steps=30))
-        first = np.mean(res.losses()[:5])
-        last = np.mean(res.losses()[-5:])
+        first = np.mean(losses(res)[:5])
+        last = np.mean(losses(res)[-5:])
         assert last < first
 
     def test_initial_loss_near_log_vocab(self):
@@ -307,7 +311,7 @@ class TestTrainLoop:
         res = train_steps(m, tiny_corpus(),
                           TrainConfig(seq_len=8, batch_size=2),
                           Budget(max_steps=1))
-        assert abs(res.losses()[0] - math.log(258)) < 0.05
+        assert abs(losses(res)[0] - math.log(258)) < 0.05
 
     def test_divergence_aborts_cleanly(self):
         m = tiny_model()
@@ -411,13 +415,13 @@ class TestCarriedState:
                 else Budget(max_steps=n)
 
         ref = train_steps(whole, corpus, cfg, budget(sum(chunks)))
-        state, losses = None, []
+        state, chunked = None, []
         for n in chunks:
             res = train_steps(parts, corpus, cfg, budget(n), state=state)
             assert res.steps == n
-            state, losses = res.state, losses + res.losses()
+            state, chunked = res.state, chunked + losses(res)
         assert parts.step == whole.step == sum(chunks)
-        assert np.max(np.abs(np.subtract(losses, ref.losses())), initial=0.0) == 0.0
+        assert np.max(np.abs(np.subtract(chunked, losses(ref))), initial=0.0) == 0.0
         assert_same_params(parts, whole)
 
     def test_no_state_starts_fresh(self):
@@ -442,7 +446,7 @@ class TestCarriedState:
         state = TrainState.fresh(resumed, cfg)
         load_checkpoint(resumed, tmp_path / "ckpt.bin", state=state)
         res2 = train_steps(resumed, corpus, cfg, Budget(max_steps=2), state=state)
-        assert res.losses() + res2.losses() == ref.losses()
+        assert losses(res) + losses(res2) == losses(ref)
         assert_same_params(resumed, whole)
 
     def test_params_only_checkpoint_gives_fresh_state(self, tmp_path):
