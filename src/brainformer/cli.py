@@ -20,6 +20,7 @@ import time
 from . import model as M
 from . import search as S
 from . import training as TR
+from .layers import positive_int, real_number
 
 log = logging.getLogger("brainformer")
 
@@ -97,10 +98,17 @@ def _load_json(path, what):
 # search
 # ---------------------------------------------------------------------------
 
-def _build_runner(cfg):
-    """The trial runner a search config asks for. Its budget holds exactly
-    one of ``cost_units`` and ``seconds``, and that key picks the mode:
-    analytic cost units, or wall-clock seconds (proxy training only)."""
+# The train config keys a search sets itself, and where it takes each from.
+SEARCH_SETS = {"seed": "the top-level seed or --seed",
+               "max_steps": "the budget",
+               "valid_fraction": "the top-level valid_fraction"}
+
+
+def _build_runner(cfg, seed):
+    """The trial runner a search config asks for, seeded with ``seed``. Its
+    budget holds exactly one of ``cost_units`` and ``seconds``, a positive
+    number, and that key picks the mode: analytic cost units, or
+    wall-clock seconds (proxy training only)."""
     mode = cfg.get("mode", "surrogate")
     baseline_doc = cfg.get("baseline_genome")
     baseline = M.BlockSpec.from_json_dict(baseline_doc) if baseline_doc else None
@@ -109,12 +117,16 @@ def _build_runner(cfg):
     if (cost_units is None) == (seconds is None):
         raise UsageError("search config: budget needs exactly one of "
                          "cost_units, seconds")
+    limit = seconds if cost_units is None else cost_units
+    if not (real_number(limit) and limit > 0):
+        raise UsageError(f"search config: budget must be a positive number, "
+                         f"got {limit!r}")
     train_doc = cfg.get("train", {})
-    if "valid_fraction" in train_doc:
-        raise UsageError("search config: train.valid_fraction is not read; "
-                         "set the top-level valid_fraction")
+    for key, source in SEARCH_SETS.items():
+        if key in train_doc:
+            raise UsageError(f"search config: train.{key} is not read; the "
+                             f"search takes it from {source}")
     try:
-        TR.Budget(max_cost_units=cost_units, max_seconds=seconds)  # number check
         train_cfg = TR.TrainConfig.from_dict(train_doc)
     except ValueError as exc:
         raise UsageError(f"search config: {exc}")
@@ -131,7 +143,7 @@ def _build_runner(cfg):
         corpus = _load_corpus(cfg["corpus"], cfg.get("valid_fraction", 0.1))
         return S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
                                      budget_seconds=seconds, baseline_genome=baseline,
-                                     seed=cfg.get("seed", 0))
+                                     seed=seed)
     raise UsageError(f"search config: unknown mode {mode!r}")
 
 
@@ -144,6 +156,14 @@ def cmd_search(args):
         if not isinstance(cfg.get(name, {}), dict):
             raise UsageError(f"search config: {name} must be a JSON object")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    tournament_size = cfg.get("tournament_size")
+    for name, value, least in (
+            ("population", cfg["population"], 2), ("rounds", cfg["rounds"], 0),
+            ("seed", seed, 0),
+            ("tournament_size", 1 if tournament_size is None else tournament_size, 1)):
+        if not positive_int(value, least):
+            raise UsageError(f"search config: {name} must be an integer >= "
+                             f"{least}, got {value!r}")
     try:
         space = S.SearchSpace.from_dict(cfg.get("space", {}))
     except M.ConfigError as exc:
@@ -151,14 +171,14 @@ def cmd_search(args):
     topk = cfg.get("topk", {})
     topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
     S.check_topk(*topk_args)
-    runner = _build_runner(cfg)
+    runner = _build_runner(cfg, seed)
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     ledger_path = os.path.join(args.out, "ledger.jsonl")
     if not args.resume and os.path.exists(ledger_path):
         raise UsageError(f"ledger already exists (use --resume): {ledger_path}")
     state = S.evolve(space, cfg["population"], cfg["rounds"], runner,
-                     seed=seed, tournament_size=cfg.get("tournament_size"),
+                     seed=seed, tournament_size=tournament_size,
                      ledger_path=ledger_path, resume=args.resume)
     _write_json(os.path.join(args.out, "topk.json"), S.finalize_topk(state, *topk_args))
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
@@ -209,15 +229,12 @@ def _check_routing(block, cfg, corpus):
 
 def cmd_train(args):
     cfg_doc = _load_json(args.config, "train config") if args.config else {}
-    budget_doc = cfg_doc.pop("budget", None)
+    if args.seed is not None:
+        cfg_doc["seed"] = args.seed
     try:
         cfg = TR.TrainConfig.from_dict(cfg_doc)
-        budget = TR.Budget(**budget_doc) if budget_doc else \
-            TR.Budget(max_steps=cfg.max_steps)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"train config: {exc}")
-    if args.seed is not None:
-        cfg.seed = args.seed
     spec = _load_model_spec(args.genome, default_blocks=args.stack)
     if spec.block.d_head * spec.block.h > 4096 and cfg.seq_len > 512:
         log.warning("large config; this is a desk-scale trainer")
@@ -240,8 +257,8 @@ def cmd_train(args):
         raise UsageError(f"{args.out} holds a run (use --resume)")
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    result = TR.train_steps(model, corpus, cfg, budget, trajectory_path=traj,
-                            state=state)
+    result = TR.train_steps(model, corpus, cfg, TR.Budget(max_steps=cfg.max_steps),
+                            trajectory_path=traj, state=state)
     TR.save_checkpoint(model, ckpt, state=state)
     report = {
         "steps": result.steps,

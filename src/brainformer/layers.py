@@ -7,6 +7,7 @@ applied per sequence segment; routing sees the whole batch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,9 +29,14 @@ GATINGS = (GATE_TOP2, GATE_EXPERT_CHOICE)
 NEG_MASK = -1e30  # exp(NEG_MASK - finite) underflows to exactly 0.0
 
 
-def positive_int(value):
-    """True for an int >= 1; a bool, float or string is not a count."""
-    return type(value) is int and value >= 1
+def positive_int(value, least=1):
+    """True for an int >= least; a bool, float or string is not a count."""
+    return type(value) is int and value >= least
+
+
+def real_number(value):
+    """True for an int or a float; a bool is not a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,17 @@ class MoeConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     def capacity(self, n_tokens):
-        k = (self.capacity_factor * n_tokens) // self.n_experts
+        """The tokens each expert takes from a batch of ``n_tokens``:
+        floor(c * n / E), at least 1, and under expert choice, where each
+        expert picks distinct tokens, at most n (so c <= E for n >= E)."""
+        c, e = self.capacity_factor, self.n_experts
+        k = (c * n_tokens) // e
         if k < 1:
-            raise ValueError(
-                f"per-expert capacity floor({self.capacity_factor}*{n_tokens}"
-                f"/{self.n_experts}) < 1"
-            )
+            raise ValueError(f"per-expert capacity floor({c}*{n_tokens}/{e}) < 1")
+        if self.gating == GATE_EXPERT_CHOICE and k > n_tokens:
+            raise ValueError(f"expert-choice capacity floor({c}*{n_tokens}/{e}) "
+                             f"= {k} exceeds the {n_tokens} tokens routed; "
+                             f"expert choice needs c <= n_experts")
         return k
 
 
@@ -277,14 +288,10 @@ def load_balance_aux_loss(scores):
     score of e). Differentiable through the mean-score factor only; equals
     1 for perfectly uniform scores.
     """
-    data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
-    n, n_experts = data.shape
-    top1 = data.argmax(axis=1)  # first maximum: lowest index first on ties
+    n, n_experts = scores.shape
+    top1 = scores.data.argmax(axis=1)  # first maximum: lowest index first on ties
     frac = np.bincount(top1, minlength=n_experts) / n
-    mean_scores = T.tmean(scores, axis=0) if isinstance(scores, Tensor) else Tensor(
-        data.mean(axis=0)
-    )
-    return T.mul(T.tsum(T.mul(mean_scores, frac)), float(n_experts))
+    return T.mul(T.tsum(T.mul(T.tmean(scores, axis=0), frac)), float(n_experts))
 
 
 def moe_forward(x, cfg, params, prefix=""):
@@ -293,7 +300,9 @@ def moe_forward(x, cfg, params, prefix=""):
     Returns (output, aux_loss); aux_loss is the load-balance penalty for
     top-2 gating and exactly 0 for expert choice (perfectly balanced by
     construction). Dropped tokens contribute zero rows; the residual
-    connection around the layer carries them through.
+    connection around the layer carries them through. Some expert always
+    takes a token: top-2 keeps token 0's first choice, and under expert
+    choice every expert fills its capacity.
     """
     n = x.shape[0]
     k = cfg.capacity(n)
@@ -313,5 +322,4 @@ def moe_forward(x, cfg, params, prefix=""):
         ye = ffn_forward(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
         w = T.take_entries(scores, toks, np.full_like(toks, exp))
         pairs.append((T.mul(ye, w), toks))
-    out = T.scatter_rows(pairs, n) if pairs else Tensor(np.zeros_like(x.data))
-    return out, aux, decision
+    return T.scatter_rows(pairs, n), aux, decision

@@ -92,7 +92,7 @@ class ModelSpec:
     def __post_init__(self):
         for name, least in (("n_blocks", 1), ("vocab_size", 2), ("max_seq_len", 1)):
             value = getattr(self, name)
-            if not (L.positive_int(value) and value >= least):
+            if not L.positive_int(value, least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def body_layers(self):

@@ -55,6 +55,8 @@ STOP_BASELINE = "baseline"  # reference entry, not a search trial
 # The genome fields drawn from a SearchSpace domain besides the block length
 # and layer order, in sample-draw and mutation-item order.
 SEARCHED_FIELDS = ("d", "d_moe", "d_ffn", "h", "g", "c", "a")
+# The SearchSpace fields that are domains: lists of choices.
+DOMAINS = ("k_choices", "layer_kinds", *(f"{f}_choices" for f in SEARCHED_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,17 @@ class SearchSpace:
     d_head: int = 64
 
     def __post_init__(self):
-        for name in ("k_choices", "layer_kinds",
-                     *(f"{f}_choices" for f in SEARCHED_FIELDS)):
+        for name in DOMAINS:
             vals = tuple(getattr(self, name))
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ConfigError(f"search space domain {name} is empty")
+        try:  # routing n_experts tokens, each expert's capacity is c itself
+            for g, c in itertools.product(self.g_choices, self.c_choices):
+                L.MoeConfig(self.d_choices[0], self.d_moe_choices[0], self.n_experts,
+                            g, c, self.a_choices[0]).capacity(self.n_experts)
+        except ValueError as exc:
+            raise ConfigError(f"search space: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc):
@@ -88,6 +95,10 @@ class SearchSpace:
         bad = set(doc) - known
         if bad:
             raise ConfigError(f"unknown search space fields: {sorted(bad)}")
+        for name in DOMAINS:
+            if name in doc and not isinstance(doc[name], list):
+                raise ConfigError(f"search space domain {name} must be a "
+                                  f"JSON list, got {doc[name]!r}")
         return cls(**doc)
 
     def domain(self, name):
@@ -370,7 +381,10 @@ class ProxyTrainingRunner:
     """Real proxy training: stack the block three times, train under the
     fixed budget, prune at the 25% checkpoint, reward the negative final
     validation loss. The two chunks of a trial are one run: the second
-    carries on the first's optimizer moments and batch RNG."""
+    carries on the first's optimizer moments and batch RNG. ``seed``
+    initialises every proxy model; trial i (the baseline: 0) draws its
+    batches, step-time measurement included, from ``seed + i``, never
+    from ``train_cfg.seed``."""
 
     def __init__(self, corpus, train_cfg, budget_cost_units=None,
                  budget_seconds=None, baseline_genome=None, seed=0):
@@ -399,9 +413,9 @@ class ProxyTrainingRunner:
                                 max_seq_len=self.cfg.seq_len)
         model = LanguageModel(spec, seed=self.seed)
         cost = float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
-        step_time = measure_step_time(model, self.corpus, self.cfg, repetitions=3) \
-            if self.wallclock else cost
         cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
+        step_time = measure_step_time(model, self.corpus, cfg, repetitions=3) \
+            if self.wallclock else cost
         state = None
 
         def train(n):

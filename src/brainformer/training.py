@@ -1,6 +1,7 @@
 """Desk-scale LM training: Adafactor, constant-then-inverse-sqrt schedule,
-byte-level corpus ingestion, one budgeted step loop with carried state
-and its one-file checkpoint, perplexity evaluation.
+byte-level corpus ingestion, one step loop bounded by a step count or a
+cost-unit budget, its carried state and one-file checkpoint, perplexity
+evaluation.
 """
 
 from __future__ import annotations
@@ -8,15 +9,15 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 import os
 import time
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import tensor as T
+from .layers import positive_int, real_number
 from .model import ConfigError, lm_loss, step_cost_units
 
 BYTE_VOCAB = 258  # 256 byte values + 2 reserved specials
@@ -43,6 +44,19 @@ class TrainConfig:
     eval_tokens: int = 2048
     # no dropout field on purpose: training never uses dropout
 
+    def __post_init__(self):
+        """Counts are ints (seed and max_steps may be 0, the others are at
+        least 1); rates and fractions are real numbers, never bools."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                least = 0 if f.name in ("seed", "max_steps") else 1
+                if not positive_int(value, least):
+                    raise ValueError(f"{f.name} must be an integer >= {least}, "
+                                     f"got {value!r}")
+            elif not real_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+
     @classmethod
     def from_dict(cls, doc):
         known = {f for f in cls.__dataclass_fields__}
@@ -54,21 +68,16 @@ class TrainConfig:
 
 @dataclass
 class Budget:
-    """Limits of one ``train_steps`` call; at least one is set, and the
-    first one reached stops the loop. max_steps=0 is a no-op run."""
+    """Limits of one ``train_steps`` call: a step count, analytic cost
+    units, or both. At least one is set, and the first one reached stops
+    the loop. max_steps=0 is a no-op run."""
 
     max_steps: int = None
-    max_seconds: float = None
     max_cost_units: float = None
 
     def __post_init__(self):
-        limits = {"max_steps": self.max_steps, "max_seconds": self.max_seconds,
-                  "max_cost_units": self.max_cost_units}
-        if all(v is None for v in limits.values()):
-            raise ValueError("budget needs max_steps, max_seconds, or max_cost_units")
-        for name, v in limits.items():
-            if v is not None and not isinstance(v, numbers.Real):
-                raise ValueError(f"budget {name} must be a number, got {v!r}")
+        if self.max_steps is None and self.max_cost_units is None:
+            raise ValueError("budget needs max_steps or max_cost_units")
 
 
 def lr_at(step, cfg):
@@ -277,26 +286,20 @@ def train_steps(model, corpus, cfg, budget, trajectory_path=None,
     ``state=None`` starts fresh (zero moments, RNG from ``cfg.seed``);
     passing the returned ``result.state`` on continues the run bitwise.
     Cost-unit budgets consume a fixed analytic amount per step, so runs
-    are deterministic and machine-independent; wall-clock budgets measure
-    real time. Divergence (non-finite loss) aborts with the partial
-    trajectory retained.
+    are deterministic and machine-independent. Divergence (non-finite
+    loss) aborts with the partial trajectory retained.
     """
     state = state or TrainState.fresh(model, cfg)
     if cost_per_step is None:
         cost_per_step = float(step_cost_units(model.spec, cfg.batch_size, cfg.seq_len))
     result = TrainResult(state=state)
     out = open(trajectory_path, "a") if trajectory_path else None
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
     try:
         while True:
             if budget.max_steps is not None and result.steps >= budget.max_steps:
                 break
             if budget.max_cost_units is not None and \
                     result.consumed_cost + cost_per_step > budget.max_cost_units:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
                 break
             t0 = time.monotonic()
             inputs, targets = corpus.sample_batch(state.rng, cfg.batch_size, cfg.seq_len)

@@ -114,7 +114,9 @@ class TestSearchCommand:
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
     @pytest.mark.parametrize("budget", [{"cost_units": "x"}, {},
-                                        {"cost_units": 1e12, "seconds": 10}])
+                                        {"cost_units": 1e12, "seconds": 10},
+                                        {"cost_units": 0}, {"cost_units": True},
+                                        {"seconds": -1.0}])
     def test_malformed_budget(self, tmp_path, budget, capsys):
         out = tmp_path / "o"
         assert main(["search", "--config", search_config(tmp_path, budget=budget),
@@ -126,10 +128,10 @@ class TestSearchCommand:
         cfg = json.loads(Path(search_config(
             tmp_path, mode="train", corpus=corpus_file, budget={"seconds": 0.5},
             train={"batch_size": 2, "seq_len": 8})).read_text())
-        runner = _build_runner(cfg)
+        runner = _build_runner(cfg, 7)
         assert runner.wallclock and runner.budget == 0.5
         cfg["budget"] = {"cost_units": 1e9}
-        runner = _build_runner(cfg)
+        runner = _build_runner(cfg, 7)
         assert not runner.wallclock and runner.budget == 1e9
 
     def test_budget_mode_flag_rejected(self, tmp_path):
@@ -141,12 +143,57 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("train, message", [
         ({"valid_fraction": 0.0}, "top-level valid_fraction"),
-        ({"dropout": 0.1}, "unknown train config fields")])
+        ({"dropout": 0.1}, "unknown train config fields"),
+        ({"seed": 1}, "top-level seed or --seed"),
+        ({"max_steps": 5}, "takes it from the budget"),
+        ({"seq_len": "8"}, "seq_len must be an integer >= 1")])
     def test_bad_train_section(self, tmp_path, train, message, capsys):
         out = tmp_path / "o"
         assert main(["search", "--config", search_config(tmp_path, train=train),
                      "--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_seeds_the_whole_search(self, tmp_path, corpus_file):
+        """In train mode ``--seed`` drives evolution, proxy model init and
+        trial batches, exactly as the config's ``seed`` does."""
+        def search(out, seed, *flag):
+            cfg = search_config(tmp_path, mode="train", corpus=corpus_file,
+                                seed=seed, rounds=2, budget={"cost_units": 3e6},
+                                train={"batch_size": 2, "seq_len": 8,
+                                       "eval_tokens": 32})
+            assert main(["search", "--config", cfg, "--out", str(out),
+                         *flag]) == EXIT_OK
+            return {name: (out / name).read_bytes()
+                    for name in ("ledger.jsonl", "topk.json", "summary.csv")}
+        assert search(tmp_path / "flag", 1, "--seed", "3") == \
+            search(tmp_path / "config", 3)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"population": "8"}, "population must be an integer >= 2"),
+        ({"population": 1}, "population must be an integer >= 2"),
+        ({"rounds": 2.5}, "rounds must be an integer >= 0"),
+        ({"rounds": -1}, "rounds must be an integer >= 0"),
+        ({"tournament_size": -1}, "tournament_size must be an integer >= 1"),
+        ({"tournament_size": True}, "tournament_size must be an integer >= 1"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": 1.0}, "seed must be an integer >= 0"),
+        ({"space": {"d_choices": 64}}, "d_choices must be a JSON list"),
+        ({"space": {"g_choices": ["expert_choice"], "c_choices": [1, 4],
+                    "n_experts": 2}}, "expert choice needs c <= n_experts")])
+    def test_bad_scalar_rejected_before_any_trial(self, tmp_path, edit, message,
+                                                  capsys):
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, **edit)
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["search", "--config", search_config(tmp_path),
+                     "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_workers_flag_rejected(self, tmp_path):
@@ -385,24 +432,44 @@ class TestTrainCommand:
         assert "unreadable checkpoint" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_budget_key_overrides_max_steps(self, tmp_path, genome_file,
-                                            corpus_file):
-        cfg = self.train_cfg(tmp_path, budget={"max_steps": 1})
-        out = tmp_path / "run"
-        main(["train", "--genome", genome_file, "--corpus", corpus_file,
-              "--config", cfg, "--out", str(out)])
-        report = json.loads((out / "train_report.json").read_text())
-        assert report["steps"] == 1
-
-    @pytest.mark.parametrize("budget", [{"max_stepz": 3}, {"max_steps": None},
-                                        {"max_steps": "x"}])
+    @pytest.mark.parametrize("budget", [{"max_steps": 1}, {"max_seconds": 0.3},
+                                        {"max_cost_units": 1e9}])
     def test_malformed_budget(self, tmp_path, genome_file, corpus_file,
                               budget, capsys):
+        """A train config has no budget section: max_steps is the one run
+        length, so any budget is refused before --out is made."""
         out = tmp_path / "run"
         assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
                      "--config", self.train_cfg(tmp_path, budget=budget),
                      "--out", str(out)]) == EXIT_USAGE
-        assert "train config:" in capsys.readouterr().err
+        assert "unknown train config fields: ['budget']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"seq_len": "8"}, "seq_len must be an integer >= 1"),
+        ({"batch_size": 0}, "batch_size must be an integer >= 1"),
+        ({"log_every": 2.0}, "log_every must be an integer >= 1"),
+        ({"eval_tokens": None}, "eval_tokens must be an integer >= 1"),
+        ({"warmup_constant_steps": True}, "warmup_constant_steps must be an integer"),
+        ({"max_steps": -1}, "max_steps must be an integer >= 0"),
+        ({"seed": "0"}, "seed must be an integer >= 0"),
+        ({"base_lr": "0.1"}, "base_lr must be a number"),
+        ({"valid_fraction": False}, "valid_fraction must be a number")])
+    def test_bad_field_type(self, tmp_path, genome_file, corpus_file, edit,
+                            message, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path, **edit),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert f"train config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, genome_file, corpus_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path), "--out", str(out),
+                     "--seed", "-1"]) == EXIT_USAGE
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_corpus(self, tmp_path, genome_file):
@@ -438,6 +505,21 @@ class TestTrainCommand:
                                                 seq_len=8),
                      "--out", str(out)]) == EXIT_USAGE
         assert "capacity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_expert_choice_capacity_above_tokens(self, tmp_path, corpus_file,
+                                                 capsys):
+        """Expert choice with c=4 > 2 experts wants floor(4*8/2) = 16 of the
+        8 tokens routed; refused before --out is made."""
+        genome = tmp_path / "g.json"
+        genome.write_text(json.dumps(toy_block(
+            g="expert_choice", c=4).to_json_dict()))
+        out = tmp_path / "run"
+        assert main(["train", "--genome", str(genome), "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path, batch_size=1,
+                                                seq_len=8),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "expert choice needs c <= n_experts" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -416,3 +416,32 @@ class TestMoeForward:
         cfg = moe_cfg(n_experts=2, capacity_factor=1)
         with pytest.raises(ValueError):
             cfg.capacity(1)  # floor(1*1/2) = 0
+
+    def test_expert_choice_capacity_at_most_tokens(self):
+        cfg = moe_cfg(n_experts=2, capacity_factor=3, gating=L.GATE_EXPERT_CHOICE)
+        assert cfg.capacity(1) == 1  # floor(3/2) still fits one token
+        with pytest.raises(ValueError, match="c <= n_experts"):
+            cfg.capacity(8)  # floor(3*8/2) = 12 > 8
+        assert moe_cfg(n_experts=2, capacity_factor=3).capacity(8) == 12  # top-2
+
+    @given(n=st.integers(1, 12), n_experts=st.integers(1, 6),
+           c=st.integers(1, 6), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_some_expert_always_takes_a_token(self, n, n_experts, c, seed):
+        """With a capacity >= 1 the combine has rows to scatter: top-2 keeps
+        token 0's first choice, expert choice fills every expert."""
+        scores = np.random.default_rng(seed).random((n, n_experts))
+        for gating in L.GATINGS:
+            try:
+                k = moe_cfg(n_experts=n_experts, capacity_factor=c,
+                            gating=gating).capacity(n)
+            except ValueError:
+                continue
+            if gating == L.GATE_TOP2:
+                dec = L.route_top2(scores, k)
+                assert (0, int(np.argmax(scores[0]))) in \
+                    set(zip(dec.tokens.tolist(), dec.experts.tolist()))
+            else:
+                dec = L.route_expert_choice(scores, k)
+                assert np.array_equal(np.bincount(dec.experts, minlength=n_experts),
+                                      np.full(n_experts, k))

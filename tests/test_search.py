@@ -51,6 +51,16 @@ class TestSearchSpace:
         with pytest.raises(ConfigError):
             toy_space(d_choices=())
 
+    def test_domain_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="d_choices must be a JSON list"):
+            SearchSpace.from_dict({"d_choices": 64})
+
+    def test_expert_choice_capacity_above_experts_rejected(self):
+        with pytest.raises(ConfigError, match="expert choice needs c <= n_experts"):
+            toy_space(c_choices=(1, 2, 3))
+        # top-2 routing caps nothing at the token count
+        assert toy_space(g_choices=("top2",), c_choices=(1, 2, 3)).c_choices == (1, 2, 3)
+
     def test_contains(self):
         s = toy_space()
         assert s.contains(toy_baseline())
@@ -402,13 +412,14 @@ class TestProxyTrainingRunner:
         calls = []
 
         def fake_measure(model, corpus, cfg, repetitions=5):
-            calls.append(model)
+            calls.append(cfg.seed)
             return 0.25
         monkeypatch.setattr("brainformer.search.measure_step_time", fake_measure)
-        runner = ProxyTrainingRunner(self.corpus(), self.cfg(), budget_seconds=2.0,
+        runner = ProxyTrainingRunner(self.corpus(), replace(self.cfg(), seed=99),
+                                     budget_seconds=2.0, seed=5,
                                      baseline_genome=toy_baseline())
         rec = runner.baseline_record()
-        assert len(calls) == 1
+        assert calls == [5]  # the trial's seed, not the train config's
         assert rec.step_time == 0.25
         assert rec.steps == 8
 

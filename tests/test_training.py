@@ -74,6 +74,20 @@ class TestTrainConfig:
         assert cfg.base_lr == 0.2
         assert cfg.seq_len == 16
 
+    def test_accepts_zero_seed_and_steps_and_int_rates(self):
+        cfg = TrainConfig.from_dict({"seed": 0, "max_steps": 0, "base_lr": 1,
+                                     "valid_fraction": 0})
+        assert (cfg.seed, cfg.max_steps, cfg.base_lr) == (0, 0, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("seq_len", "8"), ("warmup_constant_steps", 1.0),
+        ("log_every", None), ("eval_tokens", True), ("seed", -1),
+        ("max_steps", 2.5), ("base_lr", True), ("aux_coeff", "0.01"),
+        ("beta2", None), ("valid_fraction", [0.1])])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict({field: value})
+
 
 class TestCorpus:
     def test_split_disjoint_and_complete(self):
@@ -285,14 +299,6 @@ class TestBudget:
                               Budget(max_cost_units=5.0), cost_per_step=1.0)
             runs.append((res.steps, tuple(losses(res))))
         assert runs[0] == runs[1]
-
-    def test_seconds_budget_stops(self):
-        m = tiny_model()
-        res = train_steps(m, tiny_corpus(),
-                          TrainConfig(seq_len=8, batch_size=2),
-                          Budget(max_seconds=0.3))
-        assert res.steps >= 1
-        assert not res.diverged
 
 
 class TestTrainLoop:
