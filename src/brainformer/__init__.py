@@ -15,7 +15,7 @@ from .model import (
     glam_baseline_block,
 )
 from .training import (
-    TrainConfig, Budget, ByteCorpus, Adafactor, TrainState,
+    TrainConfig, ByteCorpus, Adafactor, TrainState,
     lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint,
 )

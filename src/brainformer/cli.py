@@ -104,11 +104,13 @@ SEARCH_SETS = {"seed": "the top-level seed or --seed",
                "valid_fraction": "the top-level valid_fraction"}
 
 
-def _build_runner(cfg, seed):
+def _build_runner(cfg, seed, space):
     """The trial runner a search config asks for, seeded with ``seed``. Its
     budget holds exactly one of ``cost_units`` and ``seconds``, a positive
     number, and that key picks the mode: analytic cost units, or
-    wall-clock seconds (proxy training only)."""
+    wall-clock seconds (proxy training only). A surrogate search reads only
+    ``train.batch_size`` and ``train.seq_len``; proxy training must route
+    the baseline and every (g, c) of ``space`` through its MoE layers."""
     mode = cfg.get("mode", "surrogate")
     baseline_doc = cfg.get("baseline_genome")
     baseline = M.BlockSpec.from_json_dict(baseline_doc) if baseline_doc else None
@@ -133,6 +135,10 @@ def _build_runner(cfg, seed):
     if mode == "surrogate":
         if seconds is not None:
             raise UsageError("surrogate mode only supports cost budgets")
+        unread = sorted(set(train_doc) - {"batch_size", "seq_len"})
+        if unread:
+            raise UsageError(f"search config: a surrogate search reads only "
+                             f"train.batch_size and train.seq_len, not {unread}")
         return S.SurrogateRunner(budget_cost_units=cost_units,
                                  baseline_genome=baseline,
                                  batch_size=train_cfg.batch_size,
@@ -141,9 +147,15 @@ def _build_runner(cfg, seed):
         if "corpus" not in cfg:
             raise UsageError("search config: corpus path required in train mode")
         corpus = _load_corpus(cfg["corpus"], cfg.get("valid_fraction", 0.1))
-        return S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
-                                     budget_seconds=seconds, baseline_genome=baseline,
-                                     seed=seed)
+        runner = S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
+                                       budget_seconds=seconds, baseline_genome=baseline,
+                                       seed=seed)
+        moes = _moe_configs(runner.baseline_genome)
+        if M.KIND_MOE in space.layer_kinds:
+            moes += space.moe_configs()
+        _check_routing(moes, train_cfg, corpus,
+                       "valid" if TR.model_has_valid(corpus) else "train")
+        return runner
     raise UsageError(f"search config: unknown mode {mode!r}")
 
 
@@ -171,7 +183,7 @@ def cmd_search(args):
     topk = cfg.get("topk", {})
     topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
     S.check_topk(*topk_args)
-    runner = _build_runner(cfg, seed)
+    runner = _build_runner(cfg, seed, space)
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     ledger_path = os.path.join(args.out, "ledger.jsonl")
@@ -212,17 +224,22 @@ def _load_model_spec(path, default_blocks=1):
         raise UsageError(f"malformed genome {path}: {exc}")
 
 
-def _check_routing(block, cfg, corpus):
-    """Raise UsageError unless each MoE layer can route a training batch and
-    an evaluation window: its per-expert capacity must be at least 1."""
-    if M.KIND_MOE not in block.layers:
-        return
+def _moe_configs(block):
+    """The MoE layer config of ``block``, as a list of none or one."""
+    return [block.layer_config(M.KIND_MOE)] if M.KIND_MOE in block.layers else []
+
+
+def _check_routing(moes, cfg, corpus, split):
+    """Raise UsageError unless each MoE layer config in ``moes`` can route a
+    training batch and the first window of ``split`` (None: no evaluation):
+    its per-expert capacity must be at least 1."""
     routed = [cfg.batch_size * cfg.seq_len]
-    if TR.model_has_valid(corpus):
-        routed.append(len(next(corpus.windows(cfg.seq_len))[0]))
+    if split is not None:
+        routed.append(len(next(corpus.windows(cfg.seq_len, split=split))[0]))
     try:
-        for n_tokens in routed:
-            block.layer_config(M.KIND_MOE).capacity(n_tokens)
+        for moe in moes:
+            for n_tokens in routed:
+                moe.capacity(n_tokens)
     except ValueError as exc:
         raise UsageError(f"train config: {exc}")
 
@@ -242,7 +259,8 @@ def cmd_train(args):
         raise UsageError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
                          f"{spec.max_seq_len}")
     corpus = _load_corpus(args.corpus, cfg.valid_fraction)
-    _check_routing(spec.block, cfg, corpus)
+    _check_routing(_moe_configs(spec.block), cfg, corpus,
+                   "valid" if TR.model_has_valid(corpus) else None)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     traj = os.path.join(args.out, "trajectory.jsonl")
     model = M.LanguageModel(spec, seed=cfg.seed)
@@ -257,7 +275,7 @@ def cmd_train(args):
         raise UsageError(f"{args.out} holds a run (use --resume)")
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    result = TR.train_steps(model, corpus, cfg, TR.Budget(max_steps=cfg.max_steps),
+    result = TR.train_steps(model, corpus, cfg, cfg.max_steps,
                             trajectory_path=traj, state=state)
     TR.save_checkpoint(model, ckpt, state=state)
     report = {

@@ -40,8 +40,8 @@ from .model import (
     SCALE_FACTORS, scale_model_dim,
 )
 from .training import (
-    Budget, evaluate_perplexity, measure_step_time, model_has_valid,
-    train_steps, BYTE_VOCAB,
+    evaluate_perplexity, measure_step_time, model_has_valid, train_steps,
+    BYTE_VOCAB,
 )
 
 PROXY_STACK = 3  # proxy models stack the candidate block three times
@@ -83,11 +83,17 @@ class SearchSpace:
             if not vals:
                 raise ConfigError(f"search space domain {name} is empty")
         try:  # routing n_experts tokens, each expert's capacity is c itself
-            for g, c in itertools.product(self.g_choices, self.c_choices):
-                L.MoeConfig(self.d_choices[0], self.d_moe_choices[0], self.n_experts,
-                            g, c, self.a_choices[0]).capacity(self.n_experts)
+            for moe in self.moe_configs():
+                moe.capacity(self.n_experts)
         except ValueError as exc:
             raise ConfigError(f"search space: {exc}") from None
+
+    def moe_configs(self):
+        """An MoE layer config per (g, c) the space allows: every way its
+        MoE layers route, since routing reads only g, c and ``n_experts``."""
+        return [L.MoeConfig(self.d_choices[0], self.d_moe_choices[0], self.n_experts,
+                            g, c, self.a_choices[0])
+                for g, c in itertools.product(self.g_choices, self.c_choices)]
 
     @classmethod
     def from_dict(cls, doc):
@@ -414,14 +420,13 @@ class ProxyTrainingRunner:
         model = LanguageModel(spec, seed=self.seed)
         cost = float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
         cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
-        step_time = measure_step_time(model, self.corpus, cfg, repetitions=3) \
+        step_time = measure_step_time(model, self.corpus, cfg) \
             if self.wallclock else cost
         state = None
 
         def train(n):
             nonlocal state
-            res = train_steps(model, self.corpus, cfg, Budget(max_steps=n),
-                              state=state)
+            res = train_steps(model, self.corpus, cfg, n, state=state)
             state = res.state
             return (res.steps, [[r["step"], r["loss"]] for r in _thin(res.records)],
                     res.diverged)

@@ -1,7 +1,7 @@
 """Desk-scale LM training: Adafactor, constant-then-inverse-sqrt schedule,
-byte-level corpus ingestion, one step loop bounded by a step count or a
-cost-unit budget, its carried state and one-file checkpoint, perplexity
-evaluation.
+byte-level corpus ingestion, one step loop that trains a given number of
+steps, its carried state and one-file checkpoint, perplexity evaluation.
+A search budget becomes a step count in ``search.run_trial`` alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import positive_int, real_number
-from .model import ConfigError, lm_loss, step_cost_units
+from .model import ConfigError, lm_loss
 
 BYTE_VOCAB = 258  # 256 byte values + 2 reserved specials
 TOK_BOS = 256
@@ -64,20 +64,6 @@ class TrainConfig:
         if bad:
             raise ValueError(f"unknown train config fields: {sorted(bad)}")
         return cls(**doc)
-
-
-@dataclass
-class Budget:
-    """Limits of one ``train_steps`` call: a step count, analytic cost
-    units, or both. At least one is set, and the first one reached stops
-    the loop. max_steps=0 is a no-op run."""
-
-    max_steps: int = None
-    max_cost_units: float = None
-
-    def __post_init__(self):
-        if self.max_steps is None and self.max_cost_units is None:
-            raise ValueError("budget needs max_steps or max_cost_units")
 
 
 def lr_at(step, cfg):
@@ -273,34 +259,24 @@ def load_checkpoint(model, path, state=None):
 class TrainResult:
     records: list = field(default_factory=list)
     steps: int = 0
-    consumed_cost: float = 0.0
     diverged: bool = False
     final_loss: float = None
     state: TrainState = None
 
 
-def train_steps(model, corpus, cfg, budget, trajectory_path=None,
-                cost_per_step=None, state=None):
-    """Run training steps until this call's budget is exhausted.
+def train_steps(model, corpus, cfg, n_steps, trajectory_path=None, state=None):
+    """Train ``n_steps`` steps (0 is a no-op run).
 
     ``state=None`` starts fresh (zero moments, RNG from ``cfg.seed``);
     passing the returned ``result.state`` on continues the run bitwise.
-    Cost-unit budgets consume a fixed analytic amount per step, so runs
-    are deterministic and machine-independent. Divergence (non-finite
-    loss) aborts with the partial trajectory retained.
+    Divergence (non-finite loss) aborts with the partial trajectory
+    retained.
     """
     state = state or TrainState.fresh(model, cfg)
-    if cost_per_step is None:
-        cost_per_step = float(step_cost_units(model.spec, cfg.batch_size, cfg.seq_len))
     result = TrainResult(state=state)
     out = open(trajectory_path, "a") if trajectory_path else None
     try:
-        while True:
-            if budget.max_steps is not None and result.steps >= budget.max_steps:
-                break
-            if budget.max_cost_units is not None and \
-                    result.consumed_cost + cost_per_step > budget.max_cost_units:
-                break
+        while result.steps < n_steps:
             t0 = time.monotonic()
             inputs, targets = corpus.sample_batch(state.rng, cfg.batch_size, cfg.seq_len)
             loss, ce = lm_loss(model, inputs, targets,
@@ -315,7 +291,6 @@ def train_steps(model, corpus, cfg, budget, trajectory_path=None,
             state.optimizer.update(model.params, lr)
             model.step += 1
             result.steps += 1
-            result.consumed_cost += cost_per_step
             result.final_loss = ce.item()
             if result.steps % cfg.log_every == 0:
                 rec = {"step": model.step, "loss": ce.item(), "lr": lr,
@@ -361,13 +336,9 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
     return math.exp(total_nll / total_tokens)
 
 
-def measure_step_time(model, corpus, cfg, repetitions=5):
-    """Median recorded ``step_time`` after one warm-up step of training a
-    throwaway copy of the model (inf if it diverges first)."""
-    if repetitions < 3:
-        raise ValueError("need at least 3 repetitions")
-    res = train_steps(copy.deepcopy(model), corpus,
-                      replace(cfg, log_every=1),
-                      Budget(max_steps=repetitions + 1))
+def measure_step_time(model, corpus, cfg):
+    """Median recorded ``step_time`` of 3 steps after one warm-up step of
+    training a throwaway copy of the model (inf if it diverges first)."""
+    res = train_steps(copy.deepcopy(model), corpus, replace(cfg, log_every=1), 4)
     times = [r["step_time"] for r in res.records[1:]]  # first is warm-up
     return float(np.median(times)) if times else math.inf

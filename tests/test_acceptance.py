@@ -24,15 +24,15 @@ from brainformer.layers import (
 )
 from brainformer.model import (
     BlockSpec, ModelSpec, LanguageModel, count_params, lm_loss,
-    glam_baseline_block,
+    glam_baseline_block, step_cost_units,
 )
 from brainformer.search import (
-    SearchSpace, SurrogateRunner, evolve, finalize_topk,
-    STOP_COMPLETED,
+    SearchSpace, SurrogateRunner, ProxyTrainingRunner, evolve, finalize_topk,
+    proxy_model_spec, STOP_COMPLETED,
 )
 from brainformer.tensor import Tensor
 from brainformer.training import (
-    ByteCorpus, TrainConfig, Budget, train_steps, evaluate_perplexity,
+    ByteCorpus, TrainConfig, train_steps, evaluate_perplexity,
 )
 
 from helpers import finite_difference_check, brute_force_top2
@@ -297,7 +297,7 @@ def test_criterion_07_overfit_tiny_corpus():
     ppl = float("inf")
     state = None  # carried across chunks, so this is one 2000-step run
     while model.step < 2000:
-        state = train_steps(model, corpus, cfg, Budget(max_steps=100),
+        state = train_steps(model, corpus, cfg, 100,
                             state=state).state
         ppl = evaluate_perplexity(model, corpus, split="train", seq_len=64,
                                   max_tokens=512)
@@ -361,7 +361,8 @@ def test_criterion_08_search_finds_argmax():
 
 def test_criterion_09_budget_fairness():
     """Under a fixed cost budget a candidate with half the per-step cost
-    completes twice the steps, to within one step of granularity."""
+    completes twice the steps, to within one step of granularity; real
+    proxy training trains exactly floor(budget / cost) steps."""
     from brainformer.search import Candidate
     budget = 1001.0
     runner = SurrogateRunner(budget_cost_units=budget,
@@ -374,21 +375,26 @@ def test_criterion_09_budget_fairness():
     fast = runner.evaluate(Candidate(genome=fast_genome, id=1))
     surrogate_ok = abs(fast.steps - 2 * slow.steps) <= 1
 
-    # the real training loop obeys the same contract
-    spec = BlockSpec(layers=("attn",), d=8, d_moe=16, d_ffn=16, h=2, d_head=4,
-                     g="top2", c=2, a="relu", n_experts=2)
-    ms = ModelSpec(block=spec, n_blocks=1, vocab_size=258, max_seq_len=8)
+    # real proxy training obeys the same contract: a trial of each of two
+    # genomes of different analytic cost trains floor(budget / cost) steps
     corpus = ByteCorpus(bytes(range(256)), valid_fraction=0.0)
-    cfg = TrainConfig(batch_size=1, seq_len=8, valid_fraction=0.0)
-    res_slow = train_steps(LanguageModel(ms, seed=0), corpus, cfg,
-                           Budget(max_cost_units=21.0), cost_per_step=2.0)
-    res_fast = train_steps(LanguageModel(ms, seed=0), corpus, cfg,
-                           Budget(max_cost_units=21.0), cost_per_step=1.0)
-    loop_ok = abs(res_fast.steps - 2 * res_slow.steps) <= 1
+    cfg = TrainConfig(batch_size=1, seq_len=8, valid_fraction=0.0, eval_tokens=64)
+    genomes = [BlockSpec(layers=layers, d=8, d_moe=16, d_ffn=16, h=2, d_head=4,
+                         g="top2", c=2, a="relu", n_experts=2)
+               for layers in (("attn", "ffn"), ("attn",))]
+    costs = [step_cost_units(proxy_model_spec(g, max_seq_len=8), 1, 8)
+             for g in genomes]
+    loop_budget = 12.5 * costs[0]
+    proxy = ProxyTrainingRunner(corpus, cfg, budget_cost_units=loop_budget,
+                                baseline_genome=genomes[0])
+    trained = [proxy._evaluate(g, i, None, None).steps
+               for i, g in enumerate(genomes)]
+    loop_ok = trained == [math.floor(loop_budget / c) for c in costs] \
+        and trained[0] < trained[1]
     verdict(9, "half per-step cost completes twice the steps (within 1)",
             surrogate_ok and loop_ok,
             f"surrogate {slow.steps}/{fast.steps}, "
-            f"loop {res_slow.steps}/{res_fast.steps}")
+            f"loop {trained[0]}/{trained[1]}")
 
 
 def test_criterion_10_search_determinism(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from brainformer.cli import main, _build_runner, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 from brainformer.model import BlockSpec, ModelSpec, LanguageModel
-from brainformer.search import TrialRecord, record_to_line, STOP_COMPLETED
+from brainformer.search import SearchSpace, TrialRecord, record_to_line, STOP_COMPLETED
 from brainformer import training as TR
 from brainformer.training import TrainConfig
 
@@ -128,10 +128,11 @@ class TestSearchCommand:
         cfg = json.loads(Path(search_config(
             tmp_path, mode="train", corpus=corpus_file, budget={"seconds": 0.5},
             train={"batch_size": 2, "seq_len": 8})).read_text())
-        runner = _build_runner(cfg, 7)
+        space = SearchSpace.from_dict(cfg["space"])
+        runner = _build_runner(cfg, 7, space)
         assert runner.wallclock and runner.budget == 0.5
         cfg["budget"] = {"cost_units": 1e9}
-        runner = _build_runner(cfg, 7)
+        runner = _build_runner(cfg, 7, space)
         assert not runner.wallclock and runner.budget == 1e9
 
     def test_budget_mode_flag_rejected(self, tmp_path):
@@ -146,12 +147,41 @@ class TestSearchCommand:
         ({"dropout": 0.1}, "unknown train config fields"),
         ({"seed": 1}, "top-level seed or --seed"),
         ({"max_steps": 5}, "takes it from the budget"),
-        ({"seq_len": "8"}, "seq_len must be an integer >= 1")])
+        ({"seq_len": "8"}, "seq_len must be an integer >= 1"),
+        ({"base_lr": 0.3, "eval_tokens": 7, "batch_size": 2},  # surrogate mode
+         "reads only train.batch_size and train.seq_len, not "
+         "['base_lr', 'eval_tokens']")])
     def test_bad_train_section(self, tmp_path, train, message, capsys):
         out = tmp_path / "o"
         assert main(["search", "--config", search_config(tmp_path, train=train),
                      "--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        # 32 experts at c=1 get floor(8/32) = 0 tokens of a 1 x 8 batch
+        {"space": {"k_choices": [2], "layer_kinds": ["attn", "moe"],
+                   "d_choices": [8], "d_moe_choices": [16],
+                   "d_ffn_choices": [16], "h_choices": [2],
+                   "g_choices": ["top2"], "c_choices": [1],
+                   "a_choices": ["relu"], "n_experts": 32, "d_head": 4},
+         "train": {"batch_size": 1, "seq_len": 8}},
+        # a baseline with 16 experts at c=1 routes a 4 x 8 batch, but not
+        # an 8-token window of the split trials score on
+        {"baseline_genome": toy_block(n_experts=16, c=1).to_json_dict()},
+        {"baseline_genome": toy_block(n_experts=16, c=1).to_json_dict(),
+         "valid_fraction": 0.0}])
+    def test_train_mode_refuses_unroutable_batch_or_window(self, tmp_path,
+                                                           corpus_file, edit,
+                                                           capsys):
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, **{
+            "mode": "train", "corpus": corpus_file, "rounds": 1,
+            "budget": {"cost_units": 3e6},
+            "train": {"batch_size": 4, "seq_len": 8, "eval_tokens": 32},
+            **edit})
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "capacity" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_seeds_the_whole_search(self, tmp_path, corpus_file):

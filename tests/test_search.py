@@ -393,7 +393,7 @@ class TestProxyTrainingRunner:
         """Training resumes after the 25% checkpoint with the first chunk's
         optimizer and RNG, so the trial equals one uninterrupted run."""
         from brainformer.model import LanguageModel, step_cost_units
-        from brainformer.training import Budget, evaluate_perplexity, train_steps
+        from brainformer.training import evaluate_perplexity, train_steps
         spec = proxy_model_spec(toy_baseline(), max_seq_len=8)
         cost = step_cost_units(spec, 2, 8)
         runner = ProxyTrainingRunner(self.corpus(), self.cfg(),
@@ -403,7 +403,7 @@ class TestProxyTrainingRunner:
         assert rec.stop_reason == STOP_COMPLETED
         model = LanguageModel(spec, seed=runner.seed)
         ref = train_steps(model, runner.corpus, replace(self.cfg(), seed=3),
-                          Budget(max_steps=6))  # the trial's seed: runner seed + id
+                          6)  # the trial's seed: runner seed + id
         assert rec.trajectory == [[r["step"], r["loss"]] for r in ref.records]
         assert rec.final_loss == math.log(evaluate_perplexity(
             model, runner.corpus, seq_len=8, max_tokens=64))
@@ -411,7 +411,7 @@ class TestProxyTrainingRunner:
     def test_wallclock_trial_measures_once(self, monkeypatch):
         calls = []
 
-        def fake_measure(model, corpus, cfg, repetitions=5):
+        def fake_measure(model, corpus, cfg):
             calls.append(cfg.seed)
             return 0.25
         monkeypatch.setattr("brainformer.search.measure_step_time", fake_measure)
@@ -427,7 +427,7 @@ class TestProxyTrainingRunner:
         """A trial of the baseline genome (12 steps, checkpoint at 3) whose
         ``chunk``-th call to train_steps diverges one step before its end."""
         from brainformer.model import step_cost_units
-        from brainformer.training import Budget, train_steps
+        from brainformer.training import train_steps
         cost = step_cost_units(proxy_model_spec(toy_baseline(), max_seq_len=8),
                                2, 8)
         runner = ProxyTrainingRunner(self.corpus(), self.cfg(),
@@ -436,12 +436,11 @@ class TestProxyTrainingRunner:
         baseline = runner.baseline_record()  # trains without the fault
         calls = []
 
-        def faulty(model, corpus, cfg, budget, **kw):
-            calls.append(budget.max_steps)
+        def faulty(model, corpus, cfg, n_steps, **kw):
+            calls.append(n_steps)
             if len(calls) != chunk:
-                return train_steps(model, corpus, cfg, budget, **kw)
-            res = train_steps(model, corpus, cfg,
-                              Budget(max_steps=budget.max_steps - 1), **kw)
+                return train_steps(model, corpus, cfg, n_steps, **kw)
+            res = train_steps(model, corpus, cfg, n_steps - 1, **kw)
             res.diverged = True
             return res
         monkeypatch.setattr("brainformer.search.train_steps", faulty)

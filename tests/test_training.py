@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brainformer.model import (
-    BlockSpec, ModelSpec, ConfigError, LanguageModel, lm_loss, step_cost_units,
+    BlockSpec, ModelSpec, ConfigError, LanguageModel, lm_loss,
 )
 from brainformer.training import (
-    BYTE_VOCAB, TrainConfig, TrainingError, Budget, Adafactor, ByteCorpus,
+    BYTE_VOCAB, TrainConfig, TrainingError, Adafactor, ByteCorpus,
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint,
 )
@@ -261,44 +261,21 @@ class TestAdafactor:
 
 
 class TestBudget:
-    def test_requires_a_limit(self):
-        with pytest.raises(ValueError):
-            Budget()
+    """A ``train_steps`` call trains exactly the steps it is given."""
 
     def test_zero_steps_runs_nothing(self):
         m = tiny_model()
         before = {k: v.data.copy() for k, v in m.params.items()}
-        res = train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2),
-                          Budget(max_steps=0))
+        res = train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2), 0)
         assert res.steps == 0
         for k in before:
             np.testing.assert_array_equal(m.params[k].data, before[k])
 
     def test_step_budget_exact(self):
         m = tiny_model()
-        res = train_steps(m, tiny_corpus(),
-                          TrainConfig(seq_len=8, batch_size=2),
-                          Budget(max_steps=3))
+        res = train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2), 3)
         assert res.steps == 3
         assert m.step == 3
-
-    def test_cost_budget_floor_division(self):
-        m = tiny_model()
-        res = train_steps(m, tiny_corpus(),
-                          TrainConfig(seq_len=8, batch_size=2),
-                          Budget(max_cost_units=10.0), cost_per_step=3.0)
-        assert res.steps == 3  # 4th step would exceed the cap
-        assert res.consumed_cost == 9.0
-
-    def test_cost_budget_deterministic(self):
-        runs = []
-        for _ in range(2):
-            m = tiny_model()
-            res = train_steps(m, tiny_corpus(),
-                              TrainConfig(seq_len=8, batch_size=2, seed=5),
-                              Budget(max_cost_units=5.0), cost_per_step=1.0)
-            runs.append((res.steps, tuple(losses(res))))
-        assert runs[0] == runs[1]
 
 
 class TestTrainLoop:
@@ -307,7 +284,7 @@ class TestTrainLoop:
         res = train_steps(m, tiny_corpus(),
                           TrainConfig(seq_len=16, batch_size=4, base_lr=0.05,
                                       valid_fraction=0.0),
-                          Budget(max_steps=30))
+                          30)
         first = np.mean(losses(res)[:5])
         last = np.mean(losses(res)[-5:])
         assert last < first
@@ -316,7 +293,7 @@ class TestTrainLoop:
         m = tiny_model()
         res = train_steps(m, tiny_corpus(),
                           TrainConfig(seq_len=8, batch_size=2),
-                          Budget(max_steps=1))
+                          1)
         assert abs(losses(res)[0] - math.log(258)) < 0.05
 
     def test_divergence_aborts_cleanly(self):
@@ -324,7 +301,7 @@ class TestTrainLoop:
         m.params["embed"].data[:] = np.nan
         res = train_steps(m, tiny_corpus(),
                           TrainConfig(seq_len=8, batch_size=2),
-                          Budget(max_steps=10))
+                          10)
         assert res.diverged
         assert res.steps == 0
 
@@ -333,7 +310,7 @@ class TestTrainLoop:
         m = tiny_model()
         path = tmp_path / "traj.jsonl"
         train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2),
-                    Budget(max_steps=4), trajectory_path=str(path))
+                    4, trajectory_path=str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         recs = [json.loads(ln) for ln in lines]
@@ -343,8 +320,8 @@ class TestTrainLoop:
     def test_resume_continues_step_count(self):
         m = tiny_model()
         cfg = TrainConfig(seq_len=8, batch_size=2)
-        train_steps(m, tiny_corpus(), cfg, Budget(max_steps=3))
-        res = train_steps(m, tiny_corpus(), cfg, Budget(max_steps=2))
+        train_steps(m, tiny_corpus(), cfg, 3)
+        res = train_steps(m, tiny_corpus(), cfg, 2)
         assert m.step == 5
         assert res.records[-1]["step"] == 5
 
@@ -352,7 +329,7 @@ class TestTrainLoop:
         m = tiny_model()
         cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=2,
                           base_lr=0.01)
-        res = train_steps(m, tiny_corpus(), cfg, Budget(max_steps=4))
+        res = train_steps(m, tiny_corpus(), cfg, 4)
         got = [r["lr"] for r in res.records]
         expect = [lr_at(s, cfg) for s in (1, 2, 3, 4)]
         assert got == expect
@@ -376,20 +353,29 @@ class TestStepTime:
         """Only the measured median; the analytic cost is
         ``step_cost_units``, checked in test_model."""
         t = measure_step_time(tiny_model(), tiny_corpus(),
-                              TrainConfig(seq_len=8, batch_size=2),
-                              repetitions=3)
+                              TrainConfig(seq_len=8, batch_size=2))
         assert isinstance(t, float) and t > 0
 
-    def test_too_few_repetitions(self):
-        m = tiny_model()
-        with pytest.raises(ValueError):
-            measure_step_time(m, tiny_corpus(), TrainConfig(), repetitions=2)
+    def test_one_warmup_then_median_of_three(self, monkeypatch):
+        """One call trains the copy 4 steps and drops the first step's time."""
+        calls = []
+
+        def recording(model, corpus, cfg, n_steps, **kw):
+            calls.append(n_steps)
+            res = train_steps(model, corpus, cfg, n_steps, **kw)
+            for rec, t in zip(res.records, (100.0, 3.0, 1.0, 2.0)):
+                rec["step_time"] = t
+            return res
+        monkeypatch.setattr("brainformer.training.train_steps", recording)
+        t = measure_step_time(tiny_model(), tiny_corpus(),
+                              TrainConfig(seq_len=8, batch_size=2))
+        assert calls == [4]
+        assert t == 2.0
 
     def test_leaves_model_untouched(self):
         m = tiny_model()
         before = {k: v.data.copy() for k, v in m.params.items()}
-        measure_step_time(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2),
-                          repetitions=3)
+        measure_step_time(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2))
         assert m.step == 0
         for k in before:
             np.testing.assert_array_equal(m.params[k].data, before[k])
@@ -408,22 +394,15 @@ class TestCarriedState:
 
     @settings(max_examples=12, deadline=None)
     @given(g=st.sampled_from(["top2", "expert_choice"]),
-           chunks=st.lists(st.integers(0, 4), min_size=1, max_size=4),
-           by_cost=st.booleans())
-    def test_chunks_equal_one_run(self, g, chunks, by_cost):
+           chunks=st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    def test_chunks_equal_one_run(self, g, chunks):
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=3, seed=7)
         whole, parts = tiny_model(g=g), tiny_model(g=g)
-        cost = float(step_cost_units(whole.spec, cfg.batch_size, cfg.seq_len))
-
-        def budget(n):
-            return Budget(max_cost_units=(n + 0.5) * cost) if by_cost \
-                else Budget(max_steps=n)
-
-        ref = train_steps(whole, corpus, cfg, budget(sum(chunks)))
+        ref = train_steps(whole, corpus, cfg, sum(chunks))
         state, chunked = None, []
         for n in chunks:
-            res = train_steps(parts, corpus, cfg, budget(n), state=state)
+            res = train_steps(parts, corpus, cfg, n, state=state)
             assert res.steps == n
             state, chunked = res.state, chunked + losses(res)
         assert parts.step == whole.step == sum(chunks)
@@ -434,8 +413,8 @@ class TestCarriedState:
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2)
         m = tiny_model()
-        first = train_steps(m, corpus, cfg, Budget(max_steps=2))
-        again = train_steps(m, corpus, cfg, Budget(max_steps=2))
+        first = train_steps(m, corpus, cfg, 2)
+        again = train_steps(m, corpus, cfg, 2)
         assert again.state is not first.state
         assert again.state.rng.bit_generator.state == \
             first.state.rng.bit_generator.state  # both drew two fresh batches
@@ -444,14 +423,14 @@ class TestCarriedState:
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=2)
         whole = tiny_model()
-        ref = train_steps(whole, corpus, cfg, Budget(max_steps=5))
+        ref = train_steps(whole, corpus, cfg, 5)
         first = tiny_model()
-        res = train_steps(first, corpus, cfg, Budget(max_steps=3))
+        res = train_steps(first, corpus, cfg, 3)
         save_checkpoint(first, tmp_path / "ckpt.bin", state=res.state)
         resumed = LanguageModel(first.spec, seed=1)
         state = TrainState.fresh(resumed, cfg)
         load_checkpoint(resumed, tmp_path / "ckpt.bin", state=state)
-        res2 = train_steps(resumed, corpus, cfg, Budget(max_steps=2), state=state)
+        res2 = train_steps(resumed, corpus, cfg, 2, state=state)
         assert losses(res) + losses(res2) == losses(ref)
         assert_same_params(resumed, whole)
 
@@ -459,7 +438,7 @@ class TestCarriedState:
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2)
         m = tiny_model()
-        train_steps(m, corpus, cfg, Budget(max_steps=2))
+        train_steps(m, corpus, cfg, 2)
         save_checkpoint(m, tmp_path / "ckpt.bin")
         loaded = LanguageModel(m.spec, seed=1)
         state = TrainState.fresh(loaded, cfg)
@@ -482,7 +461,7 @@ class TestCheckpointFile:
     def saved(self, tmp_path):
         """A small model after one step, saved with its training state."""
         m = tiny_model(vocab=11, seq=8)
-        res = train_steps(m, self.corpus, self.cfg, Budget(max_steps=1))
+        res = train_steps(m, self.corpus, self.cfg, 1)
         save_checkpoint(m, tmp_path / "ckpt.bin", state=res.state)
         return m, res.state
 
@@ -501,7 +480,7 @@ class TestCheckpointFile:
             fh.write(buf.getvalue()[:len(before) // 2])
             raise Crash
 
-        train_steps(m, self.corpus, self.cfg, Budget(max_steps=1), state=state)
+        train_steps(m, self.corpus, self.cfg, 1, state=state)
         monkeypatch.setattr(np, "savez", torn_savez)
         with pytest.raises(Crash):
             save_checkpoint(m, path, state=state)
