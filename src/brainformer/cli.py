@@ -76,7 +76,7 @@ def _load_corpus(path, valid_fraction):
     try:
         with open(path, "rb") as fh:
             return TR.ByteCorpus(fh.read(), valid_fraction=valid_fraction)
-    except (FileNotFoundError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"corpus: {exc}")
 
 
@@ -85,9 +85,9 @@ def _load_json(path, what):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}")
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise UsageError(f"{what} is not valid JSON ({path}): {exc}")
     if not isinstance(doc, dict):
         raise UsageError(f"{what} must be a JSON object ({path})")
@@ -144,8 +144,9 @@ def _build_runner(cfg, seed, space):
                                  batch_size=train_cfg.batch_size,
                                  seq_len=train_cfg.seq_len)
     if mode == "train":
-        if "corpus" not in cfg:
-            raise UsageError("search config: corpus path required in train mode")
+        if not isinstance(cfg.get("corpus"), str):
+            raise UsageError(f"search config: train mode needs a corpus path, "
+                             f"got {cfg.get('corpus')!r}")
         corpus = _load_corpus(cfg["corpus"], cfg.get("valid_fraction", 0.1))
         runner = S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
                                        budget_seconds=seconds, baseline_genome=baseline,
@@ -231,11 +232,11 @@ def _moe_configs(block):
 
 def _check_routing(moes, cfg, corpus, split):
     """Raise UsageError unless each MoE layer config in ``moes`` can route a
-    training batch and the first window of ``split`` (None: no evaluation):
-    its per-expert capacity must be at least 1."""
+    training batch and an evaluation window of ``split`` (None: no
+    evaluation); ``MoeConfig.capacity`` states what each must satisfy."""
     routed = [cfg.batch_size * cfg.seq_len]
     if split is not None:
-        routed.append(len(next(corpus.windows(cfg.seq_len, split=split))[0]))
+        routed.append(corpus.window_len(cfg.seq_len, split))
     try:
         for moe in moes:
             for n_tokens in routed:
@@ -344,8 +345,8 @@ def cmd_count_params(args):
 def cmd_report(args):
     try:
         records, skipped = S.read_ledger(args.ledger)
-    except FileNotFoundError:
-        raise UsageError(f"ledger not found: {args.ledger}")
+    except OSError as exc:
+        raise UsageError(f"cannot read ledger: {exc}")
     if skipped:
         log.warning("skipped %d corrupt ledger lines", skipped)
     trials = sorted((r for r in records if r.trial_id >= 0),
@@ -358,13 +359,10 @@ def cmd_report(args):
               newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trial_id", "reward", "best_so_far"])
-        best_so_far = None
         for rec in trials:
-            if best_so_far is None or rec.reward > best_so_far:
-                best_so_far = rec.reward
             if best is None or rec.reward > best.reward:
                 best = rec
-            w.writerow([rec.trial_id, rec.reward, best_so_far])
+            w.writerow([rec.trial_id, rec.reward, best.reward])
 
     tally = {}
     for rec in trials:

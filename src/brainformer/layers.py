@@ -65,6 +65,8 @@ class FfnConfig:
 
 @dataclass(frozen=True)
 class MoeConfig:
+    """An MoE layer; ``expert`` is the ``FfnConfig`` its experts share."""
+
     model_dim: int
     expert_hidden_dim: int
     n_experts: int
@@ -80,8 +82,9 @@ class MoeConfig:
             raise ValueError("capacity_factor must be an integer >= 1")
         if self.gating not in GATINGS:
             raise ValueError(f"unknown gating {self.gating!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        # the experts' FfnConfig checks the activation
+        object.__setattr__(self, "expert", FfnConfig(self.model_dim, self.expert_hidden_dim,
+                                                     self.activation))
 
     def capacity(self, n_tokens):
         """The tokens each expert takes from a batch of ``n_tokens``:
@@ -145,18 +148,6 @@ class RoutingDecision:
         return [list(zip(self.tokens[r].tolist(), self.weights[r].tolist())) for r in rows]
 
 
-def apply_activation(kind, u, v=None):
-    """Elementwise activation; gated kinds compute act(u) * v."""
-    if kind in GATED_ACTIVATIONS:
-        if v is None:
-            raise ValueError(f"{kind} needs two pre-activation streams")
-        base = T.relu(u) if kind == ACT_GATED_RELU else T.gelu(u)
-        return T.mul(base, v)
-    if v is not None:
-        raise ValueError(f"{kind} takes a single stream")
-    return T.relu(u) if kind == ACT_RELU else T.gelu(u)
-
-
 def _weight(rng, shape):
     """A trainable weight drawn from N(0, 1/fan_in), fan_in = shape[0]."""
     return Tensor(rng.normal(0.0, shape[0] ** -0.5, size=shape), requires_grad=True)
@@ -183,9 +174,8 @@ def init_ffn_params(cfg, rng, prefix=""):
 def init_moe_params(cfg, rng, prefix=""):
     d = cfg.model_dim
     params = {prefix + "wg": _weight(rng, (d, cfg.n_experts))}
-    expert_cfg = FfnConfig(d, cfg.expert_hidden_dim, cfg.activation)
     for e in range(cfg.n_experts):
-        params.update(init_ffn_params(expert_cfg, rng, prefix=f"{prefix}expert{e}."))
+        params.update(init_ffn_params(cfg.expert, rng, prefix=f"{prefix}expert{e}."))
     return params
 
 
@@ -222,13 +212,12 @@ def attention_forward(x, cfg, params, seq_len=None, prefix=""):
 
 
 def ffn_forward(x, cfg, params, prefix=""):
-    """Dense FFN: project up, activate (two streams when gated), project down."""
+    """Dense FFN: project up, activate, project down. A gated activation
+    multiplies act(x @ w_in) by a second stream, x @ w_gate."""
+    act = T.relu if cfg.activation in (ACT_RELU, ACT_GATED_RELU) else T.gelu
     u = T.matmul(x, params[prefix + "w_in"])
-    if cfg.activation in GATED_ACTIVATIONS:
-        v = T.matmul(x, params[prefix + "w_gate"])
-        h = apply_activation(cfg.activation, u, v)
-    else:
-        h = apply_activation(cfg.activation, u)
+    v = T.matmul(x, params[prefix + "w_gate"]) if cfg.activation in GATED_ACTIVATIONS else None
+    h = act(u) if v is None else T.mul(act(u), v)
     return T.matmul(h, params[prefix + "w_out"])
 
 
@@ -247,12 +236,11 @@ def route_top2(scores, capacity):
 
     The greedy fill in array form (GShard): taking the (token, expert)
     pairs in token-major, rank-minor order, a pair is kept when fewer than
-    ``capacity`` earlier pairs target its expert.
+    ``capacity`` earlier pairs target its expert. ``MoeConfig.capacity``
+    gives ``capacity``, at least 1.
     """
     data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n, n_experts = data.shape
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
     k = min(2, n_experts)  # degenerates to top-1 when only one expert exists
     # descending per row, lowest index first on ties
     experts = np.argsort(-data, axis=1, kind="stable")[:, :k].reshape(-1)
@@ -270,11 +258,10 @@ def route_expert_choice(scores, capacity):
 
     Every expert ends up with exactly ``capacity`` assignments; tokens
     chosen by no expert pass through on the residual path.
+    ``MoeConfig.capacity`` gives ``capacity``, from 1 to the tokens routed.
     """
     data = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
-    n, n_experts = data.shape
-    if capacity > n:
-        raise ValueError(f"capacity {capacity} exceeds {n} tokens")
+    n_experts = data.shape[1]
     # descending per column, lowest token first on ties
     top = np.argsort(-data, axis=0, kind="stable")[:capacity]
     return RoutingDecision.from_pairs(top.T.reshape(-1),
@@ -313,13 +300,12 @@ def moe_forward(x, cfg, params, prefix=""):
     else:
         decision = route_expert_choice(scores, k)
         aux = Tensor(0.0)
-    expert_cfg = FfnConfig(cfg.model_dim, cfg.expert_hidden_dim, cfg.activation)
     pairs = []
     for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)):
         if toks.size == 0:
             continue
         xe = T.take_rows(x, toks)
-        ye = ffn_forward(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
+        ye = ffn_forward(xe, cfg.expert, params, prefix=f"{prefix}expert{exp}.")
         w = T.take_entries(scores, toks, np.full_like(toks, exp))
         pairs.append((T.mul(ye, w), toks))
     return T.scatter_rows(pairs, n), aux, decision

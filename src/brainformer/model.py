@@ -57,19 +57,20 @@ class BlockSpec:
         if KIND_ATTN not in self.layers:
             raise ConfigError("block needs at least one attention layer")
         try:  # the layer configs check widths, gating and activation
-            for kind in LAYER_KINDS:
-                self.layer_config(kind)
+            configs = {
+                KIND_ATTN: L.AttentionConfig(self.d, self.h, self.d_head),
+                KIND_MOE: L.MoeConfig(self.d, self.d_moe, self.n_experts, self.g,
+                                      self.c, self.a),
+                KIND_FFN: L.FfnConfig(self.d, self.d_ffn, self.a),
+            }
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "_layer_configs", configs)
 
     def layer_config(self, kind):
-        if kind == KIND_ATTN:
-            return L.AttentionConfig(self.d, self.h, self.d_head)
-        if kind == KIND_FFN:
-            return L.FfnConfig(self.d, self.d_ffn, self.a)
-        if kind == KIND_MOE:
-            return L.MoeConfig(self.d, self.d_moe, self.n_experts, self.g, self.c, self.a)
-        raise ConfigError(f"unknown layer kind {kind!r}")
+        """The config every sub-layer of ``kind`` in this block shares, as
+        ``validate`` checked it."""
+        return self._layer_configs[kind]
 
     def to_json_dict(self):
         doc = asdict(self)

@@ -180,27 +180,18 @@ def mutate(genome, space, rng):
     for _ in range(200):
         kind, key, choices = items[rng.randrange(len(items))]
         if kind == "field":
-            current = getattr(genome, key)
-            alts = [v for v in choices if v != current]
-            child = replace(genome, **{key: rng.choice(alts)})
-        elif kind == "layer":
-            current = genome.layers[key]
-            alts = [v for v in choices if v != current]
-            layers = list(genome.layers)
-            layers[key] = rng.choice(alts)
-            if KIND_ATTN not in layers:
-                continue
-            child = replace(genome, layers=tuple(layers))
+            alts = [v for v in choices if v != getattr(genome, key)]
+            return replace(genome, **{key: rng.choice(alts)})
+        layers = list(genome.layers)
+        if kind == "layer":
+            layers[key] = rng.choice([v for v in choices if v != layers[key]])
         else:  # block length
-            alts = [v for v in choices if v != len(genome.layers)]
-            new_k = rng.choice(alts)
-            layers = list(genome.layers[:new_k])
+            new_k = rng.choice([v for v in choices if v != len(layers)])
+            del layers[new_k:]
             while len(layers) < new_k:
                 layers.append(rng.choice(space.layer_kinds))
-            if KIND_ATTN not in layers:
-                continue
-            child = replace(genome, layers=tuple(layers))
-        return child
+        if KIND_ATTN in layers:
+            return replace(genome, layers=tuple(layers))
     raise ConfigError("mutation failed to produce a valid child")
 
 
@@ -241,14 +232,14 @@ def read_ledger(path):
     """``(records, skipped)``: the trial records of a JSONL ledger, and the
     count of non-blank lines that are not trial records."""
     records, skipped = [], 0
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
                 records.append(TrialRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError):
+            except (ValueError, TypeError):  # not UTF-8, not JSON, not a record
                 skipped += 1
     return records, skipped
 
@@ -474,15 +465,14 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     """Run (or resume) a regularized-evolution search.
 
     Trials run one at a time in trial-id order: the initial population
-    (ids 0..p-1), then one tournament-selected, mutated child per round.
+    (ids 0..p-1, with p >= 2 as ``cli.cmd_search`` checks), then one
+    tournament-selected, mutated child per round.
     The ledger, when given, receives one JSON line per trial (baseline
     first, trial_id -1). Resuming replays the ledger's trials (a torn
     last line is cut off and its trial re-run) and continues; because all
     randomness is derived from the seed and trial indices, the resumed
     ledger is byte-identical to an uninterrupted run.
     """
-    if p < 2:
-        raise ConfigError("population size must be >= 2")
     ts = tournament_size or max(2, p // 5)
     state = EvolutionState(population_size=p)
 

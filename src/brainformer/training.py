@@ -46,7 +46,8 @@ class TrainConfig:
 
     def __post_init__(self):
         """Counts are ints (seed and max_steps may be 0, the others are at
-        least 1); rates and fractions are real numbers, never bools."""
+        least 1); rates and fractions are real numbers, never bools, and
+        the rates lie in their ranges (``ByteCorpus`` checks the split)."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
@@ -56,6 +57,11 @@ class TrainConfig:
                                      f"got {value!r}")
             elif not real_number(value):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
+        for name, in_range, rule in (("base_lr", self.base_lr > 0, "> 0"),
+                                     ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                                     ("aux_coeff", self.aux_coeff >= 0, ">= 0")):
+            if not in_range:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, doc):
@@ -85,6 +91,9 @@ class ByteCorpus:
     """Raw bytes as token ids with a disjoint train/validation split."""
 
     def __init__(self, data, valid_fraction=0.1):
+        if not (real_number(valid_fraction) and 0 <= valid_fraction < 1):
+            raise ValueError(f"valid_fraction must be a number in [0, 1), "
+                             f"got {valid_fraction!r}")
         ids = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int64)
         if ids.size < 2:
             raise ValueError("corpus too small")
@@ -107,18 +116,25 @@ class ByteCorpus:
         win = ids[starts[:, None] + np.arange(seq_len + 1)]
         return win[:, :-1].reshape(-1), win[:, 1:].reshape(-1)
 
+    def _split(self, split):
+        return self.train_ids if split == "train" else self.valid_ids
+
+    def window_len(self, seq_len, split="valid"):
+        """The length of each evaluation window of ``split``: ``seq_len``,
+        or all but the last id of a split no longer than that."""
+        return min(seq_len, self._split(split).size - 1)
+
     def windows(self, seq_len, split="valid", max_tokens=None):
         """Consecutive non-overlapping (inputs, targets) evaluation windows."""
-        ids = self.train_ids if split == "train" else self.valid_ids
+        ids, n = self._split(split), self.window_len(seq_len, split)
+        if n < 1:
+            return
         total = 0
-        for s in range(0, ids.size - seq_len, seq_len):
-            yield ids[s:s + seq_len], ids[s + 1:s + seq_len + 1]
-            total += seq_len
+        for s in range(0, ids.size - n, n):
+            yield ids[s:s + n], ids[s + 1:s + n + 1]
+            total += n
             if max_tokens is not None and total >= max_tokens:
                 return
-        if total == 0 and ids.size >= 2:
-            n = ids.size - 1
-            yield ids[:n], ids[1:n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +249,15 @@ def save_checkpoint(model, path, state=None):
 def load_checkpoint(model, path, state=None):
     """Restore params and ``model.step``, and a given training state's
     moments and RNG in place; a params-only checkpoint leaves it as is.
-    A file that does not read as a checkpoint raises ConfigError."""
+    A file that does not read as a checkpoint raises ConfigError. The file
+    is opened here, not by ``np.load``, which leaves its own handle open
+    when the zip directory does not parse."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
         step = int(meta["step"])
-    except (zipfile.BadZipFile, EOFError, ValueError, KeyError,
+    except (OSError, zipfile.BadZipFile, EOFError, ValueError, KeyError,
             NotImplementedError) as exc:
         raise ConfigError(f"unreadable checkpoint {path}: {exc!r}") from None
     for key, arr in arrays.items():

@@ -1,0 +1,16 @@
+"""Every test under this directory treats a warning as an error: a file
+left open, a numpy overflow or a deprecation fails the test that caused it.
+The setting is scoped here rather than in pyproject.toml, which the
+benchmark's own tests under perfbench/ read too."""
+
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if HERE in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))

@@ -3,6 +3,7 @@ functions by name from outside. A rename in src/ must fail here rather
 than only print "not found, not traced" and zero the per-layer metrics."""
 
 import importlib
+import json
 import os
 
 import brainformer
@@ -41,3 +42,29 @@ def test_tracer_counts_scored_eval_tokens(monkeypatch):
         tracer.uninstall()
     assert corpus.valid_ids.size == 100
     assert tracer.eval_tokens == 96
+
+
+def test_traced_train_counts_only_scored_tokens(monkeypatch, tmp_path):
+    """A ``train`` run's checks before training draw no evaluation window:
+    the tracer counts exactly the tokens the validation pass scored. A
+    120-byte validation slice in 16-token windows, capped at 64 tokens,
+    scores 4 windows."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(bytes(range(200)) * 3)
+    genome = tmp_path / "genome.json"
+    genome.write_text(json.dumps(brainformer.BlockSpec(
+        layers=("attn", "moe"), d=8, d_moe=8, d_ffn=8, h=2, d_head=4, g="top2",
+        c=2, a="relu", n_experts=2).to_json_dict()))
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"batch_size": 2, "seq_len": 16, "max_steps": 2,
+                                  "valid_fraction": 0.2, "eval_tokens": 64}))
+    tracer = importlib.import_module("tracer").Tracer(brainformer)
+    tracer.install()
+    try:
+        assert brainformer.cli.main(["train", "--genome", str(genome),
+                                     "--corpus", str(corpus), "--config", str(config),
+                                     "--out", str(tmp_path / "run")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.eval_tokens == 64

@@ -255,16 +255,29 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("corpus, valid_fraction", [("missing", 0.1),
                                                         ("corpus", 1.0),
+                                                        ("corpus", -0.5),
                                                         ("corpus", "x")])
     def test_bad_corpus(self, tmp_path, corpus_file, corpus, valid_fraction,
                         capsys):
         path = corpus_file if corpus == "corpus" else str(tmp_path / "nope.bin")
         out = tmp_path / "o"
         cfg = search_config(tmp_path, mode="train", corpus=path,
-                            valid_fraction=valid_fraction,
+                            valid_fraction=valid_fraction, rounds=1,
+                            budget={"cost_units": 3e6},
                             train={"batch_size": 2, "seq_len": 8})
         assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert "corpus:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corpus", [99, None, ["corpus.bin"]])
+    def test_corpus_must_be_a_path(self, tmp_path, corpus, capsys):
+        """A number would be opened as a file descriptor (0 would read
+        stdin), so only a string names a corpus."""
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, mode="train", corpus=corpus,
+                            train={"batch_size": 2, "seq_len": 8})
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "train mode needs a corpus path" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_keys_it_does_not_read_are_ignored(self, tmp_path):
@@ -444,7 +457,7 @@ class TestTrainCommand:
         assert main(argv) == EXIT_USAGE  # the trajectory alone is a run too
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("damage", ["truncated", "old flat format"])
+    @pytest.mark.parametrize("damage", ["truncated", "old flat format", "directory"])
     def test_resume_from_unreadable_checkpoint(self, tmp_path, genome_file,
                                               corpus_file, damage, capsys):
         out = tmp_path / "run"
@@ -454,13 +467,19 @@ class TestTrainCommand:
         ckpt = out / "checkpoint.bin"
         if damage == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        elif damage == "directory":
+            ckpt.unlink()
+            ckpt.mkdir()
         else:  # flat float64 params with a JSON sidecar of offsets
             ckpt.write_bytes(np.zeros(64).tobytes())
             (out / "checkpoint.bin.json").write_text('{"tensors": {}}\n')
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def files():
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        before = files()
         assert main(argv + ["--resume"]) == EXIT_USAGE
         assert "unreadable checkpoint" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert files() == before
 
     @pytest.mark.parametrize("budget", [{"max_steps": 1}, {"max_seconds": 0.3},
                                         {"max_cost_units": 1e9}])
@@ -484,7 +503,13 @@ class TestTrainCommand:
         ({"max_steps": -1}, "max_steps must be an integer >= 0"),
         ({"seed": "0"}, "seed must be an integer >= 0"),
         ({"base_lr": "0.1"}, "base_lr must be a number"),
-        ({"valid_fraction": False}, "valid_fraction must be a number")])
+        ({"valid_fraction": False}, "valid_fraction must be a number"),
+        ({"base_lr": -1}, "base_lr must be > 0"),
+        ({"base_lr": 0}, "base_lr must be > 0"),
+        ({"beta2": 1.0}, "beta2 must be in [0, 1)"),
+        ({"beta2": 1.5}, "beta2 must be in [0, 1)"),
+        ({"beta2": -0.1}, "beta2 must be in [0, 1)"),
+        ({"aux_coeff": -5}, "aux_coeff must be >= 0")])
     def test_bad_field_type(self, tmp_path, genome_file, corpus_file, edit,
                             message, capsys):
         out = tmp_path / "run"
@@ -492,6 +517,17 @@ class TestTrainCommand:
                      "--config", self.train_cfg(tmp_path, **edit),
                      "--out", str(out)]) == EXIT_USAGE
         assert f"train config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("valid_fraction", [-0.5, 1.0, 1.5])
+    def test_valid_fraction_out_of_range(self, tmp_path, genome_file, corpus_file,
+                                         valid_fraction, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path, valid_fraction=valid_fraction),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "corpus: valid_fraction must be a number in [0, 1)" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, genome_file, corpus_file, capsys):
@@ -632,6 +668,33 @@ def test_json_input_must_be_an_object(tmp_path, genome_file, corpus_file, role,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role, damage", [
+    ("genome", "directory"), ("train config", "directory"),
+    ("search config", "directory"), ("corpus", "directory"),
+    ("ledger", "directory"), ("genome", "not UTF-8"),
+    ("train config", "not UTF-8"), ("search config", "not UTF-8")])
+def test_unreadable_input_file(tmp_path, genome_file, corpus_file, role, damage,
+                               capsys):
+    """Each file the CLI reads, given as a directory (or, for a JSON input,
+    as bytes that are not UTF-8), is a usage error before --out is made.
+    A corpus is raw bytes, and a ledger skips the lines it cannot read."""
+    bad = tmp_path / "bad"
+    if damage == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "o"
+    argv = {"genome": ["train", "--genome", str(bad), "--corpus", corpus_file],
+            "train config": ["train", "--genome", genome_file, "--corpus",
+                             corpus_file, "--config", str(bad)],
+            "corpus": ["train", "--genome", genome_file, "--corpus", str(bad)],
+            "search config": ["search", "--config", str(bad)],
+            "ledger": ["report", "--ledger", str(bad)]}[role]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestReport:
     def make_record(self, trial_id, reward, parent_id=None):
         return TrialRecord(trial_id=trial_id, parent_id=parent_id,
@@ -677,13 +740,13 @@ class TestReport:
 
     def test_corrupt_lines_counted(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
-        ledger.write_text(record_to_line(self.make_record(0, -1.0)) +
-                          "\n{oops\n")
+        ledger.write_bytes(record_to_line(self.make_record(0, -1.0)).encode() +
+                           b"\n{oops\n\xff\xfe\n")
         out = tmp_path / "rep"
         assert main(["report", "--ledger", str(ledger),
                      "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "report.json").read_text())
-        assert doc["skipped_corrupt_lines"] == 1
+        assert doc["skipped_corrupt_lines"] == 2
 
     def test_missing_ledger(self, tmp_path):
         assert main(["report", "--ledger", str(tmp_path / "nope.jsonl"),

@@ -269,6 +269,26 @@ class TestLmForward:
         b = LanguageModel(ms, seed=3).forward(tokens)[0].data
         assert np.array_equal(a, b)
 
+    def test_forward_backward_builds_no_layer_config(self, monkeypatch):
+        """A block builds its layer configs once, when it is checked; the
+        forward and backward passes reuse them, MoE experts' too."""
+        ms = ModelSpec(block=tiny_block(layers=("attn", "ffn", "attn", "moe")),
+                       n_blocks=3, vocab_size=11, max_seq_len=8)
+        m = LanguageModel(ms, seed=0)
+        built = []
+
+        def counting(init):
+            def counted(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return counted
+        for cls in (L.AttentionConfig, L.FfnConfig, L.MoeConfig):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        tokens = np.arange(8) % 11
+        loss, _ = lm_loss(m, tokens, tokens, seq_len=8)
+        loss.backward()
+        assert built == []
+
     def test_full_model_gradient(self):
         spec = tiny_block()
         ms = ModelSpec(block=spec, n_blocks=1, vocab_size=11, max_seq_len=5)

@@ -351,11 +351,6 @@ class TestEvolve:
         run_toy_search(str(part), rounds=6, resume=True)
         assert part.read_bytes() == full.read_bytes()
 
-    def test_small_population_rejected(self):
-        with pytest.raises(ConfigError):
-            evolve(toy_space(), p=1, rounds=1,
-                   runner=SurrogateRunner(1e12, baseline_genome=toy_baseline()))
-
 
 class TestProxyTrainingRunner:
     def corpus(self):

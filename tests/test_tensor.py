@@ -155,13 +155,6 @@ class TestActivations:
         out = T.relu(Tensor([-1.0, 2.0]))
         assert out.data.tolist() == [0.0, 2.0]
 
-    def test_gated_relu_unit_gate(self):
-        from brainformer.layers import apply_activation
-        u = Tensor(np.linspace(-2, 2, 7))
-        gated = apply_activation("gated_relu", u, Tensor(np.ones(7)))
-        plain = T.relu(u)
-        np.testing.assert_array_equal(gated.data, plain.data)
-
     def test_gelu_against_high_precision(self):
         import mpmath
         mpmath.mp.dps = 50

@@ -494,10 +494,13 @@ class TestCheckpointFile:
         m, _ = self.saved(tmp_path)
         full = (tmp_path / "ckpt.bin").read_bytes()
         state = TrainState.fresh(m, self.cfg)
+        cut_path = tmp_path / "cut.bin"
         for cut in range(len(full)):
+            cut_path.write_bytes(full[:cut])
             with pytest.raises(ConfigError):
-                load_checkpoint(m, io.BytesIO(full[:cut]), state=state)
-        load_checkpoint(m, io.BytesIO(full), state=state)
+                load_checkpoint(m, cut_path, state=state)
+        cut_path.write_bytes(full)
+        load_checkpoint(m, cut_path, state=state)
 
     def test_old_flat_format_is_a_config_error(self, tmp_path):
         """Earlier versions wrote the params as raw float64 bytes."""
