@@ -83,7 +83,9 @@ class TestTrainConfig:
         ("batch_size", 0), ("seq_len", "8"), ("warmup_constant_steps", 1.0),
         ("log_every", None), ("eval_tokens", True), ("seed", -1),
         ("max_steps", 2.5), ("base_lr", True), ("aux_coeff", "0.01"),
-        ("beta2", None), ("valid_fraction", [0.1])])
+        ("beta2", None), ("valid_fraction", [0.1]), ("base_lr", 0),
+        ("base_lr", float("nan")), ("beta2", 1), ("beta2", -0.5),
+        ("aux_coeff", -0.5)])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig.from_dict({field: value})
@@ -105,6 +107,11 @@ class TestCorpus:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             ByteCorpus(b"x")
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, float("nan"), "0.1", True])
+    def test_valid_fraction_out_of_range(self, fraction):
+        with pytest.raises(ValueError, match="valid_fraction"):
+            ByteCorpus(bytes(100), valid_fraction=fraction)
 
     def test_batch_shapes_and_target_shift(self):
         c = tiny_corpus()
@@ -148,6 +155,20 @@ class TestCorpus:
             np.testing.assert_array_equal(inp[1:], tgt[:-1])
             seen.extend(inp.tolist())
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("n_valid, lengths", [(50, [10] * 4), (11, [10]), (8, [7]),
+                                                  (2, [1]), (1, []), (0, [])])
+    def test_window_lengths(self, n_valid, lengths):
+        """Windows of seq_len 10; a split no longer than that gives one
+        window of all but its last id. ``window_len`` states the length."""
+        c = ByteCorpus(bytes(range(100)), valid_fraction=n_valid / 100)
+        assert c.valid_ids.size == n_valid
+        wins = list(c.windows(10))
+        assert [len(t) for _, t in wins] == lengths
+        for inp, tgt in wins:
+            np.testing.assert_array_equal(inp[1:], tgt[:-1])
+        if lengths:
+            assert c.window_len(10, "valid") == lengths[0]
 
 
 class TestAdafactor:
