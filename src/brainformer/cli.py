@@ -94,6 +94,16 @@ def _load_json(path, what):
     return doc
 
 
+def _make_out_dir(path):
+    """Create the output directory ``path``, or keep it if it exists; a
+    path that cannot be a directory (say, an existing regular file) is a
+    usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -185,7 +195,7 @@ def cmd_search(args):
     topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
     S.check_topk(*topk_args)
     runner = _build_runner(cfg, seed, space)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     ledger_path = os.path.join(args.out, "ledger.jsonl")
     if not args.resume and os.path.exists(ledger_path):
@@ -274,7 +284,7 @@ def cmd_train(args):
             TR.cut_trajectory(traj, model.step)
     elif os.path.exists(ckpt) or os.path.exists(traj):
         raise UsageError(f"{args.out} holds a run (use --resume)")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     result = TR.train_steps(model, corpus, cfg, cfg.max_steps,
                             trajectory_path=traj, state=state)
@@ -333,7 +343,7 @@ def cmd_count_params(args):
         }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         _write_json(os.path.join(args.out, "param_report.json"), report)
     return EXIT_OK
 
@@ -351,7 +361,7 @@ def cmd_report(args):
         log.warning("skipped %d corrupt ledger lines", skipped)
     trials = sorted((r for r in records if r.trial_id >= 0),
                     key=lambda r: r.trial_id)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     best = None

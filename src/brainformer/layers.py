@@ -2,11 +2,13 @@
 
 All forwards map [n, d] -> [n, d] where n is the number of tokens in the
 batch (possibly several sequences laid out contiguously). Attention is
-applied per sequence segment; routing sees the whole batch.
+applied per sequence segment; routing is per routing group, by default the
+whole batch.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, replace
 
@@ -179,9 +181,15 @@ def init_moe_params(cfg, rng, prefix=""):
     return params
 
 
+@functools.lru_cache(maxsize=8)
 def _causal_mask(length):
+    """The additive [length, length] causal mask: NEG_MASK above the
+    diagonal, 0 elsewhere. One read-only array per length, shared by every
+    attention forward; a run uses one or two lengths (its seq_len, and a
+    short split's window)."""
     mask = np.zeros((length, length))
     mask[np.triu_indices(length, k=1)] = NEG_MASK
+    mask.setflags(write=False)
     return mask
 
 
@@ -281,25 +289,40 @@ def load_balance_aux_loss(scores):
     return T.mul(T.tsum(T.mul(T.tmean(scores, axis=0), frac)), float(n_experts))
 
 
-def moe_forward(x, cfg, params, prefix=""):
+def moe_forward(x, cfg, params, prefix="", group_size=None):
     """Sparsely gated FFN: gate, route, dispatch, weighted combine.
 
-    Returns (output, aux_loss); aux_loss is the load-balance penalty for
-    top-2 gating and exactly 0 for expert choice (perfectly balanced by
-    construction). Dropped tokens contribute zero rows; the residual
-    connection around the layer carries them through. Some expert always
-    takes a token: top-2 keeps token 0's first choice, and under expert
-    choice every expert fills its capacity.
+    Tokens are routed in routing groups (GShard): each run of
+    ``group_size`` rows, by default the whole batch, is routed on its own
+    with capacity ``cfg.capacity(group_size)``, so a group's decision does
+    not depend on the other groups. The groups' decisions are joined into
+    one ``RoutingDecision`` over the batch, and each expert runs once over
+    its tokens from all groups.
+
+    Returns (output, aux_loss, decision); aux_loss is the load-balance
+    penalty over the whole batch for top-2 gating and exactly 0 for expert
+    choice (perfectly balanced by construction). Dropped tokens contribute
+    zero rows; the residual connection around the layer carries them
+    through. Some expert always takes a token: top-2 keeps token 0's first
+    choice, and under expert choice every expert fills its capacity.
     """
     n = x.shape[0]
-    k = cfg.capacity(n)
+    g = n if group_size is None else group_size
+    if n % g != 0:
+        raise ValueError(f"{n} tokens not divisible by routing group size {g}")
+    k = cfg.capacity(g)
     scores = gate_scores(x, params[prefix + "wg"])
     if cfg.gating == GATE_TOP2:
-        decision = route_top2(scores, k)
+        route = route_top2
         aux = load_balance_aux_loss(scores)
     else:
-        decision = route_expert_choice(scores, k)
+        route = route_expert_choice
         aux = Tensor(0.0)
+    groups = [route(scores.data[start:start + g], k) for start in range(0, n, g)]
+    decision = RoutingDecision(
+        np.concatenate([d.tokens + i * g for i, d in enumerate(groups)]),
+        np.concatenate([d.experts for d in groups]),
+        np.concatenate([d.weights for d in groups]), n)
     pairs = []
     for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)):
         if toks.size == 0:

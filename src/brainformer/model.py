@@ -268,10 +268,12 @@ class LanguageModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def forward(self, tokens, seq_len=None):
+    def forward(self, tokens, seq_len=None, group_size=None):
         """Logits [n, V] and the summed MoE auxiliary loss for a flat token
         batch; ``seq_len`` marks sequence boundaries for attention and
-        positions (defaults to the whole batch being one sequence).
+        positions (defaults to the whole batch being one sequence), and
+        ``group_size`` is the tokens per MoE routing group (defaults to the
+        whole batch being one group).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         n = tokens.shape[0]
@@ -285,12 +287,12 @@ class LanguageModel:
         positions = np.tile(np.arange(s), n // s)
         x = T.add(T.take_rows(self.params["embed"], tokens),
                   T.take_rows(self.params["pos"], positions))
-        x, aux = self.forward_body(x, seq_len=s)
+        x, aux = self.forward_body(x, seq_len=s, group_size=group_size)
         x = T.layer_norm(x, self.params["final_ln.g"], self.params["final_ln.b"])
         logits = T.matmul(x, self.params["out"])
         return logits, aux
 
-    def forward_body(self, x, seq_len=None):
+    def forward_body(self, x, seq_len=None, group_size=None):
         """Apply every sub-layer (pre-norm + residual) to [n, d] activations."""
         aux = Tensor(0.0)
         p = self.params
@@ -303,7 +305,8 @@ class LanguageModel:
             elif kind == KIND_FFN:
                 y = L.ffn_forward(h, cfg, p, prefix=prefix)
             else:
-                y, layer_aux, _ = L.moe_forward(h, cfg, p, prefix=prefix)
+                y, layer_aux, _ = L.moe_forward(h, cfg, p, prefix=prefix,
+                                                group_size=group_size)
                 aux = T.add(aux, layer_aux)
             x = T.add(x, y)
         return x, aux

@@ -247,12 +247,15 @@ def read_ledger(path):
 def _resume_ledger(path):
     """The records of a ledger to resume, by trial id. A torn last line (a
     crash mid-write) is cut off first, so its trial re-runs and appends a
-    whole line; any other line that is not a trial record is an error."""
+    whole line; any other line that is not a trial record is an error, and
+    so is a path that cannot be read and written (a directory)."""
     try:
         with open(path, "rb+") as fh:
             fh.truncate(fh.read().rfind(b"\n") + 1)
     except FileNotFoundError:
         return {}
+    except OSError as exc:
+        raise ConfigError(f"cannot resume from {path}: {exc}") from None
     records, skipped = read_ledger(path)
     if skipped:
         raise ConfigError(f"cannot resume from {path}: {skipped} complete "

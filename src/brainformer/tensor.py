@@ -19,9 +19,15 @@ array. A gradient that can alias the output's (``add``, ``reshape`` and
 ``permute`` pass ``g`` through as a view) is handed over as a copy
 (``_accum(t, g, fresh=False)``). Gathers (``take_rows``, ``take_entries``)
 scatter-add straight into the parent's ``.grad``.
+
+Inside ``with no_grad():`` every op computes its output only: ``_make``
+records no parents and no backward closure, so no graph keeps an
+intermediate alive once the code that made it drops it.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.special import erf
@@ -97,13 +103,29 @@ class Tensor:
                 node._backward(node.grad)
 
 
+_grad_enabled = True  # cleared by no_grad(); read by _make only
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the ops inside without recording a graph: their outputs have no
+    parents and no backward, whatever the inputs' ``requires_grad``. The
+    previous setting is restored on exit, so blocks nest."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -340,17 +340,36 @@ def model_has_valid(corpus):
     return corpus.valid_ids.size >= 2
 
 
+# Tokens per evaluation forward. Stacking windows into one forward trades
+# Python overhead per op for larger arrays: on the wide benchmark model,
+# 512 to 2048 tokens ran at the same speed with flat peak memory, while one
+# forward over all 16384 eval tokens nearly doubled peak memory.
+EVAL_BATCH_TOKENS = 512
+
+
 def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=None):
-    """exp(mean token cross entropy), teacher-forced over the slice."""
+    """exp(mean token cross entropy), teacher-forced over the slice.
+
+    Windows are stacked ``EVAL_BATCH_TOKENS // window`` (at least one) to
+    a forward, which records no graph. Each window is its own sequence and
+    its own routing group, so it gets the routing decisions it would get
+    alone; only the rounding of batched matrix products can differ.
+    """
+    windows = list(corpus.windows(seq_len, split=split, max_tokens=max_tokens))
+    if not windows:
+        raise ValueError(f"no evaluation windows in {split} slice")
+    n = windows[0][0].size
+    per_forward = max(1, EVAL_BATCH_TOKENS // n)
     total_nll = 0.0
     total_tokens = 0
-    for inputs, targets in corpus.windows(seq_len, split=split, max_tokens=max_tokens):
-        logits, _ = model.forward(inputs, seq_len=len(inputs))
-        ce = T.cross_entropy(logits, targets)
-        total_nll += ce.item() * len(targets)
-        total_tokens += len(targets)
-    if total_tokens == 0:
-        raise ValueError(f"no evaluation windows in {split} slice")
+    with T.no_grad():
+        for start in range(0, len(windows), per_forward):
+            chunk = windows[start:start + per_forward]
+            inputs = np.concatenate([w for w, _ in chunk])
+            targets = np.concatenate([t for _, t in chunk])
+            logits, _ = model.forward(inputs, seq_len=n, group_size=n)
+            total_nll += T.cross_entropy(logits, targets).item() * targets.size
+            total_tokens += targets.size
     return math.exp(total_nll / total_tokens)
 
 

@@ -184,3 +184,19 @@ def moe_oracle(x, cfg, params, prefix=""):
     if out is None:
         out = Tensor(np.zeros_like(x.data))
     return out, aux
+
+
+def perplexity_oracle(model, corpus, split="valid", seq_len=128, max_tokens=None):
+    """``evaluate_perplexity`` as first written: one forward (with its
+    autodiff graph) per window, each window routed as its own batch."""
+    import math
+    total_nll = 0.0
+    total_tokens = 0
+    for inputs, targets in corpus.windows(seq_len, split=split, max_tokens=max_tokens):
+        logits, _ = model.forward(inputs, seq_len=len(inputs))
+        ce = T.cross_entropy(logits, targets)
+        total_nll += ce.item() * len(targets)
+        total_tokens += len(targets)
+    if total_tokens == 0:
+        raise ValueError(f"no evaluation windows in {split} slice")
+    return math.exp(total_nll / total_tokens)

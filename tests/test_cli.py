@@ -316,6 +316,14 @@ class TestSearchCommand:
                      "--resume"]) == EXIT_USAGE
         assert "cannot resume" in capsys.readouterr().err
 
+    def test_resume_with_ledger_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "ledger.jsonl").mkdir(parents=True)
+        assert main(["search", "--config", search_config(tmp_path),
+                     "--out", str(out), "--resume"]) == EXIT_USAGE
+        assert "cannot resume from" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["ledger.jsonl"]
+
     def test_unknown_space_field_rejected(self, tmp_path):
         cfg = search_config(tmp_path, space={"depth": 3})
         assert main(["search", "--config", cfg,
@@ -693,6 +701,23 @@ def test_unreadable_input_file(tmp_path, genome_file, corpus_file, role, damage,
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "search", "count-params", "report"])
+def test_out_is_a_regular_file(tmp_path, genome_file, corpus_file, command, capsys):
+    """An --out that names an existing regular file is a usage error, and
+    the file is left as it was."""
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text("")
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory")
+    argv = {"train": ["train", "--genome", genome_file, "--corpus", corpus_file],
+            "search": ["search", "--config", search_config(tmp_path)],
+            "count-params": ["count-params", "--genome", genome_file],
+            "report": ["report", "--ledger", str(ledger)]}[command]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert out.read_bytes() == b"not a directory"
 
 
 class TestReport:

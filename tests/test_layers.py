@@ -103,6 +103,17 @@ class TestAttention:
                                    rtol=1e-12, atol=0)
 
 
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_causal_mask_is_shared_and_read_only(self, length):
+        mask = L._causal_mask(length)
+        want = np.where(np.triu(np.ones((length, length)), k=1) == 1, L.NEG_MASK, 0.0)
+        np.testing.assert_array_equal(mask, want)
+        assert not mask.flags.writeable
+        assert L._causal_mask(length) is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = 1.0
+
+
 class TestFfn:
     def test_zero_weights_zero_output(self):
         cfg = L.FfnConfig(4, 8, "relu")
@@ -407,6 +418,43 @@ class TestMoeForward:
                 assert grads[name] is None, name
             else:
                 np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+    @pytest.mark.parametrize("gating", L.GATINGS)
+    def test_routing_groups_route_alone(self, gating):
+        """Each routing group gets exactly the decision ``route_*`` makes on
+        its own scores with the group's capacity, its token indices offset
+        by the group's start; its output rows match the group run alone."""
+        cfg = moe_cfg(model_dim=8, expert_hidden_dim=12, n_experts=4,
+                      gating=gating, capacity_factor=2, activation="gated_gelu")
+        rng = np.random.default_rng(23)
+        params = L.init_moe_params(cfg, rng)
+        x = Tensor(rng.normal(size=(40, 8)))
+        out, _, decision = L.moe_forward(x, cfg, params, group_size=10)
+        scores = L.gate_scores(x, params["wg"]).data
+        route = L.route_top2 if gating == L.GATE_TOP2 else L.route_expert_choice
+        groups = [route(scores[i:i + 10], cfg.capacity(10)) for i in range(0, 40, 10)]
+        np.testing.assert_array_equal(
+            decision.tokens, np.concatenate([d.tokens + 10 * i for i, d in enumerate(groups)]))
+        np.testing.assert_array_equal(decision.experts,
+                                      np.concatenate([d.experts for d in groups]))
+        np.testing.assert_array_equal(decision.weights,
+                                      np.concatenate([d.weights for d in groups]))
+        assert decision.n_tokens == 40
+        for i in range(0, 40, 10):
+            alone, _, _ = L.moe_forward(Tensor(x.data[i:i + 10]), cfg, params)
+            np.testing.assert_allclose(out.data[i:i + 10], alone.data, rtol=1e-12, atol=0)
+
+    def test_one_group_is_the_default(self):
+        cfg = moe_cfg(n_experts=3)
+        rng = np.random.default_rng(24)
+        params = L.init_moe_params(cfg, rng)
+        x = Tensor(rng.normal(size=(9, 4)))
+        default = L.moe_forward(x, cfg, params)
+        whole = L.moe_forward(x, cfg, params, group_size=9)
+        np.testing.assert_array_equal(default[0].data, whole[0].data)
+        assert default[2].assignments == whole[2].assignments
+        with pytest.raises(ValueError, match="routing group"):
+            L.moe_forward(x, cfg, params, group_size=4)
 
     def test_capacity_error(self):
         cfg = moe_cfg(n_experts=2, capacity_factor=1)

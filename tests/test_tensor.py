@@ -298,6 +298,63 @@ class TestBackward:
         assert worst < 1e-7
 
 
+class TestNoGrad:
+    @staticmethod
+    def _ops(x, w):
+        """One pass through most ops, ending in a scalar loss."""
+        h = T.layer_norm(T.matmul(x, w), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        rows = T.take_rows(T.gelu(h), np.array([0, 2, 2]))
+        back = T.scatter_rows([(T.relu(rows), np.array([1, 0, 3]))], 4)
+        picked = T.take_entries(T.softmax(back), np.array([0, 1]), np.array([2, 0]))
+        return T.add(T.tsum(picked), T.cross_entropy(back, np.array([0, 1, 2, 0])))
+
+    def _inputs(self):
+        rng = np.random.default_rng(12)
+        return (Tensor(rng.normal(size=(4, 5)), requires_grad=True),
+                Tensor(rng.normal(size=(5, 3)), requires_grad=True))
+
+    def test_records_no_graph(self):
+        x, w = self._inputs()
+        with T.no_grad():
+            loss = self._ops(x, w)
+            mid = T.mul(T.reshape(T.permute(x, (1, 0)), (20,)), 2.0)
+        for out in (loss, mid):
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+        assert x.requires_grad and w.requires_grad
+        assert x.grad is None and w.grad is None
+        want = self._ops(x, w).item()
+        assert loss.item() == want
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        x, w = self._inputs()
+        assert self._ops(x, w)._backward is not None
+
+    def test_nested_blocks(self):
+        x, w = self._inputs()
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert self._ops(x, w)._backward is None
+        assert self._ops(x, w)._backward is not None
+
+    def test_gradients_work_afterwards(self):
+        x, w = self._inputs()
+        worst, _ = finite_difference_check({"x": x, "w": w}, lambda: self._ops(x, w))
+        want = {"x": x.grad.copy(), "w": w.grad.copy()}
+        with T.no_grad():
+            self._ops(x, w)
+        x.zero_grad()
+        w.zero_grad()
+        self._ops(x, w).backward()
+        assert worst < 1e-6
+        np.testing.assert_array_equal(x.grad, want["x"])
+        np.testing.assert_array_equal(w.grad, want["w"])
+
+
 class TestTopK:
     """``helpers.top_k_indices``, the oracle of routing's tie rule."""
 

@@ -16,7 +16,7 @@ from brainformer.training import (
 )
 from brainformer.tensor import Tensor
 
-from helpers import adafactor_oracle
+from helpers import adafactor_oracle, perplexity_oracle
 
 
 def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
@@ -357,6 +357,48 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
+    @staticmethod
+    def _model(g):
+        """A model whose predictions depend on its input: the output
+        projection, zero at init, drawn at random."""
+        model = tiny_model(g=g)
+        rng = np.random.default_rng(5)
+        model.params["out"].data = rng.normal(size=model.params["out"].shape)
+        return model
+
+    @pytest.mark.parametrize("g", ["top2", "expert_choice"])
+    @pytest.mark.parametrize("n_bytes, seq_len, max_tokens, n_windows", [
+        (6500, 16, None, 40),   # one full forward of 32 windows, then 8
+        (6500, 16, 100, 7),     # a max_tokens cut inside the first forward
+        (200, 32, None, 1),     # a split shorter than seq_len: one 19-id window
+    ])
+    def test_matches_per_window_oracle(self, g, n_bytes, seq_len, max_tokens,
+                                       n_windows):
+        """Within rtol 1e-12, not bitwise: the batched forward's matrix
+        products and its one mean over many windows may round differently
+        (the 40-window case differs by about 2e-15 relative)."""
+        model, corpus = self._model(g), tiny_corpus(n=n_bytes)
+        assert len(list(corpus.windows(seq_len, max_tokens=max_tokens))) == n_windows
+        got = evaluate_perplexity(model, corpus, seq_len=seq_len, max_tokens=max_tokens)
+        want = perplexity_oracle(model, corpus, seq_len=seq_len, max_tokens=max_tokens)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert abs(math.log(want / BYTE_VOCAB)) > 1e-3  # not the uniform model
+
+    def test_leaves_params_as_they_were(self):
+        model, corpus = self._model("top2"), tiny_corpus()
+        inputs, targets = corpus.sample_batch(np.random.default_rng(0), 2, 16)
+        lm_loss(model, inputs, targets, seq_len=16)[0].backward()
+        model.params["embed"].zero_grad()
+        model.params["pos"].requires_grad = False
+        before = {n: (p.requires_grad, p.grad, None if p.grad is None else p.grad.copy())
+                  for n, p in model.params.items()}
+        evaluate_perplexity(model, corpus, seq_len=16)
+        for name, p in model.params.items():
+            flag, grad, values = before[name]
+            assert p.requires_grad is flag and p.grad is grad, name
+            if grad is not None:
+                np.testing.assert_array_equal(grad, values, err_msg=name)
+
     def test_uniform_model_is_vocab_size(self):
         m = tiny_model()  # zero output projection, uniform predictions
         ppl = evaluate_perplexity(m, tiny_corpus(), seq_len=16, max_tokens=64)
