@@ -196,27 +196,65 @@ def _causal_mask(length):
 def attention_forward(x, cfg, params, seq_len=None, prefix=""):
     """Multi-head causal self-attention over each seq_len segment of x.
 
-    The segments and heads run as one batched pass over [b, h, s, head_dim];
-    every matmul loops over the leading axes, so each segment's projections
-    are the same per-segment products a loop over segments would compute.
+    One autodiff node. The segments and heads run as one batched pass over
+    [b, h, s, head_dim]; every product loops over the leading axes, so each
+    segment's projections are the same per-segment products a loop over
+    segments would compute, and no segment reads another's rows.
+
+    The hand-written backward repeats, bit for bit, the float arithmetic of
+    the op graph this node replaces (matmuls, head reshapes and permutes,
+    scale, mask, softmax): a weight gradient is the per-segment products
+    summed over the segment axis, dK is (Q^T dS)^T, the x gradient sums the
+    q, k and v terms in that order, and every product's gradient operand is
+    C-contiguous, as the graph's pass-through copies left it (BLAS can round
+    a product over a strided operand differently).
     """
     n, d = x.shape
     s = n if seq_len is None else seq_len
     if n % s != 0:
         raise ValueError(f"{n} tokens not divisible by seq_len {s}")
     b, h, dh = n // s, cfg.n_heads, cfg.head_dim
-    xs = T.reshape(x, (b, s, d))
+    wq, wk, wv, wo = (params[prefix + name] for name in ("wq", "wk", "wv", "wo"))
+    scale = dh ** -0.5
+    xs = x.data.reshape(b, s, d)
 
-    def split_heads(name):  # [b, s, h*dh] -> [b, h, s, dh]
-        proj = T.matmul(xs, params[prefix + name])
-        return T.permute(T.reshape(proj, (b, s, h, dh)), (0, 2, 1, 3))
+    def split_heads(a):  # [b, s, h*dh] -> [b, h, s, dh]
+        return a.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
 
-    q, k, v = split_heads("wq"), split_heads("wk"), split_heads("wv")
-    scores = T.add(T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))), dh ** -0.5),
-                   _causal_mask(s))
-    heads = T.matmul(T.softmax(scores, axis=-1), v)
-    merged = T.reshape(T.permute(heads, (0, 2, 1, 3)), (b, s, h * dh))
-    return T.reshape(T.matmul(merged, params[prefix + "wo"]), (n, d))
+    def merge_heads(a):  # [b, h, s, dh] -> [b, s, h*dh]
+        return a.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+
+    q, k, v = (split_heads(T._product(xs, w.data)) for w in (wq, wk, wv))
+    p = T._product(q, k.swapaxes(-1, -2))  # becomes softmax(scale * q k^T + mask)
+    p *= scale
+    p += _causal_mask(s)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    merged = merge_heads(T._product(p, v))
+
+    def backward(g):
+        gb = g.reshape(b, s, d)
+        if wo.requires_grad:
+            T._accum(wo, (merged.swapaxes(-1, -2) @ gb).sum(axis=0))
+        dheads = np.ascontiguousarray(split_heads(gb @ wo.data.T))
+        ds = dheads @ v.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale  # the gradient of q k^T
+        dq, dk, dv = (np.ascontiguousarray(merge_heads(a)) for a in (
+            ds @ k, (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), p.swapaxes(-1, -2) @ dheads))
+        for w, dproj in ((wq, dq), (wk, dk), (wv, dv)):
+            if w.requires_grad:
+                T._accum(w, (xs.swapaxes(-1, -2) @ dproj).sum(axis=0))
+        if x.requires_grad:
+            dx = dq @ wq.data.T
+            dx += dk @ wk.data.T
+            dx += dv @ wv.data.T
+            T._accum(x, dx.reshape(n, d))
+
+    return T._make(T._product(merged, wo.data).reshape(n, d), (x, wq, wk, wv, wo),
+                   backward)
 
 
 def ffn_forward(x, cfg, params, prefix=""):

@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: N-D arrays, batched matmul over leading axes,
-reshape/permute for laying out attention heads, and the handful of
-gather/scatter ops that token dispatch needs. Everything is float64 so
-finite-difference gradient checks are meaningful.
+Deliberately small: N-D arrays, batched matmul over leading axes, and the
+handful of gather/scatter ops that token dispatch needs. Everything is
+float64 so finite-difference gradient checks are meaningful. Causal
+attention is one node of its own (``layers.attention_forward``).
 
 Writing an op: build the output with ``_make(data, parents, backward)``,
 where ``backward(g)`` receives the gradient of the output and accumulates
@@ -15,10 +15,10 @@ dropped, with no help from the cyclic garbage collector.
 Gradient ownership: a parent's first gradient becomes its ``.grad`` as is
 when the op has just computed it (``_accum(t, g)``), and later ones are
 added in place, so no tensor's ``.grad`` may share memory with another
-array. A gradient that can alias the output's (``add``, ``reshape`` and
-``permute`` pass ``g`` through as a view) is handed over as a copy
-(``_accum(t, g, fresh=False)``). Gathers (``take_rows``, ``take_entries``)
-scatter-add straight into the parent's ``.grad``.
+array. A gradient that can alias the output's (``add`` passes ``g``
+through) is handed over as a copy (``_accum(t, g, fresh=False)``).
+Gathers (``take_rows``, ``take_entries``) scatter-add straight into the
+parent's ``.grad``.
 
 Inside ``with no_grad():`` every op computes its output only: ``_make``
 records no parents and no backward closure, so no graph keeps an
@@ -159,6 +159,12 @@ def _scatter_add_rows(dst, idx, values):
         dst[idx] += values
 
 
+def _product(a, b):
+    """``a @ b`` on arrays. Every product a forward pass runs goes through
+    here (``matmul`` and the attention node), so one wrapper sees them all."""
+    return a @ b
+
+
 def _unbroadcast(g, shape):
     """Sum gradient g down to the given (broadcast-source) shape."""
     while g.ndim > len(shape):
@@ -207,27 +213,7 @@ def matmul(a, b):
         if b.requires_grad:
             _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    return _make(a.data @ b.data, (a, b), backward)
-
-
-def reshape(x, shape):
-    x = _coerce(x)
-
-    def backward(g):
-        _accum(x, g.reshape(x.data.shape), fresh=False)
-
-    return _make(x.data.reshape(shape), (x,), backward)
-
-
-def permute(x, axes):
-    """Reorder axes: out.shape[i] == x.shape[axes[i]]."""
-    x = _coerce(x)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        _accum(x, g.transpose(inverse), fresh=False)
-
-    return _make(x.data.transpose(axes), (x,), backward)
+    return _make(_product(a.data, b.data), (a, b), backward)
 
 
 def tsum(a, axis=None, keepdims=False):

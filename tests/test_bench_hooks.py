@@ -6,6 +6,8 @@ import importlib
 import json
 import os
 
+import numpy as np
+
 import brainformer
 import brainformer.cli  # noqa: F401  (the tracer wraps cli.main too)
 
@@ -68,3 +70,24 @@ def test_traced_train_counts_only_scored_tokens(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.eval_tokens == 64
+
+
+def test_one_attention_span_per_attention_layer(monkeypatch):
+    """``layers.attention_ms`` sums the ``layers.attention_forward`` spans:
+    a traced forward and backward of a model with two attention sub-layers
+    records exactly two."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    block = brainformer.BlockSpec(layers=("attn", "ffn", "attn"), d=8, d_moe=8, d_ffn=8,
+                                  h=2, d_head=4, g="top2", c=1, a="relu", n_experts=1)
+    model = brainformer.LanguageModel(brainformer.ModelSpec(block, 1, 11, 8), seed=0)
+    tokens = np.arange(17) % 11
+    tracer = importlib.import_module("tracer").Tracer(brainformer, full=True)
+    tracer.install()
+    try:
+        loss, _ = brainformer.model.lm_loss(model, tokens[:-1], tokens[1:], seq_len=8)
+        loss.backward()
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("layers.attention_forward") == 2
+    assert names.count("tensor.backward") == 1

@@ -82,6 +82,44 @@ class TestAttention:
             lambda: T.tsum(T.mul(L.attention_forward(x, cfg, params), w)))
         assert worst < 1e-4
 
+    def test_gradient_over_segments_and_heads(self):
+        """x and all four weights against central differences, over 3
+        segments of 4 tokens and 4 heads."""
+        cfg = attn_cfg(d=6, h=4, dh=2)
+        rng = np.random.default_rng(4)
+        params = L.init_attention_params(cfg, rng)
+        x = Tensor(rng.normal(size=(12, 6)), requires_grad=True)
+        w = rng.normal(size=(12, 6))
+        worst, name = finite_difference_check(
+            dict(params, x=x),
+            lambda: T.tsum(T.mul(L.attention_forward(x, cfg, params, seq_len=4), w)))
+        assert worst < 1e-6, name
+
+    def test_frozen_input_gets_no_gradient(self):
+        cfg = attn_cfg()
+        rng = np.random.default_rng(5)
+        params = L.init_attention_params(cfg, rng)
+        x = Tensor(rng.normal(size=(8, 6)))
+        T.tsum(L.attention_forward(x, cfg, params, seq_len=4)).backward()
+        assert x.grad is None
+        for p in params.values():
+            assert p.grad is not None and p.grad.shape == p.shape
+            assert np.any(p.grad != 0)
+
+    @pytest.mark.parametrize("d, n_heads, head_dim, n_seqs, seq_len", [
+        (64, 4, 16, 2, 32),    # the proxy search's baseline
+        (128, 4, 32, 4, 128),  # the wide training benchmark
+    ])
+    def test_matches_loop_oracle_at_model_shapes(self, d, n_heads, head_dim, n_seqs,
+                                                 seq_len):
+        cfg = attn_cfg(d=d, h=n_heads, dh=head_dim)
+        rng = np.random.default_rng(d)
+        params = L.init_attention_params(cfg, rng)
+        x = rng.normal(size=(n_seqs * seq_len, d))
+        out = L.attention_forward(Tensor(x), cfg, params, seq_len=seq_len).data
+        expected = attention_oracle(x, params, n_heads, head_dim, seq_len=seq_len)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("n_seqs", [1, 3])
     @pytest.mark.parametrize("n_heads", [1, 4])
     def test_matches_loop_oracle(self, n_seqs, n_heads):

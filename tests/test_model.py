@@ -347,14 +347,15 @@ class TestFlops:
 
 
 def counted_forward_flops(monkeypatch, model, tokens, seq_len):
-    """Two FLOPs per multiply-add of every matmul in one forward pass,
-    counted by wrapping ``tensor.matmul``; and the MoE routing decisions."""
+    """Two FLOPs per multiply-add of every product in one forward pass,
+    counted by wrapping ``tensor._product``, which runs ``tensor.matmul``'s
+    products and the attention node's; and the MoE routing decisions."""
     macs, decisions = [], []
-    real_matmul, real_moe = T.matmul, L.moe_forward
+    real_product, real_moe = T._product, L.moe_forward
 
-    def matmul(a, b):
-        out = real_matmul(a, b)
-        macs.append(out.data.size * a.shape[-1])
+    def product(a, b):
+        out = real_product(a, b)
+        macs.append(out.size * a.shape[-1])
         return out
 
     def moe_forward(*args, **kw):
@@ -362,7 +363,7 @@ def counted_forward_flops(monkeypatch, model, tokens, seq_len):
         decisions.append(out[2])
         return out
 
-    monkeypatch.setattr(T, "matmul", matmul)
+    monkeypatch.setattr(T, "_product", product)
     monkeypatch.setattr(L, "moe_forward", moe_forward)
     model.forward(tokens, seq_len=seq_len)
     monkeypatch.undo()

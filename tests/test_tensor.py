@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brainformer import layers as L
 from brainformer import tensor as T
 from brainformer.tensor import Tensor
 
@@ -65,31 +66,6 @@ class TestMatmul:
             return T.tsum(T.mul(T.matmul(a, b), w))
 
         worst, _ = finite_difference_check({"a": a, "b": b}, loss_fn)
-        assert worst < 1e-6
-
-
-class TestLayout:
-    def test_reshape_and_permute_values(self):
-        x = np.arange(24.0).reshape(2, 3, 4)
-        np.testing.assert_array_equal(T.reshape(Tensor(x), (6, 4)).data,
-                                      x.reshape(6, 4))
-        np.testing.assert_array_equal(T.permute(Tensor(x), (2, 0, 1)).data,
-                                      np.transpose(x, (2, 0, 1)))
-
-    def test_reshape_gradient(self):
-        rng = np.random.default_rng(22)
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        w = rng.normal(size=(2, 3, 4))
-        worst, _ = finite_difference_check(
-            {"x": x}, lambda: T.tsum(T.mul(T.reshape(x, (2, 3, 4)), w)))
-        assert worst < 1e-6
-
-    def test_permute_gradient(self):
-        rng = np.random.default_rng(23)
-        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-        w = rng.normal(size=(4, 2, 5, 3))
-        worst, _ = finite_difference_check(
-            {"x": x}, lambda: T.tsum(T.mul(T.permute(x, (2, 0, 3, 1)), w)))
         assert worst < 1e-6
 
 
@@ -234,9 +210,6 @@ class TestBackward:
             nodes = [T.add(a, b)]
         elif case == "add_self":
             nodes = [T.add(a, a)]
-        elif case == "reshape_permute":
-            r = T.reshape(a, (2, 6))
-            nodes = [r, T.permute(r, (1, 0))]
         else:  # one tensor feeding two ops
             y1, y2 = T.mul(a, b), T.gelu(a)
             nodes = [y1, y2, T.add(y1, y2)]
@@ -245,8 +218,7 @@ class TestBackward:
         loss = T.tsum(weighted)
         return loss, [a, b, *nodes, weighted, loss]
 
-    @pytest.mark.parametrize("case", ["add_leaves", "add_self",
-                                      "reshape_permute", "fan_out"])
+    @pytest.mark.parametrize("case", ["add_leaves", "add_self", "fan_out"])
     def test_gradients_own_their_memory(self, case):
         rng = np.random.default_rng(9)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -301,8 +273,12 @@ class TestBackward:
 class TestNoGrad:
     @staticmethod
     def _ops(x, w):
-        """One pass through most ops, ending in a scalar loss."""
+        """One pass through most ops and a causal-attention node (two
+        segments, trainable weights), ending in a scalar loss."""
         h = T.layer_norm(T.matmul(x, w), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        cfg = L.AttentionConfig(model_dim=3, n_heads=2, head_dim=2)
+        h = L.attention_forward(h, cfg, L.init_attention_params(cfg, np.random.default_rng(13)),
+                                seq_len=2)
         rows = T.take_rows(T.gelu(h), np.array([0, 2, 2]))
         back = T.scatter_rows([(T.relu(rows), np.array([1, 0, 3]))], 4)
         picked = T.take_entries(T.softmax(back), np.array([0, 1]), np.array([2, 0]))
@@ -317,10 +293,8 @@ class TestNoGrad:
         x, w = self._inputs()
         with T.no_grad():
             loss = self._ops(x, w)
-            mid = T.mul(T.reshape(T.permute(x, (1, 0)), (20,)), 2.0)
-        for out in (loss, mid):
-            assert out._parents == () and out._backward is None
-            assert not out.requires_grad
+        assert loss._parents == () and loss._backward is None
+        assert not loss.requires_grad
         assert x.requires_grad and w.requires_grad
         assert x.grad is None and w.grad is None
         want = self._ops(x, w).item()
