@@ -8,6 +8,7 @@ config error. Every run writes a manifest.json with artifact checksums.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -278,20 +279,20 @@ def cmd_train(args):
     state = TR.TrainState.fresh(model, cfg)
     if args.resume:
         if os.path.exists(ckpt):
-            TR.load_checkpoint(model, ckpt, state=state)
-            log.info("resumed from step %d", model.step)
+            TR.load_checkpoint(model, state, ckpt)
+            log.info("resumed from step %d", state.step)
         if os.path.exists(traj):
-            TR.cut_trajectory(traj, model.step)
+            TR.cut_trajectory(traj, state.step)
     elif os.path.exists(ckpt) or os.path.exists(traj):
         raise UsageError(f"{args.out} holds a run (use --resume)")
     _make_out_dir(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    result = TR.train_steps(model, corpus, cfg, cfg.max_steps,
-                            trajectory_path=traj, state=state)
-    TR.save_checkpoint(model, ckpt, state=state)
+    result = TR.train_steps(model, corpus, cfg, cfg.max_steps, state,
+                            trajectory_path=traj)
+    TR.save_checkpoint(model, state, ckpt)
     report = {
         "steps": result.steps,
-        "total_step": model.step,
+        "total_step": state.step,
         "final_loss": result.final_loss,
         "diverged": result.diverged,
     }
@@ -302,7 +303,7 @@ def cmd_train(args):
     _write_manifest(args.out, "train", args.config, cfg.seed, started,
                     ["checkpoint.bin", "trajectory.jsonl", "train_report.json"])
     if result.diverged:
-        log.error("training diverged at step %d", model.step)
+        log.error("training diverged at step %d", state.step)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -314,9 +315,7 @@ def cmd_train(args):
 def cmd_count_params(args):
     spec = _load_model_spec(args.genome, default_blocks=args.stack)
     if args.scale:
-        spec = M.ModelSpec(block=M.scale_model_dim(spec.block, args.scale),
-                           n_blocks=spec.n_blocks, vocab_size=spec.vocab_size,
-                           max_seq_len=spec.max_seq_len)
+        spec = dataclasses.replace(spec, block=M.scale_model_dim(spec.block, args.scale))
     counts = dataclasses.asdict(M.count_params(spec))
     report = {
         **counts,
@@ -374,9 +373,7 @@ def cmd_report(args):
                 best = rec
             w.writerow([rec.trial_id, rec.reward, best.reward])
 
-    tally = {}
-    for rec in trials:
-        tally[rec.stop_reason] = tally.get(rec.stop_reason, 0) + 1
+    tally = collections.Counter(rec.stop_reason for rec in trials)
     lineage = []
     node = best
     by_id = {r.trial_id: r for r in trials}

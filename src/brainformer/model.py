@@ -262,7 +262,6 @@ class LanguageModel:
             p[prefix + "ln.b"] = Tensor(np.zeros(d), requires_grad=True)
             p.update(init[kind](self.block.layer_config(kind), rng, prefix=prefix))
         self.params = p
-        self.step = 0
 
     def zero_grad(self):
         for t in self.params.values():

@@ -40,8 +40,8 @@ from .model import (
     SCALE_FACTORS, scale_model_dim,
 )
 from .training import (
-    evaluate_perplexity, measure_step_time, model_has_valid, train_steps,
-    BYTE_VOCAB,
+    TrainState, evaluate_perplexity, measure_step_time, model_has_valid,
+    train_steps, BYTE_VOCAB,
 )
 
 PROXY_STACK = 3  # proxy models stack the candidate block three times
@@ -416,12 +416,10 @@ class ProxyTrainingRunner:
         cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
         step_time = measure_step_time(model, self.corpus, cfg) \
             if self.wallclock else cost
-        state = None
+        state = TrainState.fresh(model, cfg)
 
         def train(n):
-            nonlocal state
-            res = train_steps(model, self.corpus, cfg, n, state=state)
-            state = res.state
+            res = train_steps(model, self.corpus, cfg, n, state)
             return (res.steps, [[r["step"], r["loss"]] for r in _thin(res.records)],
                     res.diverged)
 

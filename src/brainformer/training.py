@@ -65,8 +65,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
+        bad = set(doc) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown train config fields: {sorted(bad)}")
         return cls(**doc)
@@ -215,11 +214,12 @@ class Adafactor:
 
 @dataclass
 class TrainState:
-    """What a run carries between ``train_steps`` calls besides the params
-    and ``model.step``: the optimizer moments and the batch RNG."""
+    """All a run holds besides the params: Adafactor moments, batch RNG and
+    steps trained. ``train_steps`` advances it; a checkpoint holds it all."""
 
     optimizer: Adafactor
     rng: np.random.Generator
+    step: int = 0
 
     @classmethod
     def fresh(cls, model, cfg):
@@ -227,50 +227,55 @@ class TrainState:
                    np.random.default_rng(cfg.seed))
 
 
-def save_checkpoint(model, path, state=None):
-    """One ``.npz`` of the params, a training state's Adafactor moments and
-    a JSON ``meta`` entry (step, batch RNG). It is written and fsynced as
+def _checkpoint_arrays(model, state):
+    """A checkpoint's arrays by entry: ``param/<name>``, ``r|c|v/<name>``."""
+    arrays = {f"param/{n}": model.params[n].data for n in sorted(model.params)}
+    arrays.update((f"{k}/{n}", moments[k]) for n, moments in
+                  sorted(state.optimizer.state.items()) for k in sorted(moments))
+    return arrays
+
+
+def save_checkpoint(model, state, path):
+    """One ``.npz`` of the params, the state's Adafactor moments and a JSON
+    ``meta`` entry (step, batch RNG). It is written and fsynced as
     ``path + ".tmp"``, then renamed onto ``path``, so a crash leaves the
     old checkpoint or the new one, never a mix."""
-    meta = {"step": model.step}
-    arrays = {f"param/{n}": model.params[n].data for n in sorted(model.params)}
-    if state is not None:
-        meta["rng"] = state.rng.bit_generator.state
-        arrays.update((f"{k}/{n}", moments[k]) for n, moments in
-                      sorted(state.optimizer.state.items()) for k in sorted(moments))
+    meta = json.dumps({"step": state.step, "rng": state.rng.bit_generator.state}, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+        np.savez(fh, meta=np.array(meta), **_checkpoint_arrays(model, state))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def load_checkpoint(model, path, state=None):
-    """Restore params and ``model.step``, and a given training state's
-    moments and RNG in place; a params-only checkpoint leaves it as is.
-    A file that does not read as a checkpoint raises ConfigError. The file
-    is opened here, not by ``np.load``, which leaves its own handle open
-    when the zip directory does not parse."""
+def load_checkpoint(model, state, path):
+    """Restore the params and the state's moments, RNG and step in place.
+    A file that is not a checkpoint of exactly this model's params and this
+    state's moments, shapes included, raises ConfigError and changes nothing.
+    It is opened here: ``np.load`` leaves its own handle open on a bad zip."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
-        step = int(meta["step"])
+        step = meta["step"]
+        if not positive_int(step, 0):
+            raise ValueError(f"step {step!r}")
+        rng = copy.deepcopy(state.rng)
+        rng.bit_generator.state = meta["rng"]
     except (OSError, zipfile.BadZipFile, EOFError, ValueError, KeyError,
-            NotImplementedError) as exc:
+            TypeError, NotImplementedError) as exc:
         raise ConfigError(f"unreadable checkpoint {path}: {exc!r}") from None
-    for key, arr in arrays.items():
-        section, name = key.split("/", 1)
-        if section == "param":
-            if name not in model.params or model.params[name].data.shape != arr.shape:
-                raise ConfigError(f"checkpoint tensor {name!r} does not fit this model")
-            model.params[name].data = arr
-        elif state is not None:  # an Adafactor moment: "r", "c" or "v"
-            state.optimizer.state[name][section] = arr
-    if state is not None and "rng" in meta:
-        state.rng.bit_generator.state = meta["rng"]
-    model.step = step
+    want = {(key, arr.shape) for key, arr in _checkpoint_arrays(model, state).items()}
+    misfit = sorted(want ^ {(key, arr.shape) for key, arr in arrays.items()})
+    if misfit:
+        raise ConfigError(f"checkpoint {path} does not fit this run: {misfit[0][0]!r}")
+    for name, p in model.params.items():
+        p.data = arrays[f"param/{name}"]
+    for name, moments in state.optimizer.state.items():
+        for k in moments:
+            moments[k] = arrays[f"{k}/{name}"]
+    state.rng, state.step = rng, step
 
 
 @dataclass
@@ -279,19 +284,15 @@ class TrainResult:
     steps: int = 0
     diverged: bool = False
     final_loss: float = None
-    state: TrainState = None
 
 
-def train_steps(model, corpus, cfg, n_steps, trajectory_path=None, state=None):
-    """Train ``n_steps`` steps (0 is a no-op run).
-
-    ``state=None`` starts fresh (zero moments, RNG from ``cfg.seed``);
-    passing the returned ``result.state`` on continues the run bitwise.
-    Divergence (non-finite loss) aborts with the partial trajectory
-    retained.
+def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
+    """Train ``n_steps`` steps (0 is a no-op run), advancing ``state``
+    (moments, RNG, step) in place, so calls that share one state are one
+    run, bitwise. Divergence (non-finite loss) aborts with the partial
+    trajectory retained.
     """
-    state = state or TrainState.fresh(model, cfg)
-    result = TrainResult(state=state)
+    result = TrainResult()
     out = open(trajectory_path, "a") if trajectory_path else None
     try:
         while result.steps < n_steps:
@@ -299,19 +300,18 @@ def train_steps(model, corpus, cfg, n_steps, trajectory_path=None, state=None):
             inputs, targets = corpus.sample_batch(state.rng, cfg.batch_size, cfg.seq_len)
             loss, ce = lm_loss(model, inputs, targets,
                                aux_coeff=cfg.aux_coeff, seq_len=cfg.seq_len)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
+            if not math.isfinite(loss.item()):
                 result.diverged = True
                 break
             model.zero_grad()
             loss.backward()
-            lr = lr_at(model.step + 1, cfg)
+            lr = lr_at(state.step + 1, cfg)
             state.optimizer.update(model.params, lr)
-            model.step += 1
+            state.step += 1
             result.steps += 1
             result.final_loss = ce.item()
             if result.steps % cfg.log_every == 0:
-                rec = {"step": model.step, "loss": ce.item(), "lr": lr,
+                rec = {"step": state.step, "loss": ce.item(), "lr": lr,
                        "step_time": time.monotonic() - t0}
                 result.records.append(rec)
                 if out:
@@ -326,14 +326,18 @@ def train_steps(model, corpus, cfg, n_steps, trajectory_path=None, state=None):
 def cut_trajectory(path, step):
     """Keep the records of a ``train_steps`` trajectory up to ``step``, so
     a resumed run appends to what its checkpoint holds; a torn last line
-    goes too."""
+    goes too. A complete line that is not a record raises ConfigError
+    before anything is cut."""
     with open(path, "rb+") as fh:
-        keep = 0
-        for line in fh:
-            if not line.endswith(b"\n") or json.loads(line)["step"] > step:
-                break
-            keep += len(line)
-        fh.truncate(keep)
+        lines = fh.read().split(b"\n")[:-1]  # the complete lines
+        try:
+            steps = [json.loads(line)["step"] for line in lines]
+        except (ValueError, KeyError, TypeError):  # not JSON, or no step key
+            steps = [None]
+        if not all(positive_int(s, 1) for s in steps):
+            raise ConfigError(f"cannot resume from {path}: a complete line is not a record")
+        kept = next((i for i, s in enumerate(steps) if s > step), len(steps))
+        fh.truncate(sum(len(line) + 1 for line in lines[:kept]))
 
 
 def model_has_valid(corpus):
@@ -376,6 +380,7 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
 def measure_step_time(model, corpus, cfg):
     """Median recorded ``step_time`` of 3 steps after one warm-up step of
     training a throwaway copy of the model (inf if it diverges first)."""
-    res = train_steps(copy.deepcopy(model), corpus, replace(cfg, log_every=1), 4)
+    res = train_steps(copy.deepcopy(model), corpus, replace(cfg, log_every=1), 4,
+                      TrainState.fresh(model, cfg))
     times = [r["step_time"] for r in res.records[1:]]  # first is warm-up
     return float(np.median(times)) if times else math.inf

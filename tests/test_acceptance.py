@@ -32,7 +32,7 @@ from brainformer.search import (
 )
 from brainformer.tensor import Tensor
 from brainformer.training import (
-    ByteCorpus, TrainConfig, train_steps, evaluate_perplexity,
+    ByteCorpus, TrainConfig, TrainState, train_steps, evaluate_perplexity,
 )
 
 from helpers import finite_difference_check, brute_force_top2
@@ -295,18 +295,17 @@ def test_criterion_07_overfit_tiny_corpus():
     cfg = TrainConfig(base_lr=0.05, warmup_constant_steps=100, batch_size=4,
                       seq_len=64, valid_fraction=0.0, log_every=50)
     ppl = float("inf")
-    state = None  # carried across chunks, so this is one 2000-step run
-    while model.step < 2000:
-        state = train_steps(model, corpus, cfg, 100,
-                            state=state).state
+    state = TrainState.fresh(model, cfg)  # carried across chunks: one run
+    while state.step < 2000:
+        train_steps(model, corpus, cfg, 100, state)
         ppl = evaluate_perplexity(model, corpus, split="train", seq_len=64,
                                   max_tokens=512)
         if ppl < 1.1:
             break
     elapsed = time.monotonic() - started
     verdict(7, "overfit to perplexity < 1.1 within 2000 steps",
-            ppl < 1.1 and model.step <= 2000 and elapsed < 300.0,
-            f"ppl {ppl:.4f} at step {model.step}, {elapsed:.1f}s")
+            ppl < 1.1 and state.step <= 2000 and elapsed < 300.0,
+            f"ppl {ppl:.4f} at step {state.step}, {elapsed:.1f}s")
 
 
 def _toy_search_space():

@@ -361,9 +361,12 @@ class TestTrainCommand:
         spec = ModelSpec(block=toy_block(), n_blocks=1, vocab_size=258,
                          max_seq_len=1024)
         fresh = LanguageModel(spec, seed=0)
-        from brainformer.training import load_checkpoint
         loaded = LanguageModel(spec, seed=1)
-        load_checkpoint(loaded, out / "checkpoint.bin")
+        state = TR.TrainState.fresh(loaded, TrainConfig(seed=1))
+        TR.load_checkpoint(loaded, state, out / "checkpoint.bin")
+        assert state.step == 0
+        assert state.rng.bit_generator.state == \
+            np.random.default_rng(0).bit_generator.state
         for name in fresh.params:
             np.testing.assert_array_equal(loaded.params[name].data,
                                           fresh.params[name].data)
@@ -488,6 +491,40 @@ class TestTrainCommand:
         assert main(argv + ["--resume"]) == EXIT_USAGE
         assert "unreadable checkpoint" in capsys.readouterr().err
         assert files() == before
+
+    @pytest.mark.parametrize("layers", [["attn", "ffn"], ["ffn"]])
+    def test_resume_refuses_checkpoint_of_another_model(self, tmp_path,
+                                                         corpus_file, layers,
+                                                         capsys):
+        """A checkpoint that covers only part of the model is a config
+        error, and the run's files keep their bytes."""
+        out = tmp_path / "run"
+
+        def argv(layer_kinds):
+            path = tmp_path / "genome.json"
+            path.write_text(json.dumps(toy_block(layers=tuple(layer_kinds),
+                                                 d=16).to_json_dict()))
+            return ["train", "--genome", str(path), "--corpus", corpus_file,
+                    "--config", self.train_cfg(tmp_path), "--out", str(out)]
+        assert main(argv(["attn"])) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv(["attn", *layers]) + ["--resume"]) == EXIT_USAGE
+        assert "does not fit this run" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("line", ["not json", '{"x": 1}'])
+    def test_resume_refuses_trajectory_line_that_is_no_record(
+            self, tmp_path, genome_file, corpus_file, line, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                "--config", self.train_cfg(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        with open(out / "trajectory.jsonl", "a") as fh:
+            fh.write(line + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--resume"]) == EXIT_USAGE
+        assert "not a record" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("budget", [{"max_steps": 1}, {"max_seconds": 0.3},
                                         {"max_cost_units": 1e9}])

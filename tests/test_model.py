@@ -14,7 +14,9 @@ from brainformer.model import (
     step_cost_units, glam_baseline_block, lm_loss,
 )
 from brainformer.tensor import Tensor
-from brainformer.training import save_checkpoint, load_checkpoint
+from brainformer.training import (
+    TrainConfig, TrainState, save_checkpoint, load_checkpoint,
+)
 
 from helpers import finite_difference_check
 
@@ -411,12 +413,16 @@ class TestCheckpoint:
         ms = ModelSpec(block=tiny_block(), n_blocks=1, vocab_size=11,
                        max_seq_len=8)
         m = LanguageModel(ms, seed=0)
-        m.step = 42
+        state = TrainState.fresh(m, TrainConfig())
+        state.step = 42
+        state.rng.random(3)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(m, path)
+        save_checkpoint(m, state, path)
         m2 = LanguageModel(ms, seed=99)
-        load_checkpoint(m2, path)
-        assert m2.step == 42
+        state2 = TrainState.fresh(m2, TrainConfig(seed=5))
+        load_checkpoint(m2, state2, path)
+        assert state2.step == 42
+        assert state2.rng.bit_generator.state == state.rng.bit_generator.state
         for name in m.params:
             assert np.array_equal(m.params[name].data, m2.params[name].data)
 
@@ -424,9 +430,15 @@ class TestCheckpoint:
         ms = ModelSpec(block=tiny_block(), n_blocks=1, vocab_size=11,
                        max_seq_len=8)
         m = LanguageModel(ms, seed=0)
+        state = TrainState.fresh(m, TrainConfig())
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(m, path)
+        save_checkpoint(m, state, path)
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+        moments = {f"{k}/{n}" for n, kinds in state.optimizer.state.items() for k in kinds}
         with np.load(path) as npz:
-            assert set(npz.files) == {"meta"} | {f"param/{n}" for n in m.params}
-            assert json.loads(str(npz["meta"])) == {"step": 0}
+            assert set(npz.files) == \
+                {"meta"} | {f"param/{n}" for n in m.params} | moments
+            meta = json.loads(str(npz["meta"]))
+            assert set(meta) == {"step", "rng"}
+            assert meta["step"] == 0
+            assert meta["rng"] == state.rng.bit_generator.state

@@ -388,7 +388,7 @@ class TestProxyTrainingRunner:
         """Training resumes after the 25% checkpoint with the first chunk's
         optimizer and RNG, so the trial equals one uninterrupted run."""
         from brainformer.model import LanguageModel, step_cost_units
-        from brainformer.training import evaluate_perplexity, train_steps
+        from brainformer.training import TrainState, evaluate_perplexity, train_steps
         spec = proxy_model_spec(toy_baseline(), max_seq_len=8)
         cost = step_cost_units(spec, 2, 8)
         runner = ProxyTrainingRunner(self.corpus(), self.cfg(),
@@ -397,8 +397,8 @@ class TestProxyTrainingRunner:
         rec = runner.evaluate(Candidate(genome=toy_baseline(), id=3))
         assert rec.stop_reason == STOP_COMPLETED
         model = LanguageModel(spec, seed=runner.seed)
-        ref = train_steps(model, runner.corpus, replace(self.cfg(), seed=3),
-                          6)  # the trial's seed: runner seed + id
+        cfg = replace(self.cfg(), seed=3)  # the trial's seed: runner seed + id
+        ref = train_steps(model, runner.corpus, cfg, 6, TrainState.fresh(model, cfg))
         assert rec.trajectory == [[r["step"], r["loss"]] for r in ref.records]
         assert rec.final_loss == math.log(evaluate_perplexity(
             model, runner.corpus, seq_len=8, max_tokens=64))
@@ -431,11 +431,11 @@ class TestProxyTrainingRunner:
         baseline = runner.baseline_record()  # trains without the fault
         calls = []
 
-        def faulty(model, corpus, cfg, n_steps, **kw):
+        def faulty(model, corpus, cfg, n_steps, state, **kw):
             calls.append(n_steps)
             if len(calls) != chunk:
-                return train_steps(model, corpus, cfg, n_steps, **kw)
-            res = train_steps(model, corpus, cfg, n_steps - 1, **kw)
+                return train_steps(model, corpus, cfg, n_steps, state, **kw)
+            res = train_steps(model, corpus, cfg, n_steps - 1, state, **kw)
             res.diverged = True
             return res
         monkeypatch.setattr("brainformer.search.train_steps", faulty)

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from brainformer.model import (
 from brainformer.training import (
     BYTE_VOCAB, TrainConfig, TrainingError, Adafactor, ByteCorpus,
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
-    save_checkpoint, load_checkpoint,
+    save_checkpoint, load_checkpoint, cut_trajectory,
 )
 from brainformer.tensor import Tensor
 
@@ -24,6 +25,10 @@ def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
                      h=2, d_head=4, g=g, c=2, a="relu", n_experts=n_experts)
     return LanguageModel(ModelSpec(block=spec, n_blocks=1, vocab_size=vocab,
                                    max_seq_len=seq), seed=0)
+
+
+def fresh(model, cfg):
+    return TrainState.fresh(model, cfg)
 
 
 def losses(result):
@@ -286,52 +291,54 @@ class TestBudget:
 
     def test_zero_steps_runs_nothing(self):
         m = tiny_model()
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        state = fresh(m, cfg)
         before = {k: v.data.copy() for k, v in m.params.items()}
-        res = train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2), 0)
+        res = train_steps(m, tiny_corpus(), cfg, 0, state)
         assert res.steps == 0
+        assert state.step == 0
         for k in before:
             np.testing.assert_array_equal(m.params[k].data, before[k])
 
     def test_step_budget_exact(self):
         m = tiny_model()
-        res = train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2), 3)
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        state = fresh(m, cfg)
+        res = train_steps(m, tiny_corpus(), cfg, 3, state)
         assert res.steps == 3
-        assert m.step == 3
+        assert state.step == 3
 
 
 class TestTrainLoop:
     def test_loss_decreases(self):
         m = tiny_model()
-        res = train_steps(m, tiny_corpus(),
-                          TrainConfig(seq_len=16, batch_size=4, base_lr=0.05,
-                                      valid_fraction=0.0),
-                          30)
+        cfg = TrainConfig(seq_len=16, batch_size=4, base_lr=0.05, valid_fraction=0.0)
+        res = train_steps(m, tiny_corpus(), cfg, 30, fresh(m, cfg))
         first = np.mean(losses(res)[:5])
         last = np.mean(losses(res)[-5:])
         assert last < first
 
     def test_initial_loss_near_log_vocab(self):
         m = tiny_model()
-        res = train_steps(m, tiny_corpus(),
-                          TrainConfig(seq_len=8, batch_size=2),
-                          1)
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        res = train_steps(m, tiny_corpus(), cfg, 1, fresh(m, cfg))
         assert abs(losses(res)[0] - math.log(258)) < 0.05
 
     def test_divergence_aborts_cleanly(self):
         m = tiny_model()
         m.params["embed"].data[:] = np.nan
-        res = train_steps(m, tiny_corpus(),
-                          TrainConfig(seq_len=8, batch_size=2),
-                          10)
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        state = fresh(m, cfg)
+        res = train_steps(m, tiny_corpus(), cfg, 10, state)
         assert res.diverged
         assert res.steps == 0
+        assert state.step == 0
 
     def test_trajectory_file_jsonl(self, tmp_path):
-        import json
         m = tiny_model()
         path = tmp_path / "traj.jsonl"
-        train_steps(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2),
-                    4, trajectory_path=str(path))
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        train_steps(m, tiny_corpus(), cfg, 4, fresh(m, cfg), trajectory_path=str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         recs = [json.loads(ln) for ln in lines]
@@ -341,16 +348,17 @@ class TestTrainLoop:
     def test_resume_continues_step_count(self):
         m = tiny_model()
         cfg = TrainConfig(seq_len=8, batch_size=2)
-        train_steps(m, tiny_corpus(), cfg, 3)
-        res = train_steps(m, tiny_corpus(), cfg, 2)
-        assert m.step == 5
+        state = fresh(m, cfg)
+        train_steps(m, tiny_corpus(), cfg, 3, state)
+        res = train_steps(m, tiny_corpus(), cfg, 2, state)
+        assert state.step == 5
         assert res.records[-1]["step"] == 5
 
     def test_lr_recorded_follows_schedule(self):
         m = tiny_model()
         cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=2,
                           base_lr=0.01)
-        res = train_steps(m, tiny_corpus(), cfg, 4)
+        res = train_steps(m, tiny_corpus(), cfg, 4, fresh(m, cfg))
         got = [r["lr"] for r in res.records]
         expect = [lr_at(s, cfg) for s in (1, 2, 3, 4)]
         assert got == expect
@@ -423,9 +431,9 @@ class TestStepTime:
         """One call trains the copy 4 steps and drops the first step's time."""
         calls = []
 
-        def recording(model, corpus, cfg, n_steps, **kw):
+        def recording(model, corpus, cfg, n_steps, state, **kw):
             calls.append(n_steps)
-            res = train_steps(model, corpus, cfg, n_steps, **kw)
+            res = train_steps(model, corpus, cfg, n_steps, state, **kw)
             for rec, t in zip(res.records, (100.0, 3.0, 1.0, 2.0)):
                 rec["step_time"] = t
             return res
@@ -436,10 +444,18 @@ class TestStepTime:
         assert t == 2.0
 
     def test_leaves_model_untouched(self):
+        """The copy trains under a state of its own: the caller's model
+        params and the state the caller holds do not move."""
         m = tiny_model()
+        cfg = TrainConfig(seq_len=8, batch_size=2)
+        state = fresh(m, cfg)
+        rng_before = state.rng.bit_generator.state
         before = {k: v.data.copy() for k, v in m.params.items()}
-        measure_step_time(m, tiny_corpus(), TrainConfig(seq_len=8, batch_size=2))
-        assert m.step == 0
+        measure_step_time(m, tiny_corpus(), cfg)
+        assert state.step == 0
+        assert state.rng.bit_generator.state == rng_before
+        for moments in state.optimizer.state.values():
+            assert all(not v.any() for v in moments.values())
         for k in before:
             np.testing.assert_array_equal(m.params[k].data, before[k])
 
@@ -451,7 +467,7 @@ def assert_same_params(a, b):
 
 
 class TestCarriedState:
-    """Chunks that pass ``result.state`` on are one run, bitwise. Equality
+    """Chunks that share one ``TrainState`` are one run, bitwise. Equality
     is exact on one machine and numpy/BLAS build; across builds float
     results may differ."""
 
@@ -462,61 +478,50 @@ class TestCarriedState:
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=3, seed=7)
         whole, parts = tiny_model(g=g), tiny_model(g=g)
-        ref = train_steps(whole, corpus, cfg, sum(chunks))
-        state, chunked = None, []
+        whole_state, state = fresh(whole, cfg), fresh(parts, cfg)
+        ref = train_steps(whole, corpus, cfg, sum(chunks), whole_state)
+        chunked = []
         for n in chunks:
-            res = train_steps(parts, corpus, cfg, n, state=state)
+            res = train_steps(parts, corpus, cfg, n, state)
             assert res.steps == n
-            state, chunked = res.state, chunked + losses(res)
-        assert parts.step == whole.step == sum(chunks)
+            chunked += losses(res)
+        assert state.step == whole_state.step == sum(chunks)
         assert np.max(np.abs(np.subtract(chunked, losses(ref))), initial=0.0) == 0.0
         assert_same_params(parts, whole)
 
-    def test_no_state_starts_fresh(self):
+    def test_fresh_state_starts_over(self):
+        """A second fresh state draws the same batches as the first did."""
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2)
         m = tiny_model()
-        first = train_steps(m, corpus, cfg, 2)
-        again = train_steps(m, corpus, cfg, 2)
-        assert again.state is not first.state
-        assert again.state.rng.bit_generator.state == \
-            first.state.rng.bit_generator.state  # both drew two fresh batches
+        first, again = fresh(m, cfg), fresh(m, cfg)
+        train_steps(m, corpus, cfg, 2, first)
+        res = train_steps(m, corpus, cfg, 2, again)
+        assert again.rng.bit_generator.state == first.rng.bit_generator.state
+        assert again.step == 2 and [r["step"] for r in res.records] == [1, 2]
 
     def test_checkpoint_resume_equals_one_run(self, tmp_path):
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2, warmup_constant_steps=2)
         whole = tiny_model()
-        ref = train_steps(whole, corpus, cfg, 5)
+        ref = train_steps(whole, corpus, cfg, 5, fresh(whole, cfg))
         first = tiny_model()
-        res = train_steps(first, corpus, cfg, 3)
-        save_checkpoint(first, tmp_path / "ckpt.bin", state=res.state)
+        first_state = fresh(first, cfg)
+        res = train_steps(first, corpus, cfg, 3, first_state)
+        save_checkpoint(first, first_state, tmp_path / "ckpt.bin")
         resumed = LanguageModel(first.spec, seed=1)
-        state = TrainState.fresh(resumed, cfg)
-        load_checkpoint(resumed, tmp_path / "ckpt.bin", state=state)
-        res2 = train_steps(resumed, corpus, cfg, 2, state=state)
+        state = fresh(resumed, cfg)
+        load_checkpoint(resumed, state, tmp_path / "ckpt.bin")
+        assert state.step == 3
+        res2 = train_steps(resumed, corpus, cfg, 2, state)
         assert losses(res) + losses(res2) == losses(ref)
         assert_same_params(resumed, whole)
-
-    def test_params_only_checkpoint_gives_fresh_state(self, tmp_path):
-        corpus = tiny_corpus()
-        cfg = TrainConfig(seq_len=8, batch_size=2)
-        m = tiny_model()
-        train_steps(m, corpus, cfg, 2)
-        save_checkpoint(m, tmp_path / "ckpt.bin")
-        loaded = LanguageModel(m.spec, seed=1)
-        state = TrainState.fresh(loaded, cfg)
-        load_checkpoint(loaded, tmp_path / "ckpt.bin", state=state)
-        assert loaded.step == 2
-        assert_same_params(loaded, m)
-        assert state.rng.bit_generator.state == \
-            np.random.default_rng(cfg.seed).bit_generator.state
-        for moments in state.optimizer.state.values():
-            assert all(not v.any() for v in moments.values())
 
 
 class TestCheckpointFile:
     """The checkpoint is one file, replaced whole: a crash mid-save leaves
-    the previous one, and a cut file never loads."""
+    the previous one, and a cut file never loads. It always holds the
+    whole run: params, moments, RNG and step."""
 
     cfg = TrainConfig(seq_len=8, batch_size=2)
     corpus = ByteCorpus(bytes(range(11)) * 8)
@@ -524,9 +529,28 @@ class TestCheckpointFile:
     def saved(self, tmp_path):
         """A small model after one step, saved with its training state."""
         m = tiny_model(vocab=11, seq=8)
-        res = train_steps(m, self.corpus, self.cfg, 1)
-        save_checkpoint(m, tmp_path / "ckpt.bin", state=res.state)
-        return m, res.state
+        state = fresh(m, self.cfg)
+        train_steps(m, self.corpus, self.cfg, 1, state)
+        save_checkpoint(m, state, tmp_path / "ckpt.bin")
+        return m, state
+
+    @staticmethod
+    def snapshot(model, state):
+        """Copies of everything ``load_checkpoint`` may change."""
+        return ({k: p.data.copy() for k, p in model.params.items()},
+                {n: {k: v.copy() for k, v in moments.items()}
+                 for n, moments in state.optimizer.state.items()},
+                state.rng.bit_generator.state, state.step)
+
+    def assert_unchanged(self, model, state, before):
+        params, moments, rng, step = before
+        for k, v in params.items():
+            np.testing.assert_array_equal(model.params[k].data, v)
+        for n, ms in moments.items():
+            for k, v in ms.items():
+                np.testing.assert_array_equal(state.optimizer.state[n][k], v)
+        assert state.rng.bit_generator.state == rng
+        assert state.step == step
 
     def test_interrupted_save_keeps_previous(self, tmp_path, monkeypatch):
         m, state = self.saved(tmp_path)
@@ -543,27 +567,28 @@ class TestCheckpointFile:
             fh.write(buf.getvalue()[:len(before) // 2])
             raise Crash
 
-        train_steps(m, self.corpus, self.cfg, 1, state=state)
+        train_steps(m, self.corpus, self.cfg, 1, state)
         monkeypatch.setattr(np, "savez", torn_savez)
         with pytest.raises(Crash):
-            save_checkpoint(m, path, state=state)
+            save_checkpoint(m, state, path)
         monkeypatch.undo()
         assert path.read_bytes() == before
         loaded = tiny_model(vocab=11, seq=8)
-        load_checkpoint(loaded, path)
-        assert loaded.step == 1
+        loaded_state = fresh(loaded, self.cfg)
+        load_checkpoint(loaded, loaded_state, path)
+        assert loaded_state.step == 1
 
     def test_every_truncation_is_a_config_error(self, tmp_path):
         m, _ = self.saved(tmp_path)
         full = (tmp_path / "ckpt.bin").read_bytes()
-        state = TrainState.fresh(m, self.cfg)
+        state = fresh(m, self.cfg)
         cut_path = tmp_path / "cut.bin"
         for cut in range(len(full)):
             cut_path.write_bytes(full[:cut])
             with pytest.raises(ConfigError):
-                load_checkpoint(m, cut_path, state=state)
+                load_checkpoint(m, state, cut_path)
         cut_path.write_bytes(full)
-        load_checkpoint(m, cut_path, state=state)
+        load_checkpoint(m, state, cut_path)
 
     def test_old_flat_format_is_a_config_error(self, tmp_path):
         """Earlier versions wrote the params as raw float64 bytes."""
@@ -572,7 +597,120 @@ class TestCheckpointFile:
         path.write_bytes(np.concatenate([p.data.ravel() for p in m.params.values()])
                          .tobytes())
         with pytest.raises(ConfigError):
-            load_checkpoint(m, path)
+            load_checkpoint(m, fresh(m, self.cfg), path)
+
+    def rewrite(self, path, edit):
+        """Rewrite the checkpoint at ``path`` with ``edit`` applied to its
+        entries (a dict of name to array, ``meta`` as parsed JSON)."""
+        with np.load(path) as npz:
+            entries = {k: npz[k] for k in npz.files}
+        entries["meta"] = json.loads(str(entries["meta"]))
+        edit(entries)
+        with open(path, "wb") as fh:
+            np.savez(fh, **{k: np.array(json.dumps(v)) if k == "meta" else v
+                            for k, v in entries.items()})
+
+    def test_params_only_file_is_a_config_error(self, tmp_path):
+        """Earlier versions could write the params and step alone."""
+        self.saved(tmp_path)
+        path = tmp_path / "ckpt.bin"
+
+        def params_only(entries):
+            for key in [k for k in entries if k != "meta" and not k.startswith("param/")]:
+                del entries[key]
+            entries["meta"] = {"step": entries["meta"]["step"]}
+        self.rewrite(path, params_only)
+        loaded = tiny_model(vocab=11, seq=8)
+        state = fresh(loaded, self.cfg)
+        before = self.snapshot(loaded, state)
+        with pytest.raises(ConfigError):
+            load_checkpoint(loaded, state, path)
+        self.assert_unchanged(loaded, state, before)
+
+    @pytest.mark.parametrize("edit", [
+        "drop a param", "extra param", "param shape", "drop a moment",
+        "extra moment", "moment shape", "moment kind"])
+    def test_entries_must_be_exactly_the_run(self, tmp_path, edit):
+        """An entry missing, extra or of another shape fails before any
+        param, moment, RNG or step changes."""
+        m, _ = self.saved(tmp_path)
+        path = tmp_path / "ckpt.bin"
+        matrix = next(n for n, ms in fresh(m, self.cfg).optimizer.state.items()
+                      if "r" in ms)
+
+        def change(entries):
+            if edit == "drop a param":
+                del entries["param/layer0.ln.g"]
+            elif edit == "extra param":
+                entries["param/layer9.ln.g"] = np.ones(8)
+            elif edit == "param shape":
+                entries["param/out"] = np.zeros((8, 12))
+            elif edit == "drop a moment":
+                del entries[f"r/{matrix}"]
+            elif edit == "extra moment":
+                entries["v/layer9.ln.g"] = np.ones(8)
+            elif edit == "moment shape":
+                entries[f"c/{matrix}"] = np.ones(3)
+            else:  # a factored moment stored as a full accumulator
+                entries[f"v/{matrix}"] = entries.pop(f"r/{matrix}")
+        self.rewrite(path, change)
+        loaded = tiny_model(vocab=11, seq=8)
+        state = fresh(loaded, self.cfg)
+        before = self.snapshot(loaded, state)
+        with pytest.raises(ConfigError, match="does not fit"):
+            load_checkpoint(loaded, state, path)
+        self.assert_unchanged(loaded, state, before)
+
+    BAD_PCG64 = {"bit_generator": "PCG64", "state": {"state": "x", "inc": 1},
+                 "has_uint32": 0, "uinteger": 0}
+
+    @pytest.mark.parametrize("how, meta", [
+        ("merge", {"step": -1}), ("merge", {"step": 2.0}), ("merge", {"step": True}),
+        ("merge", {"step": None}), ("merge", {"rng": 5}), ("merge", {"rng": {}}),
+        ("merge", {"rng": {"bit_generator": "MT19937"}}), ("merge", {"rng": BAD_PCG64}),
+        ("replace", {"step": 1}), ("replace", [1]), ("replace", "step")])
+    def test_malformed_meta_is_a_config_error(self, tmp_path, how, meta):
+        """A bad step or RNG state beside a good other half, or a ``meta``
+        that is not an object holding both, fails before anything changes."""
+        self.saved(tmp_path)
+        path = tmp_path / "ckpt.bin"
+
+        def change(entries):
+            if how == "merge":
+                entries["meta"].update(meta)
+            else:
+                entries["meta"] = meta
+        self.rewrite(path, change)
+        loaded = tiny_model(vocab=11, seq=8)
+        state = fresh(loaded, self.cfg)
+        before = self.snapshot(loaded, state)
+        with pytest.raises(ConfigError, match="unreadable checkpoint"):
+            load_checkpoint(loaded, state, path)
+        self.assert_unchanged(loaded, state, before)
+
+
+class TestCutTrajectory:
+    """``cut_trajectory`` keeps the records up to a step and drops a torn
+    last line; a complete line that is not a record fails before any cut."""
+
+    lines = [json.dumps({"step": s, "loss": 1.0}) + "\n" for s in (1, 2, 3)]
+
+    def test_keeps_records_up_to_step(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text("".join(self.lines) + '{"loss": 1.5, "st')
+        cut_trajectory(path, 2)
+        assert path.read_text() == "".join(self.lines[:2])
+
+    @pytest.mark.parametrize("bad", ["not json", '{"x": 1}', '{"step": "2"}',
+                                     "[3]", "", '{"step": true}'])
+    @pytest.mark.parametrize("at", [0, 2, 3])
+    def test_complete_non_record_is_a_config_error(self, tmp_path, bad, at):
+        path = tmp_path / "traj.jsonl"
+        lines = self.lines[:at] + [bad + "\n"] + self.lines[at:]
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match="not a record"):
+            cut_trajectory(path, 1)
+        assert path.read_text() == "".join(lines)
 
 
 class TestGraphLifetime:
