@@ -263,10 +263,6 @@ class LanguageModel:
             p.update(init[kind](self.block.layer_config(kind), rng, prefix=prefix))
         self.params = p
 
-    def zero_grad(self):
-        for t in self.params.values():
-            t.zero_grad()
-
     def forward(self, tokens, seq_len=None, group_size=None):
         """Logits [n, V] and the summed MoE auxiliary loss for a flat token
         batch; ``seq_len`` marks sequence boundaries for attention and

@@ -8,9 +8,16 @@ attention is one node of its own (``layers.attention_forward``).
 Writing an op: build the output with ``_make(data, parents, backward)``,
 where ``backward(g)`` receives the gradient of the output and accumulates
 into the parents with ``_accum``. A backward closure may capture its
-parents and plain arrays, but never the output tensor itself: a graph
-without reference cycles is freed by refcount as soon as the loss is
-dropped, with no help from the cyclic garbage collector.
+parents and plain arrays, but never the output tensor itself, so a graph
+has no reference cycles and needs no help from the cyclic garbage
+collector.
+
+``backward`` consumes the graph it sweeps: once a node's backward has run,
+the node drops its closure and its parent links, so each activation and
+intermediate gradient is freed by refcount as soon as the sweep has used
+it. A tensor the caller still holds keeps its data and ``.grad``. Leaves
+(parameters, inputs) are never consumed, so they can feed any number of
+graphs; a second ``backward`` that reaches a consumed node raises.
 
 Gradient ownership: a parent's first gradient becomes its ``.grad`` as is
 when the op has just computed it (``_accum(t, g)``), and later ones are
@@ -75,10 +82,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Reverse-mode sweep from a scalar loss.
+        """Reverse-mode sweep from a scalar loss, consuming its graph.
 
         Visits each recorded op exactly once (reverse topological order)
-        and accumulates into ``grad`` of every requires_grad tensor.
+        and accumulates into ``grad`` of every requires_grad tensor. Each
+        op node drops its backward closure and parent links once its
+        backward has run, so the sweep frees the graph as it goes. A graph
+        that reaches a node an earlier sweep consumed raises RuntimeError
+        before any gradient is touched.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
@@ -92,15 +103,24 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)  # raises before any gradient is touched
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents = _consumed, ()
+
+
+def _consumed(g):
+    """The backward of a node whose graph a sweep has already freed."""
+    raise RuntimeError("backward() through a graph an earlier backward() consumed")
 
 
 _grad_enabled = True  # cleared by no_grad(); read by _make only

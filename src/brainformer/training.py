@@ -166,7 +166,9 @@ class Adafactor:
                 self.state[name] = {"v": np.zeros_like(p.data)}
 
     def update(self, params, lr):
-        """One step on every parameter that has a gradient.
+        """One step on every parameter that has a gradient, dropping each
+        gradient once it is applied, so the new params can take the freed
+        memory while the step's other gradients are still held.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
@@ -199,6 +201,7 @@ class Adafactor:
             rms_p = math.sqrt(np.dot(flat_p, flat_p) / flat_p.size)
             u *= lr * max(self.EPS2, rms_p) / max(1.0, rms_u / self.CLIP)
             p.data = np.subtract(p.data, u, out=u)
+            p.grad = None
 
     @staticmethod
     def _check_finite(name, g, reduced):
@@ -289,8 +292,10 @@ class TrainResult:
 def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     """Train ``n_steps`` steps (0 is a no-op run), advancing ``state``
     (moments, RNG, step) in place, so calls that share one state are one
-    run, bitwise. Divergence (non-finite loss) aborts with the partial
-    trajectory retained.
+    run, bitwise. Backward frees each step's graph and the update its
+    gradients, so between steps the run holds its params and ``state``
+    only. Divergence (non-finite loss) aborts with the partial trajectory
+    retained.
     """
     result = TrainResult()
     out = open(trajectory_path, "a") if trajectory_path else None
@@ -303,7 +308,6 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
             if not math.isfinite(loss.item()):
                 result.diverged = True
                 break
-            model.zero_grad()
             loss.backward()
             lr = lr_at(state.step + 1, cfg)
             state.optimizer.update(model.params, lr)
@@ -326,9 +330,14 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
 def cut_trajectory(path, step):
     """Keep the records of a ``train_steps`` trajectory up to ``step``, so
     a resumed run appends to what its checkpoint holds; a torn last line
-    goes too. A complete line that is not a record raises ConfigError
-    before anything is cut."""
-    with open(path, "rb+") as fh:
+    goes too. A complete line that is not a record, or a path that cannot
+    be read and written (a directory), raises ConfigError before anything
+    is cut."""
+    try:
+        fh = open(path, "rb+")
+    except OSError as exc:
+        raise ConfigError(f"cannot resume from {path}: {exc}") from None
+    with fh:
         lines = fh.read().split(b"\n")[:-1]  # the complete lines
         try:
             steps = [json.loads(line)["step"] for line in lines]

@@ -526,6 +526,20 @@ class TestTrainCommand:
         assert "not a record" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_with_trajectory_directory(self, tmp_path, genome_file,
+                                              corpus_file, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                "--config", self.train_cfg(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        (out / "trajectory.jsonl").unlink()
+        (out / "trajectory.jsonl").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main(argv + ["--resume"]) == EXIT_USAGE
+        assert "cannot resume from" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert (out / "trajectory.jsonl").is_dir()
+
     @pytest.mark.parametrize("budget", [{"max_steps": 1}, {"max_seconds": 0.3},
                                         {"max_cost_units": 1e9}])
     def test_malformed_budget(self, tmp_path, genome_file, corpus_file,

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -268,6 +269,66 @@ class TestBackward:
         np.testing.assert_array_equal(scatter().data, expected)
         worst, _ = finite_difference_check(vals, lambda: T.tsum(T.mul(scatter(), w)))
         assert worst < 1e-7
+
+
+class TestGraphConsumption:
+    """``backward`` frees the graph it sweeps: op nodes drop their closures
+    and parent links, leaves stay usable, a consumed graph cannot be swept
+    again."""
+
+    @staticmethod
+    def _graph(x, w):
+        h = T.matmul(x, w)
+        return h, T.tsum(T.mul(T.softmax(T.gelu(h)), h))
+
+    def _inputs(self):
+        rng = np.random.default_rng(14)
+        return (Tensor(rng.normal(size=(4, 5)), requires_grad=True),
+                Tensor(rng.normal(size=(5, 3)), requires_grad=True))
+
+    def test_sweep_frees_intermediates_while_loss_is_held(self):
+        x, w = self._inputs()
+        h, loss = self._graph(x, w)
+        activation = weakref.ref(h.data)
+        del h
+        assert activation() is not None  # the graph holds it until the sweep
+        loss.backward()
+        assert activation() is None
+        assert loss.grad is not None and x.grad is not None and w.grad is not None
+
+    def test_second_backward_raises(self):
+        x, w = self._inputs()
+        _, loss = self._graph(x, w)
+        loss.backward()
+        want = x.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_graph_on_a_consumed_node_raises(self):
+        x, w = self._inputs()
+        h, loss = self._graph(x, w)
+        loss.backward()
+        want = {"x": x.grad.copy(), "w": w.grad.copy()}
+        again = T.tsum(T.mul(h, T.matmul(x, w)))
+        with pytest.raises(RuntimeError, match="consumed"):
+            again.backward()
+        np.testing.assert_array_equal(x.grad, want["x"])  # nothing touched
+        np.testing.assert_array_equal(w.grad, want["w"])
+
+    def test_leaves_feed_several_graphs(self):
+        """Graphs built on the same leaves, before and after a sweep, each
+        give the finite-difference gradients."""
+        x, w = self._inputs()
+        fns = [lambda: self._graph(x, w)[1],
+               lambda: T.cross_entropy(T.matmul(x, w), np.array([0, 2, 1, 2]))]
+        built = [fn() for fn in fns]  # both exist before either sweep
+        for graph, fn in zip(built, fns):
+            pending = [graph]
+            worst, _ = finite_difference_check(
+                {"x": x, "w": w}, lambda: pending.pop() if pending else fn())
+            assert worst < 1e-7
+            assert not pending
 
 
 class TestNoGrad:
