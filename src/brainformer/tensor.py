@@ -75,9 +75,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -276,19 +273,30 @@ def layer_norm(x, gain, bias, eps=1e-6):
         raise ValueError("layer_norm over an empty last dimension")
     if gain.data.shape != (h,) or bias.data.shape != (h,):
         raise ValueError(f"gain/bias must have shape ({h},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # numpy's mean and var are add.reduce and a divide by the count (var on
+    # c * c); written out they skip numpy's Python-level wrappers, and c is
+    # computed once. Same float operations, same order.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / h
+    c = x.data - mu
+    y = np.multiply(c, c)  # c * c, then the output
+    var = np.add.reduce(y, axis=-1, keepdims=True) / h
     inv_sigma = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_sigma
-    y = xhat * gain.data + bias.data
+    xhat = np.multiply(c, inv_sigma, out=c)
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
 
     def backward(g):
         gy = g * gain.data
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape), fresh=False)
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv_sigma * (gy - m1 - xhat * m2))
+        m1 = np.add.reduce(gy, axis=-1, keepdims=True) / h
+        t = gy * xhat
+        m2 = np.add.reduce(t, axis=-1, keepdims=True) / h
+        # dx = inv_sigma * (gy - m1 - xhat * m2), in gy's buffer
+        np.subtract(gy, m1, out=gy)
+        gy -= np.multiply(xhat, m2, out=t)
+        gy *= inv_sigma
+        _accum(x, gy)
 
     return _make(y, (x, gain, bias), backward)
 

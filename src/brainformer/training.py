@@ -140,6 +140,32 @@ class ByteCorpus:
 # Adafactor (first-moment decay 0, fixed second-moment decay)
 # ---------------------------------------------------------------------------
 
+# Most bytes of params one optimizer chunk stacks. Stacking runs each numpy
+# pass once for many small params, but a stack past the 2 MB per-core L2
+# cache ran slower than one pass per param (as stacked expert weights did);
+# at 256 KB the wide model's expert matrices are one-member chunks.
+CHUNK_BYTES = 256 * 1024
+
+
+class _Chunk:
+    """Same-shape params stepped together. Their moments are stacked along
+    a new first axis; each ``Adafactor.state`` entry holds views of its
+    slices. ``stacked`` is the last whole-chunk update's result and
+    ``views`` the slices of it the members' ``p.data`` were given."""
+
+    def __init__(self, names, shape, state):
+        k = len(names)
+        self.names = names
+        self.factored = len(shape) == 2 and shape[0] > 1 and shape[1] > 1
+        if self.factored:
+            self.moments = {"r": np.zeros((k, shape[0])), "c": np.zeros((k, shape[1]))}
+        else:
+            self.moments = {"v": np.zeros((k,) + shape)}
+        for i, name in enumerate(names):
+            state[name] = {key: m[i, ...] for key, m in self.moments.items()}
+        self.stacked, self.views = None, ()
+
+
 class Adafactor:
     """Factored second-moment optimizer.
 
@@ -147,6 +173,11 @@ class Adafactor:
     running second moment into row/column sums; vectors and scalars keep
     the full accumulator. Update clipping threshold 1.0, relative step
     size scaled by the parameter RMS.
+
+    Params are grouped by shape (in order of first appearance) into chunks
+    of up to ``CHUNK_BYTES // param_bytes`` members, at least one. The
+    optimizer owns the moments: ``state[name]`` holds views of the chunks'
+    stacked arrays, which ``load_checkpoint`` copies into.
     """
 
     EPS1 = 1e-30
@@ -156,59 +187,107 @@ class Adafactor:
     def __init__(self, params, beta2=0.99):
         self.beta2 = beta2
         self.state = {}
+        by_shape = {}
         for name, p in params.items():
-            if p.data.ndim == 2 and p.data.shape[0] > 1 and p.data.shape[1] > 1:
-                self.state[name] = {
-                    "r": np.zeros(p.data.shape[0]),
-                    "c": np.zeros(p.data.shape[1]),
-                }
-            else:
-                self.state[name] = {"v": np.zeros_like(p.data)}
+            by_shape.setdefault(p.data.shape, []).append(name)
+        self._chunks = []
+        for shape, names in by_shape.items():
+            per_chunk = max(1, CHUNK_BYTES // params[names[0]].data.nbytes)
+            for i in range(0, len(names), per_chunk):
+                self._chunks.append(_Chunk(names[i:i + per_chunk], shape, self.state))
 
     def update(self, params, lr):
-        """One step on every parameter that has a gradient, dropping each
-        gradient once it is applied, so the new params can take the freed
-        memory while the step's other gradients are still held.
+        """One step on every parameter that has a gradient, one chunk at a
+        time, bit for bit the arithmetic of a loop over the params. A chunk
+        stacks its members' gradients (one member's as a view) and drops
+        them once its moments are updated, so its new params can take the
+        freed memory. Each ``p.data`` is rebound to its slice of the
+        chunk's fresh result, never changed in place.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
-        outer product. Raises TrainingError naming the first parameter
-        whose gradient holds a NaN or inf.
+        outer product. Raises TrainingError naming the first parameter, in
+        chunk order (shapes by first appearance, each in ``params`` order),
+        whose gradient holds a NaN or inf: earlier chunks are stepped, and
+        its chunk's params, moments and gradients are left as they were.
         """
-        b2 = self.beta2
-        for name, p in params.items():
-            g = p.grad
-            if g is None:
-                continue
-            st = self.state[name]
-            # one fresh buffer per parameter holds g * g, then the step u,
-            # then the new params (out= keeps it an array for 0-d params)
-            g2 = np.multiply(g, g, out=np.empty_like(p.data))
-            if "r" in st:
-                rows = g2.sum(axis=1)
-                self._check_finite(name, g, rows)
-                st["r"] = b2 * st["r"] + (1 - b2) * (rows + g.shape[1] * self.EPS1)
-                st["c"] = b2 * st["c"] + (1 - b2) * (g2.sum(axis=0) + g.shape[0] * self.EPS1)
-                u = np.multiply(g, (1.0 / np.sqrt(st["r"] / st["r"].sum()))[:, None], out=g2)
-                u *= 1.0 / np.sqrt(st["c"])
+        for chunk in self._chunks:
+            members = [params[name] for name in chunk.names]
+            live = [i for i, p in enumerate(members) if p.grad is not None]
+            if len(live) == len(members):
+                self._update_chunk(chunk, live, members, chunk.moments, lr)
+            elif live:  # step copies of the live members' moments, then write them back
+                moments = {key: m[live] for key, m in chunk.moments.items()}
+                self._update_chunk(chunk, live, [members[i] for i in live], moments, lr)
+                for key, m in moments.items():
+                    chunk.moments[key][live] = m
+
+    def _update_chunk(self, chunk, live, members, moments, lr):
+        b2, k = self.beta2, len(members)
+        whole = moments is chunk.moments
+        if k == 1:
+            G, P = members[0].grad[None], members[0].data[None]
+        else:
+            G = np.stack([p.grad for p in members])
+            # the last result, unless a member was rebound since (a loaded
+            # checkpoint, a deep copy of the model)
+            if whole and chunk.stacked is not None and all(
+                    p.data is v for p, v in zip(members, chunk.views)):
+                P = chunk.stacked
             else:
-                self._check_finite(name, g, g2)
-                g2 += self.EPS1
-                st["v"] = b2 * st["v"] + (1 - b2) * g2
-                u = np.divide(g, np.sqrt(st["v"]), out=g2)
-            flat_u, flat_p = u.reshape(-1), p.data.reshape(-1)
-            rms_u = math.sqrt(np.dot(flat_u, flat_u) / flat_u.size)
-            rms_p = math.sqrt(np.dot(flat_p, flat_p) / flat_p.size)
-            u *= lr * max(self.EPS2, rms_p) / max(1.0, rms_u / self.CLIP)
-            p.data = np.subtract(p.data, u, out=u)
+                P = np.stack([p.data for p in members])
+        # one fresh buffer holds g * g, then the step u, then the new params
+        G2 = np.multiply(G, G, out=np.empty(G.shape))
+        if chunk.factored:
+            R, C = moments["r"], moments["c"]
+            rows = np.add.reduce(G2, axis=2)
+            self._check_finite(chunk, live, G, rows)
+            cols = np.add.reduce(G2, axis=1)
+            # in place: b2 * r + (1 - b2) * (rows + n * EPS1), same bits
+            rows += G.shape[2] * self.EPS1
+            rows *= 1 - b2
+            R *= b2
+            R += rows
+            cols += G.shape[1] * self.EPS1
+            cols *= 1 - b2
+            C *= b2
+            C += cols
+            row_factor = 1.0 / np.sqrt(R / np.add.reduce(R, axis=1, keepdims=True))
+            U = np.multiply(G, row_factor[:, :, None], out=G2)
+            U *= (1.0 / np.sqrt(C))[:, None, :]
+        else:
+            V = moments["v"]
+            self._check_finite(chunk, live, G, G2)
+            G2 += self.EPS1
+            G2 *= 1 - b2
+            V *= b2
+            V += G2
+            U = np.divide(G, np.sqrt(V), out=G2)
+        for p in members:
             p.grad = None
+        # each RMS is one np.vecdot per slice, the dot a loop runs (einsum
+        # rounds differently); the scale is in Python floats, because numpy
+        # calls on length-1 arrays slowed the one-member chunks
+        flat_u, flat_p = U.reshape(k, -1), P.reshape(k, -1)  # flat_u is a view of U
+        size = flat_u.shape[1]
+        scale = [lr * max(self.EPS2, math.sqrt(pp / size)) / max(1.0, math.sqrt(uu / size) / self.CLIP)
+                 for uu, pp in zip(np.vecdot(flat_u, flat_u).tolist(), np.vecdot(flat_p, flat_p).tolist())]
+        flat_u *= np.array(scale)[:, None]
+        new = np.subtract(P, U, out=U)
+        views = [new[i, ...] for i in range(k)]  # new[i] of a 1-D stack is a copy
+        for p, view in zip(members, views):
+            p.data = view
+        chunk.stacked, chunk.views = (new, views) if whole else (None, ())
 
     @staticmethod
-    def _check_finite(name, g, reduced):
-        """Raise if g holds a NaN or inf. ``reduced`` (g * g or its row
-        sums) is non-finite whenever g is, so g is scanned only then."""
-        if not np.isfinite(reduced).all() and not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in {name!r}")
+    def _check_finite(chunk, live, G, reduced):
+        """Raise naming the first member whose gradient (a slice of G) is
+        not finite. ``reduced`` (G * G or its row sums, all >= 0) has a
+        non-finite sum whenever G is not finite, so G is scanned only then."""
+        if not math.isfinite(np.add.reduce(reduced, axis=None)):
+            for i, g in zip(live, G):
+                if not np.isfinite(g).all():
+                    raise TrainingError(f"non-finite gradient in {chunk.names[i]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +355,8 @@ def load_checkpoint(model, state, path):
     for name, p in model.params.items():
         p.data = arrays[f"param/{name}"]
     for name, moments in state.optimizer.state.items():
-        for k in moments:
-            moments[k] = arrays[f"{k}/{name}"]
+        for k in moments:  # copy into the optimizer's views of its chunks
+            moments[k][...] = arrays[f"{k}/{name}"]
     state.rng, state.step = rng, step
 
 

@@ -2,6 +2,8 @@
 independent oracles.
 """
 
+import math
+
 import numpy as np
 
 from brainformer import layers as L
@@ -20,7 +22,7 @@ def finite_difference_check(params, loss_fn, eps=1e-5, rng=None,
     """
     loss = loss_fn()
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     loss.backward()
     worst = 0.0
     worst_name = None
@@ -55,7 +57,6 @@ def finite_difference_check(params, loss_fn, eps=1e-5, rng=None,
 
 def softmax_oracle(row):
     """Scalar-math exp-normalize, independent of the tensor implementation."""
-    import math
     m = max(row)
     exps = [math.exp(v - m) for v in row]
     s = sum(exps)
@@ -154,6 +155,62 @@ def adafactor_oracle(opt, params, lr):
         p.data = p.data - alpha * u
 
 
+def adafactor_reference(opt, params, lr):
+    """``Adafactor.update`` as one loop over the parameters, the form the
+    chunked update replaced: the same arithmetic per parameter, so the
+    two agree bit for bit. Reads ``opt``'s constants and rebinds its
+    ``state`` entries, so ``opt`` is only ever updated through here."""
+    b2 = opt.beta2
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        st = opt.state[name]
+        # one fresh buffer per parameter holds g * g, then the step u,
+        # then the new params (out= keeps it an array for 0-d params)
+        g2 = np.multiply(g, g, out=np.empty_like(p.data))
+        if "r" in st:
+            rows = g2.sum(axis=1)
+            _check_finite(name, g, rows)
+            st["r"] = b2 * st["r"] + (1 - b2) * (rows + g.shape[1] * opt.EPS1)
+            st["c"] = b2 * st["c"] + (1 - b2) * (g2.sum(axis=0) + g.shape[0] * opt.EPS1)
+            u = np.multiply(g, (1.0 / np.sqrt(st["r"] / st["r"].sum()))[:, None], out=g2)
+            u *= 1.0 / np.sqrt(st["c"])
+        else:
+            _check_finite(name, g, g2)
+            g2 += opt.EPS1
+            st["v"] = b2 * st["v"] + (1 - b2) * g2
+            u = np.divide(g, np.sqrt(st["v"]), out=g2)
+        flat_u, flat_p = u.reshape(-1), p.data.reshape(-1)
+        rms_u = math.sqrt(np.dot(flat_u, flat_u) / flat_u.size)
+        rms_p = math.sqrt(np.dot(flat_p, flat_p) / flat_p.size)
+        u *= lr * max(opt.EPS2, rms_p) / max(1.0, rms_u / opt.CLIP)
+        p.data = np.subtract(p.data, u, out=u)
+        p.grad = None
+
+
+def _check_finite(name, g, reduced):
+    """Raise if g holds a NaN or inf. ``reduced`` (g * g or its row
+    sums) is non-finite whenever g is, so g is scanned only then."""
+    if not np.isfinite(reduced).all() and not np.isfinite(g).all():
+        raise TrainingError(f"non-finite gradient in {name!r}")
+
+
+def layer_norm_reference(x, gain, bias, g, eps=1e-6):
+    """``tensor.layer_norm``'s forward and backward as first written, with
+    numpy's ``mean`` and ``var``, on arrays: (y, dx, dgain, dbias) for the
+    output gradient ``g`` of a 2-D ``x``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_sigma
+    y = xhat * gain + bias
+    gy = g * gain
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+    return y, inv_sigma * (gy - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
 def moe_oracle(x, cfg, params, prefix=""):
     """The sparse MoE layer as first written: routed by the loop oracles
     above, each expert's weighted output scattered into its own
@@ -189,7 +246,6 @@ def moe_oracle(x, cfg, params, prefix=""):
 def perplexity_oracle(model, corpus, split="valid", seq_len=128, max_tokens=None):
     """``evaluate_perplexity`` as first written: one forward (with its
     autodiff graph) per window, each window routed as its own batch."""
-    import math
     total_nll = 0.0
     total_tokens = 0
     for inputs, targets in corpus.windows(seq_len, split=split, max_tokens=max_tokens):

@@ -442,7 +442,7 @@ class TestMoeForward:
 
         def run(forward):
             for t in tensors.values():
-                t.zero_grad()
+                t.grad = None
             out, aux = forward(x, cfg, params)[:2]
             T.add(T.tsum(T.mul(out, w)), aux).backward()
             return out.data, aux.data, {k: t.grad for k, t in tensors.items()}

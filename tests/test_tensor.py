@@ -9,7 +9,9 @@ from brainformer import layers as L
 from brainformer import tensor as T
 from brainformer.tensor import Tensor
 
-from helpers import finite_difference_check, softmax_oracle, top_k_indices
+from helpers import (
+    finite_difference_check, layer_norm_reference, softmax_oracle, top_k_indices,
+)
 
 
 class TestMatmul:
@@ -126,6 +128,21 @@ class TestLayerNorm:
             lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)))
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 32), (512, 128)])
+    def test_bitwise_equal_to_numpy_mean_and_var(self, shape):
+        """The output and all three gradients have the bits of the form
+        written with numpy's mean and var (helpers.layer_norm_reference)."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        b = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        up = rng.normal(size=shape)
+        y = T.layer_norm(x, g, b)
+        T.tsum(T.mul(y, up)).backward()
+        want = layer_norm_reference(x.data, g.data, b.data, up)
+        for got, ref in zip((y.data, x.grad, g.grad, b.grad), want):
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestActivations:
     def test_relu_values(self):
@@ -228,8 +245,8 @@ class TestBackward:
             {"a": a, "b": b}, lambda: self._fan_in_graph(case, a, b)[0])
         assert worst < 1e-7
         loss, tensors = self._fan_in_graph(case, a, b)
-        a.zero_grad()
-        b.zero_grad()
+        a.grad = None
+        b.grad = None
         loss.backward()
         grads = [t.grad for t in tensors if t.grad is not None]
         assert len(grads) >= 3
@@ -382,8 +399,8 @@ class TestNoGrad:
         want = {"x": x.grad.copy(), "w": w.grad.copy()}
         with T.no_grad():
             self._ops(x, w)
-        x.zero_grad()
-        w.zero_grad()
+        x.grad = None
+        w.grad = None
         self._ops(x, w).backward()
         assert worst < 1e-6
         np.testing.assert_array_equal(x.grad, want["x"])

@@ -1,8 +1,10 @@
+import copy
 import gc
 import io
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ from hypothesis import given, settings, strategies as st
 from brainformer.model import (
     BlockSpec, ModelSpec, ConfigError, LanguageModel, lm_loss,
 )
+from brainformer.search import proxy_model_spec
 from brainformer.training import (
-    BYTE_VOCAB, TrainConfig, TrainingError, Adafactor, ByteCorpus,
+    BYTE_VOCAB, CHUNK_BYTES, TrainConfig, TrainingError, Adafactor, ByteCorpus,
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint, cut_trajectory,
 )
 from brainformer.tensor import Tensor
 
-from helpers import adafactor_oracle, perplexity_oracle
+from helpers import adafactor_oracle, adafactor_reference, perplexity_oracle
 
 
 def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
@@ -296,6 +299,134 @@ class TestAdafactor:
             assert math.sqrt(np.mean(step * step)) <= 0.1 * rms_param + 1e-12
 
 
+# the search-proxy baseline block, and a searched d=32 block without MoE
+PROXY_BLOCK = dict(layers=("attn", "ffn", "attn", "moe"), d=64, d_moe=128, d_ffn=128,
+                   h=4, d_head=16, g="top2", c=2, a="gelu", n_experts=4)
+D32_BLOCK = dict(layers=("attn", "attn", "attn", "ffn", "attn"), d=32, d_moe=128,
+                 d_ffn=128, h=4, d_head=16, g="expert_choice", c=2, a="gated_gelu",
+                 n_experts=4)
+TEXT = b"the quick brown fox jumps over the lazy dog and the cat sat on the mat. " * 20
+
+
+def random_params(rng, shapes):
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True)
+            for name, shape in shapes.items()}
+
+
+class TestChunkedUpdate:
+    """``Adafactor.update`` steps chunks of same-shape params with one pass
+    each; the per-param loop it replaced (``helpers.adafactor_reference``)
+    must give the same params and moments, bit for bit."""
+
+    def model_case(self, block):
+        model = LanguageModel(proxy_model_spec(BlockSpec(**block)), seed=0)
+        corpus, rng = ByteCorpus(TEXT), np.random.default_rng(0)
+
+        def set_grads(step):
+            inputs, targets = corpus.sample_batch(rng, 2, 32)
+            lm_loss(model, inputs, targets, seq_len=32)[0].backward()
+        return model.params, set_grads, None
+
+    def random_case(self, shapes, drop=(), between=None):
+        """Random gradients; ``drop`` holds the (step, name) pairs that get
+        none, so a chunk is stepped in part."""
+        rng = np.random.default_rng(7)
+        params = random_params(rng, shapes)
+
+        def set_grads(step):
+            for name, p in params.items():
+                p.grad = None if (step, name) in drop else rng.normal(size=p.shape)
+        return params, set_grads, between
+
+    def reload_and_rebind(self, tmp_path):
+        """Save after step 2, load that checkpoint after step 4 (and put the
+        reference back to step 2), then scale one param from outside after
+        step 5: the chunk must restack its params each time."""
+        path = tmp_path / "ckpt.bin"
+        saved = {}
+
+        def between(step, params, opt, ref_params, ref):
+            state = TrainState(opt, np.random.default_rng(0))
+            if step == 2:
+                save_checkpoint(SimpleNamespace(params=params), state, path)
+                saved.update(data={n: p.data.copy() for n, p in ref_params.items()},
+                             moments=copy.deepcopy(ref.state))
+            elif step == 4:
+                load_checkpoint(SimpleNamespace(params=params), state, path)
+                for n, p in ref_params.items():
+                    p.data = saved["data"][n].copy()
+                ref.state = copy.deepcopy(saved["moments"])
+            elif step == 5:
+                for side in (params, ref_params):
+                    side["w1"].data = side["w1"].data * 0.5
+        shapes = {"w0": (8, 8), "w1": (8, 8), "w2": (8, 8), "b0": (4,), "b1": (4,)}
+        return self.random_case(shapes, between=between)
+
+    @pytest.mark.parametrize("case", ["proxy", "d32_genome", "budget_split",
+                                      "scalar_and_vector", "reload_and_rebind"])
+    def test_matches_per_param_loop(self, case, tmp_path):
+        if case == "proxy":
+            params, set_grads, between = self.model_case(PROXY_BLOCK)
+        elif case == "d32_genome":
+            params, set_grads, between = self.model_case(D32_BLOCK)
+        elif case == "budget_split":
+            # 10 params of 64 KB: chunks of 4, 4 and 2; the 5th misses step 3
+            params, set_grads, between = self.random_case(
+                {f"w{i}": (64, 128) for i in range(10)}, drop={(3, "w4")})
+        elif case == "scalar_and_vector":
+            params, set_grads, between = self.random_case(
+                {"s0": (), "v": (6,), "s1": (), "w": (5, 7)}, drop={(2, "s0")})
+        else:
+            params, set_grads, between = self.reload_and_rebind(tmp_path)
+        ref_params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
+        opt, ref = Adafactor(params), Adafactor(ref_params)
+        if case == "budget_split":
+            assert CHUNK_BYTES // (64 * 128 * 8) == 4
+            assert [len(c.names) for c in opt._chunks] == [4, 4, 2]
+        idle = []
+        for step in range(1, 7):
+            set_grads(step)
+            for n, p in params.items():
+                ref_params[n].grad = None if p.grad is None else p.grad.copy()
+            idle.append(sum(p.grad is None for p in params.values()))
+            opt.update(params, lr=0.05)
+            adafactor_reference(ref, ref_params, lr=0.05)
+            assert all(p.grad is None for p in params.values())
+            for n, p in params.items():
+                assert p.data.tobytes() == ref_params[n].data.tobytes(), (step, n)
+                for k, m in opt.state[n].items():
+                    assert m.tobytes() == ref.state[n][k].tobytes(), (step, n, k)
+            if between:
+                between(step, params, opt, ref_params, ref)
+        if case in ("proxy", "budget_split", "scalar_and_vector"):
+            assert any(idle)  # some chunk was stepped in part
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
+    def test_nonfinite_mid_chunk_names_it_and_changes_nothing(self, shape):
+        """A NaN in the middle member's gradient raises naming it, and
+        leaves the params and moments of its whole chunk as they were; the
+        chunk before it (another shape, first in order) is stepped."""
+        rng = np.random.default_rng(33)
+        params = random_params(rng, {"early": (3, 2), "first": shape, "mid": shape,
+                                     "last": shape})
+        opt = Adafactor(params)
+        assert [c.names for c in opt._chunks] == [["early"], ["first", "mid", "last"]]
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.update(params, lr=0.1)  # non-zero moments
+        before = {n: (p.data.copy(), copy.deepcopy(opt.state[n])) for n, p in params.items()}
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        params["mid"].grad.reshape(-1)[-1] = np.nan
+        with pytest.raises(TrainingError, match="'mid'"):
+            opt.update(params, lr=0.1)
+        for n in ("first", "mid", "last"):
+            np.testing.assert_array_equal(params[n].data, before[n][0])
+            for k, m in opt.state[n].items():
+                np.testing.assert_array_equal(m, before[n][1][k])
+        assert not np.array_equal(params["early"].data, before["early"][0])
+
+
 class TestBudget:
     """A ``train_steps`` call trains exactly the steps it is given."""
 
@@ -415,7 +546,7 @@ class TestEvaluate:
         model, corpus = self._model("top2"), tiny_corpus()
         inputs, targets = corpus.sample_batch(np.random.default_rng(0), 2, 16)
         lm_loss(model, inputs, targets, seq_len=16)[0].backward()
-        model.params["embed"].zero_grad()
+        model.params["embed"].grad = None
         model.params["pos"].requires_grad = False
         before = {n: (p.requires_grad, p.grad, None if p.grad is None else p.grad.copy())
                   for n, p in model.params.items()}
@@ -762,7 +893,7 @@ class TestGraphLifetime:
         inputs, targets = tiny_corpus().sample_batch(np.random.default_rng(0), 2, 16)
         lm_loss(model, inputs, targets, seq_len=16)[0].backward()  # fills caches
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         grad_bytes = sum(p.data.nbytes for p in model.params.values())
         gc.collect()
         gc.disable()
