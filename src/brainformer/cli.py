@@ -281,8 +281,7 @@ def cmd_train(args):
         if os.path.exists(ckpt):
             TR.load_checkpoint(model, state, ckpt)
             log.info("resumed from step %d", state.step)
-        if os.path.exists(traj):
-            TR.cut_trajectory(traj, state.step)
+        TR.cut_trajectory(traj, state.step)
     elif os.path.exists(ckpt) or os.path.exists(traj):
         raise UsageError(f"{args.out} holds a run (use --resume)")
     _make_out_dir(args.out)

@@ -335,7 +335,8 @@ def moe_forward(x, cfg, params, prefix="", group_size=None):
     with capacity ``cfg.capacity(group_size)``, so a group's decision does
     not depend on the other groups. The groups' decisions are joined into
     one ``RoutingDecision`` over the batch, and each expert runs once over
-    its tokens from all groups.
+    its tokens from all groups; one ``tensor.combine_rows`` node weights
+    and sums the experts' outputs.
 
     Returns (output, aux_loss, decision); aux_loss is the load-balance
     penalty over the whole batch for top-2 gating and exactly 0 for expert
@@ -361,12 +362,7 @@ def moe_forward(x, cfg, params, prefix="", group_size=None):
         np.concatenate([d.tokens + i * g for i, d in enumerate(groups)]),
         np.concatenate([d.experts for d in groups]),
         np.concatenate([d.weights for d in groups]), n)
-    pairs = []
-    for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)):
-        if toks.size == 0:
-            continue
-        xe = T.take_rows(x, toks)
-        ye = ffn_forward(xe, cfg.expert, params, prefix=f"{prefix}expert{exp}.")
-        w = T.take_entries(scores, toks, np.full_like(toks, exp))
-        pairs.append((T.mul(ye, w), toks))
-    return T.scatter_rows(pairs, n), aux, decision
+    triples = [(ffn_forward(T.take_rows(x, toks), cfg.expert, params,
+                            prefix=f"{prefix}expert{exp}."), toks, exp)
+               for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)) if toks.size]
+    return T.combine_rows(triples, scores, n), aux, decision

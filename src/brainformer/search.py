@@ -41,7 +41,7 @@ from .model import (
 )
 from .training import (
     TrainState, evaluate_perplexity, measure_step_time, model_has_valid,
-    train_steps, BYTE_VOCAB,
+    resume_log, train_steps, BYTE_VOCAB,
 )
 
 PROXY_STACK = 3  # proxy models stack the candidate block three times
@@ -242,25 +242,6 @@ def read_ledger(path):
             except (ValueError, TypeError):  # not UTF-8, not JSON, not a record
                 skipped += 1
     return records, skipped
-
-
-def _resume_ledger(path):
-    """The records of a ledger to resume, by trial id. A torn last line (a
-    crash mid-write) is cut off first, so its trial re-runs and appends a
-    whole line; any other line that is not a trial record is an error, and
-    so is a path that cannot be read and written (a directory)."""
-    try:
-        with open(path, "rb+") as fh:
-            fh.truncate(fh.read().rfind(b"\n") + 1)
-    except FileNotFoundError:
-        return {}
-    except OSError as exc:
-        raise ConfigError(f"cannot resume from {path}: {exc}") from None
-    records, skipped = read_ledger(path)
-    if skipped:
-        raise ConfigError(f"cannot resume from {path}: {skipped} complete "
-                          f"line(s) are not trial records")
-    return {rec.trial_id: rec for rec in records}
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +453,16 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     first, trial_id -1). Resuming replays the ledger's trials (a torn
     last line is cut off and its trial re-run) and continues; because all
     randomness is derived from the seed and trial indices, the resumed
-    ledger is byte-identical to an uninterrupted run.
+    ledger is byte-identical to an uninterrupted run. Every trial is
+    proposed, replayed or not, so a replayed trial (or baseline) whose
+    genome or parent is not the proposal's raises ConfigError; a changed
+    budget or train shape that proposes the same trials goes unnoticed.
     """
     ts = tournament_size or max(2, p // 5)
     state = EvolutionState(population_size=p)
 
-    replayed = _resume_ledger(ledger_path) if resume and ledger_path else {}
+    replayed = {rec.trial_id: rec for rec in resume_log(
+        ledger_path, TrialRecord.from_json_dict)} if resume and ledger_path else {}
     ledger = open(ledger_path, "a") if ledger_path else None
 
     def emit(rec):
@@ -486,15 +471,20 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
         if ledger and rec.trial_id not in replayed:
             ledger.write(record_to_line(rec) + "\n")
             ledger.flush()
+
+    def check_replay(trial_id, genome, parent_id):
+        rec = replayed.get(trial_id)
+        if rec is not None and (rec.block_spec() != genome or rec.parent_id != parent_id):
+            raise ConfigError(f"cannot resume from {ledger_path}: trial {trial_id} is "
+                              f"not the trial this search proposes (its genome or "
+                              f"parent differs); another search wrote the ledger")
     try:
+        check_replay(-1, runner.baseline_genome, None)
         if -1 in replayed:
             runner.baseline = replayed[-1]
         state.baseline = runner.baseline_record()
         emit(state.baseline)
         for trial_id in range(p + rounds):
-            if trial_id in replayed:
-                emit(replayed[trial_id])
-                continue
             if trial_id < p:
                 cand = sample_candidate(space, _phase_rng(seed, "sample", trial_id),
                                         cand_id=trial_id)
@@ -506,7 +496,8 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
                 best = max(contenders, key=lambda r: (r.reward, -r.trial_id))
                 cand = Candidate(genome=mutate(best.block_spec(), space, rng),
                                  id=trial_id, parent_id=best.trial_id)
-            emit(runner.evaluate(cand))
+            check_replay(trial_id, cand.genome, cand.parent_id)
+            emit(replayed[trial_id] if trial_id in replayed else runner.evaluate(cand))
     finally:
         if ledger:
             ledger.close()

@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: N-D arrays, batched matmul over leading axes, and the
-handful of gather/scatter ops that token dispatch needs. Everything is
-float64 so finite-difference gradient checks are meaningful. Causal
+Deliberately small: N-D arrays, a 2-D matmul, a row gather for expert
+dispatch and one node for the MoE combine (``combine_rows``). Everything
+is float64 so finite-difference gradient checks are meaningful. Causal
 attention is one node of its own (``layers.attention_forward``).
 
 Writing an op: build the output with ``_make(data, parents, backward)``,
@@ -24,8 +24,8 @@ when the op has just computed it (``_accum(t, g)``), and later ones are
 added in place, so no tensor's ``.grad`` may share memory with another
 array. A gradient that can alias the output's (``add`` passes ``g``
 through) is handed over as a copy (``_accum(t, g, fresh=False)``).
-Gathers (``take_rows``, ``take_entries``) scatter-add straight into the
-parent's ``.grad``.
+``take_rows`` and the gate gradient of ``combine_rows`` scatter-add
+straight into the parent's ``.grad``.
 
 Inside ``with no_grad():`` every op computes its output only: ``_make``
 records no parents and no backward closure, so no graph keeps an
@@ -217,18 +217,17 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product over the last two axes; leading axes broadcast."""
+    """Matrix product of 2-D operands."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul expects operands of >= 2 dims, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul expects 2-D operands with matching inner dims, "
+                         f"got {a.shape} @ {b.shape}")
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accum(b, a.data.T @ g)
 
     return _make(_product(a.data, b.data), (a, b), backward)
 
@@ -359,30 +358,27 @@ def take_rows(x, idx):
     return _make(x.data[idx], (x,), backward)
 
 
-def scatter_rows(pairs, n_rows):
-    """Inverse of take_rows, summed over a non-empty list of ``(values,
-    idx)`` pairs: out[idx[i]] += values[i] for every pair in order,
-    duplicates summed."""
-    pairs = [(_coerce(v), np.asarray(idx, dtype=np.int64)) for v, idx in pairs]
-    data = np.zeros((n_rows,) + pairs[0][0].data.shape[1:], dtype=np.float64)
-    for values, idx in pairs:
-        _scatter_add_rows(data, idx, values.data)
+def combine_rows(triples, gate, n_rows):
+    """The MoE combine into ``n_rows`` zero rows: for each ``(values, idx,
+    e)`` of a non-empty list, in order, out[idx] += values * w, with w =
+    gate[idx, e] as a ``[k, 1]`` column, repeated rows summed. Its backward
+    runs the float operations of a gather, a product and a scatter per
+    triple: ``values`` gets g[idx] * w and the gate (the last parent, so a
+    sweep visits the values' subgraphs in their order) gets
+    (g[idx] * values).sum(axis=1) scatter-added at (idx, e)."""
+    gate = _coerce(gate)
+    triples = [(_coerce(v), np.asarray(idx, dtype=np.int64), e) for v, idx, e in triples]
+    weights = [gate.data[idx, e][:, None] for _, idx, e in triples]
+    data = np.zeros((n_rows,) + triples[0][0].data.shape[1:], dtype=np.float64)
+    for (values, idx, _), w in zip(triples, weights):
+        _scatter_add_rows(data, idx, values.data * w)
 
     def backward(g):
-        for values, idx in pairs:
-            _accum(values, g[idx])
+        for (values, idx, e), w in zip(triples, weights):
+            rows = g[idx]
+            if values.requires_grad:
+                _accum(values, rows * w)
+            if gate.requires_grad:
+                np.add.at(_grad_of(gate), (idx, e), (rows * values.data).sum(axis=1))
 
-    return _make(data, [values for values, _ in pairs], backward)
-
-
-def take_entries(x, rows, cols):
-    """Gather scalar entries x[rows[i], cols[i]] into a column vector."""
-    x = _coerce(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    def backward(g):
-        np.add.at(_grad_of(x), (rows, cols), g[:, 0])
-
-    return _make(x.data[rows, cols][:, None], (x,), backward)
-
+    return _make(data, [values for values, _, _ in triples] + [gate], backward)

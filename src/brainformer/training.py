@@ -406,26 +406,41 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     return result
 
 
-def cut_trajectory(path, step):
-    """Keep the records of a ``train_steps`` trajectory up to ``step``, so
-    a resumed run appends to what its checkpoint holds; a torn last line
-    goes too. A complete line that is not a record, or a path that cannot
-    be read and written (a directory), raises ConfigError before anything
-    is cut."""
+def resume_log(path, parse, keep=None):
+    """The records of a JSONL run log to resume: ``parse`` of each complete
+    line's JSON value (raising ValueError, KeyError or TypeError for one
+    that is not a record), cut to the longest prefix ``keep`` accepts. The
+    file is truncated after the last kept line, which drops a torn last
+    line (a crash mid-write); a missing file has no records. A complete
+    line that is not a record (a blank one is not), or a path that cannot
+    be read and written (a directory), raises ConfigError before any cut."""
     try:
         fh = open(path, "rb+")
+    except FileNotFoundError:
+        return []
     except OSError as exc:
         raise ConfigError(f"cannot resume from {path}: {exc}") from None
     with fh:
         lines = fh.read().split(b"\n")[:-1]  # the complete lines
         try:
-            steps = [json.loads(line)["step"] for line in lines]
-        except (ValueError, KeyError, TypeError):  # not JSON, or no step key
-            steps = [None]
-        if not all(positive_int(s, 1) for s in steps):
-            raise ConfigError(f"cannot resume from {path}: a complete line is not a record")
-        kept = next((i for i, s in enumerate(steps) if s > step), len(steps))
+            records = [parse(json.loads(line)) for line in lines]
+        except (ValueError, KeyError, TypeError):  # not JSON, or not a record
+            raise ConfigError(f"cannot resume from {path}: a complete line "
+                              f"is not a record") from None
+        kept = next((i for i, rec in enumerate(records) if keep and not keep(rec)),
+                    len(records))
         fh.truncate(sum(len(line) + 1 for line in lines[:kept]))
+    return records[:kept]
+
+
+def cut_trajectory(path, step):
+    """Keep a ``train_steps`` trajectory's records up to ``step``, so a
+    resumed run appends to what its checkpoint holds (``resume_log``)."""
+    def record_step(doc):
+        if not positive_int(doc["step"], 1):
+            raise ValueError(f"step {doc['step']!r}")
+        return doc["step"]
+    resume_log(path, record_step, keep=lambda s: s <= step)
 
 
 def model_has_valid(corpus):

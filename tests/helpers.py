@@ -212,9 +212,13 @@ def layer_norm_reference(x, gain, bias, g, eps=1e-6):
 
 
 def moe_oracle(x, cfg, params, prefix=""):
-    """The sparse MoE layer as first written: routed by the loop oracles
-    above, each expert's weighted output scattered into its own
-    parent-sized array, the arrays joined by a chain of adds."""
+    """The sparse MoE layer as first written, from generic ops only:
+    routed by the loop oracles above, each expert's gate column picked by a
+    product with a constant one-hot column and gathered by token, its
+    weighted output placed into a parent-sized array by a product with a
+    constant 0/1 placement matrix, the arrays joined by a chain of adds.
+    Products with 0 and 1 and sums with 0 are exact, so it computes the
+    same bits as the combine node."""
     n = x.shape[0]
     k = cfg.capacity(n)
     scores = L.gate_scores(x, params[prefix + "wg"])
@@ -235,8 +239,12 @@ def moe_oracle(x, cfg, params, prefix=""):
         toks = np.array(group, dtype=np.int64)
         xe = T.take_rows(x, toks)
         ye = L.ffn_forward(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
-        w = T.take_entries(scores, toks, np.full_like(toks, exp))
-        contrib = T.scatter_rows([(T.mul(ye, w), toks)], n)
+        one_hot = np.zeros((cfg.n_experts, 1))
+        one_hot[exp, 0] = 1.0
+        w = T.take_rows(T.matmul(scores, Tensor(one_hot)), toks)
+        placement = np.zeros((n, toks.size))
+        placement[toks, np.arange(toks.size)] = 1.0
+        contrib = T.matmul(Tensor(placement), T.mul(ye, w))
         out = contrib if out is None else T.add(out, contrib)
     if out is None:
         out = Tensor(np.zeros_like(x.data))

@@ -67,7 +67,7 @@ def _openblas(symbol, restype):
         for name in (f"scipy_openblas_{symbol}64_", f"openblas_{symbol}"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = restype
+                fn.argtypes, fn.restype = [], restype
                 return fn()
     return None
 

@@ -316,6 +316,36 @@ class TestSearchCommand:
                      "--resume"]) == EXIT_USAGE
         assert "cannot resume" in capsys.readouterr().err
 
+    def test_resume_refuses_ledger_of_another_seed(self, tmp_path, capsys):
+        """The shipped seed-7 search cut to its baseline and first 9 trials,
+        resumed with --seed 8, is exit 2 with the ledger as it was."""
+        cfg = str(CONFIGS / "search_surrogate.json")
+        out = tmp_path / "run"
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "ledger.jsonl").read_bytes().splitlines(keepends=True)
+        (out / "ledger.jsonl").write_bytes(b"".join(lines[:10]))
+        assert main(["search", "--config", cfg, "--out", str(out), "--seed", "8",
+                     "--resume"]) == EXIT_USAGE
+        assert "another search wrote the ledger" in capsys.readouterr().err
+        assert (out / "ledger.jsonl").read_bytes() == b"".join(lines[:10])
+        assert main(["search", "--config", cfg, "--out", str(out),
+                     "--resume"]) == EXIT_OK
+        assert (out / "ledger.jsonl").read_bytes() == b"".join(lines)
+
+    @pytest.mark.parametrize("bad", [b"{oops\n", b"\n"])
+    def test_refused_resume_leaves_ledger_as_it_was(self, tmp_path, bad):
+        """A complete line that is not a record, blank lines included,
+        refuses the resume before the torn tail is cut."""
+        cfg = search_config(tmp_path)
+        out = tmp_path / "run"
+        main(["search", "--config", cfg, "--out", str(out)])
+        lines = (out / "ledger.jsonl").read_bytes().splitlines(keepends=True)
+        torn = b"".join(lines[:2]) + bad + lines[2][:10]
+        (out / "ledger.jsonl").write_bytes(torn)
+        assert main(["search", "--config", cfg, "--out", str(out),
+                     "--resume"]) == EXIT_USAGE
+        assert (out / "ledger.jsonl").read_bytes() == torn
+
     def test_resume_with_ledger_directory(self, tmp_path, capsys):
         out = tmp_path / "run"
         (out / "ledger.jsonl").mkdir(parents=True)

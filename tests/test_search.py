@@ -352,6 +352,35 @@ class TestEvolve:
         assert part.read_bytes() == full.read_bytes()
 
 
+    @pytest.mark.parametrize("change", ["seed", "baseline", "parent_id", "genome"])
+    def test_resume_refuses_another_searchs_ledger(self, tmp_path, change):
+        """A ledger whose replayed trials are not the ones this search
+        proposes is a ConfigError, and the ledger is left as it was."""
+        part = tmp_path / "part.jsonl"
+        run_toy_search(str(part), rounds=3)
+        lines = part.read_text().splitlines(keepends=True)
+        seed, runner = 3, SurrogateRunner(budget_cost_units=1e12,
+                                          baseline_genome=toy_baseline())
+        if change == "seed":
+            seed = 4
+        elif change == "baseline":
+            runner = SurrogateRunner(budget_cost_units=1e12,
+                                     baseline_genome=replace(toy_baseline(), c=1))
+        else:  # edit the last trial, a child, in the ledger
+            doc = json.loads(lines[-1])
+            if change == "parent_id":
+                doc["parent_id"] = (doc["parent_id"] + 1) % 4
+            else:
+                doc["genome"]["c"] = 3 - doc["genome"]["c"]
+            lines[-1] = record_to_line(TrialRecord.from_json_dict(doc)) + "\n"
+            part.write_text("".join(lines))
+        before = part.read_bytes()
+        with pytest.raises(ConfigError, match="another search wrote the ledger"):
+            evolve(toy_space(), p=4, rounds=8, runner=runner, seed=seed,
+                   ledger_path=str(part), resume=True)
+        assert part.read_bytes() == before
+
+
 class TestProxyTrainingRunner:
     def corpus(self):
         rng = np.random.default_rng(0)
