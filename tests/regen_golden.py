@@ -78,8 +78,9 @@ def fingerprint():
     two OpenBLAS threads round some products differently). The kernel
     family is the one OpenBLAS picked for this CPU, or ``OPENBLAS_CORETYPE``."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    core = _openblas("get_corename", ctypes.c_char_p)
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "blas_core": (_openblas("get_corename", ctypes.c_char_p) or b"").decode() or None,
+            "blas_version": blas.get("version"), "blas_core": core.decode() if core else None,
             "blas_threads": _openblas("get_num_threads", ctypes.c_int)}
 
 
