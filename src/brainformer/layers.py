@@ -107,21 +107,22 @@ class MoeConfig:
 class RoutingDecision:
     """Token/expert assignments plus the tokens that fell through to residual.
 
-    Held as index arrays in routing order: assignment i sends token
-    ``tokens[i]`` to expert ``experts[i]`` with combine weight
-    ``weights[i]``; ``n_tokens`` is the size of the routed batch.
+    Held as index arrays in routing order over the routed [n_tokens,
+    n_experts] gate scores (not a copy): assignment i sends token
+    ``tokens[i]`` to expert ``experts[i]`` with combine weight ``weights[i]``.
     """
 
     tokens: np.ndarray
     experts: np.ndarray
-    weights: np.ndarray
-    n_tokens: int
+    scores: np.ndarray
 
-    @classmethod
-    def from_pairs(cls, tokens, experts, scores):
-        """Assign token ``tokens[i]`` to expert ``experts[i]`` with weight
-        ``scores[tokens[i], experts[i]]``; unassigned tokens are dropped."""
-        return cls(tokens, experts, scores[tokens, experts], scores.shape[0])
+    @property
+    def weights(self):
+        return self.scores[self.tokens, self.experts]
+
+    @property
+    def n_tokens(self):
+        return self.scores.shape[0]
 
     @property
     def assignments(self):
@@ -147,7 +148,8 @@ class RoutingDecision:
         """Each expert's ``(token_index, combine_weight)`` pairs, in routing
         order; ``expert_tokens`` over assignment indices picks them."""
         rows = replace(self, tokens=np.arange(self.tokens.size)).expert_tokens(n_experts)
-        return [list(zip(self.tokens[r].tolist(), self.weights[r].tolist())) for r in rows]
+        weights = self.weights  # one gather, not one per expert
+        return [list(zip(self.tokens[r].tolist(), weights[r].tolist())) for r in rows]
 
 
 def _weight(rng, shape):
@@ -273,7 +275,7 @@ def gate_scores(x, wg):
     Per-token normalization only: no cross-token statistics, so causal
     decoding leaks nothing.
     """
-    return T.softmax(T.matmul(x, wg), axis=-1)
+    return T.softmax(T.matmul(x, wg))
 
 
 def route_top2(scores, capacity):
@@ -296,7 +298,7 @@ def route_top2(scores, capacity):
     onehot[pair, experts] = 1
     earlier = np.cumsum(onehot, axis=0)[pair, experts] - 1
     keep = earlier < capacity
-    return RoutingDecision.from_pairs(tokens[keep], experts[keep], data)
+    return RoutingDecision(tokens[keep], experts[keep], data)
 
 
 def route_expert_choice(scores, capacity):
@@ -310,8 +312,7 @@ def route_expert_choice(scores, capacity):
     n_experts = data.shape[1]
     # descending per column, lowest token first on ties
     top = np.argsort(-data, axis=0, kind="stable")[:capacity]
-    return RoutingDecision.from_pairs(top.T.reshape(-1),
-                                      np.repeat(np.arange(n_experts), capacity), data)
+    return RoutingDecision(top.T.reshape(-1), np.repeat(np.arange(n_experts), capacity), data)
 
 
 def load_balance_aux_loss(scores):
@@ -319,12 +320,21 @@ def load_balance_aux_loss(scores):
 
     E * sum_e (fraction of tokens whose top-1 expert is e) * (mean gate
     score of e). Differentiable through the mean-score factor only; equals
-    1 for perfectly uniform scores.
+    1 for perfectly uniform scores. One node over ``scores``, running the
+    float operations of the op chain it replaced (token mean, times frac,
+    summed, times E) in that chain's order.
     """
     n, n_experts = scores.shape
     top1 = scores.data.argmax(axis=1)  # first maximum: lowest index first on ties
     frac = np.bincount(top1, minlength=n_experts) / n
-    return T.mul(T.tsum(T.mul(T.tmean(scores, axis=0), frac)), float(n_experts))
+    inv_n = 1.0 / n
+    loss = ((scores.data.sum(axis=0) * inv_n) * frac).sum() * n_experts
+
+    def backward(g):
+        grad = ((g * n_experts) * frac) * inv_n  # the same for every token
+        T._accum(scores, np.broadcast_to(grad, scores.shape).copy())
+
+    return T._make(loss, (scores,), backward)
 
 
 def moe_forward(x, cfg, params, prefix="", group_size=None):
@@ -360,8 +370,7 @@ def moe_forward(x, cfg, params, prefix="", group_size=None):
     groups = [route(scores.data[start:start + g], k) for start in range(0, n, g)]
     decision = RoutingDecision(
         np.concatenate([d.tokens + i * g for i, d in enumerate(groups)]),
-        np.concatenate([d.experts for d in groups]),
-        np.concatenate([d.weights for d in groups]), n)
+        np.concatenate([d.experts for d in groups]), scores.data)
     triples = [(ffn_forward(T.take_rows(x, toks), cfg.expert, params,
                             prefix=f"{prefix}expert{exp}."), toks, exp)
                for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)) if toks.size]

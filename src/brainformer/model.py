@@ -318,14 +318,12 @@ def lm_loss(model, inputs, targets, aux_coeff=0.01, seq_len=None):
 # Reference genomes
 # ---------------------------------------------------------------------------
 
-def glam_baseline_block(d=768, d_ffn=3072, d_moe=3072, h=12, d_head=64,
-                        n_experts=32, g=L.GATE_TOP2, c=2, a=L.ACT_GELU):
-    """GLaM-style interleaving: dense transformer block then sparse block.
+def glam_baseline_block(a=L.ACT_GELU):
+    """GLaM-style interleaving at GLaM's widths: dense block then sparse.
 
     Stacked 3x this gives the 12-sub-layer baseline shape that the search
     compares against.
     """
-    return BlockSpec(layers=(KIND_ATTN, KIND_FFN, KIND_ATTN, KIND_MOE),
-                     d=d, d_moe=d_moe, d_ffn=d_ffn, h=h, d_head=d_head,
-                     g=g, c=c, a=a, n_experts=n_experts)
+    return BlockSpec(layers=(KIND_ATTN, KIND_FFN, KIND_ATTN, KIND_MOE), d=768, d_moe=3072,
+                     d_ffn=3072, h=12, d_head=64, g=L.GATE_TOP2, c=2, a=a, n_experts=32)
 

@@ -41,7 +41,7 @@ from .model import (
 )
 from .training import (
     TrainState, evaluate_perplexity, measure_step_time, model_has_valid,
-    resume_log, train_steps, BYTE_VOCAB,
+    read_log, train_steps, BYTE_VOCAB,
 )
 
 PROXY_STACK = 3  # proxy models stack the candidate block three times
@@ -451,7 +451,7 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     tournament-selected, mutated child per round.
     The ledger, when given, receives one JSON line per trial (baseline
     first, trial_id -1). Resuming replays the ledger's trials (a torn
-    last line is cut off and its trial re-run) and continues; because all
+    last line is cut off when its trial re-runs) and continues; because all
     randomness is derived from the seed and trial indices, the resumed
     ledger is byte-identical to an uninterrupted run. Every trial is
     proposed, replayed or not, so a replayed trial (or baseline) whose
@@ -461,14 +461,19 @@ def evolve(space, p, rounds, runner, seed=0, tournament_size=None,
     ts = tournament_size or max(2, p // 5)
     state = EvolutionState(population_size=p)
 
-    replayed = {rec.trial_id: rec for rec in resume_log(
-        ledger_path, TrialRecord.from_json_dict)} if resume and ledger_path else {}
+    records, end = (read_log(ledger_path, TrialRecord.from_json_dict)
+                    if resume and ledger_path else ([], None))
+    replayed = {rec.trial_id: rec for rec in records}
     ledger = open(ledger_path, "a") if ledger_path else None
 
     def emit(rec):
+        nonlocal end
         if rec.stop_reason != STOP_BASELINE:
             state.history.append(rec)
         if ledger and rec.trial_id not in replayed:
+            if end is not None:  # every earlier trial matched: cut a torn tail
+                ledger.truncate(end)
+                end = None
             ledger.write(record_to_line(rec) + "\n")
             ledger.flush()
 

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: N-D arrays, a 2-D matmul, a row gather for expert
-dispatch and one node for the MoE combine (``combine_rows``). Everything
-is float64 so finite-difference gradient checks are meaningful. Causal
-attention is one node of its own (``layers.attention_forward``).
+Deliberately small: N-D arrays, a 2-D matmul, a full sum, a last-axis
+softmax, a row gather for expert dispatch and one node for the MoE combine
+(``combine_rows``). Everything is float64 so finite-difference gradient
+checks are meaningful. Causal attention and the MoE load-balance loss are
+one node each, in ``layers``.
 
 Writing an op: build the output with ``_make(data, parents, backward)``,
 where ``backward(g)`` receives the gradient of the output and accumulates
@@ -232,33 +233,25 @@ def matmul(a, b):
     return _make(_product(a.data, b.data), (a, b), backward)
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a):
+    """The sum of every entry, as a 0-d tensor."""
     a = _coerce(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    return _make(out_data, (a,), backward)
+    return _make(a.data.sum(), (a,), backward)
 
 
-def tmean(a, axis=None):
-    a = _coerce(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
-
-
-def softmax(x, axis=-1):
-    """Numerically stabilized softmax; slices along ``axis`` sum to 1."""
+def softmax(x):
+    """Numerically stabilized softmax; each last-axis slice sums to 1."""
     x = _coerce(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - dot))
 
     return _make(y, (x,), backward)

@@ -393,7 +393,7 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
             state.step += 1
             result.steps += 1
             result.final_loss = ce.item()
-            if result.steps % cfg.log_every == 0:
+            if state.step % cfg.log_every == 0:  # the run's step, not this call's
                 rec = {"step": state.step, "loss": ce.item(), "lr": lr,
                        "step_time": time.monotonic() - t0}
                 result.records.append(rec)
@@ -406,31 +406,39 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     return result
 
 
-def resume_log(path, parse, keep=None):
-    """The records of a JSONL run log to resume: ``parse`` of each complete
-    line's JSON value (raising ValueError, KeyError or TypeError for one
-    that is not a record), cut to the longest prefix ``keep`` accepts. The
-    file is truncated after the last kept line, which drops a torn last
-    line (a crash mid-write); a missing file has no records. A complete
-    line that is not a record (a blank one is not), or a path that cannot
-    be read and written (a directory), raises ConfigError before any cut."""
+def read_log(path, parse, keep=None):
+    """``(records, end)`` of a JSONL run log to resume, changing no byte:
+    ``parse`` of each complete line's JSON value (raising ValueError,
+    KeyError or TypeError for one that is not a record), cut to the
+    longest prefix ``keep`` accepts, and the offset just past its last
+    line (None for a missing file, which has no records). A complete line
+    that is not a record (a blank one is not), or a path that cannot be
+    read and written (a directory), raises ConfigError."""
     try:
-        fh = open(path, "rb+")
+        fh = open(path, "rb+")  # a log that cannot be cut is refused here
     except FileNotFoundError:
-        return []
+        return [], None
     except OSError as exc:
         raise ConfigError(f"cannot resume from {path}: {exc}") from None
     with fh:
         lines = fh.read().split(b"\n")[:-1]  # the complete lines
-        try:
-            records = [parse(json.loads(line)) for line in lines]
-        except (ValueError, KeyError, TypeError):  # not JSON, or not a record
-            raise ConfigError(f"cannot resume from {path}: a complete line "
-                              f"is not a record") from None
-        kept = next((i for i, rec in enumerate(records) if keep and not keep(rec)),
-                    len(records))
-        fh.truncate(sum(len(line) + 1 for line in lines[:kept]))
-    return records[:kept]
+    try:
+        records = [parse(json.loads(line)) for line in lines]
+    except (ValueError, KeyError, TypeError):  # not JSON, or not a record
+        raise ConfigError(f"cannot resume from {path}: a complete line "
+                          f"is not a record") from None
+    kept = next((i for i, rec in enumerate(records) if keep and not keep(rec)),
+                len(records))
+    return records[:kept], sum(len(line) + 1 for line in lines[:kept])
+
+
+def resume_log(path, parse, keep=None):
+    """``read_log``'s records, the file cut after them: a torn last line
+    (a crash mid-write) goes, and a refused log is left as it was."""
+    records, end = read_log(path, parse, keep)
+    if end is not None:
+        os.truncate(path, end)
+    return records
 
 
 def cut_trajectory(path, step):

@@ -318,19 +318,22 @@ class TestSearchCommand:
 
     def test_resume_refuses_ledger_of_another_seed(self, tmp_path, capsys):
         """The shipped seed-7 search cut to its baseline and first 9 trials,
-        resumed with --seed 8, is exit 2 with the ledger as it was."""
+        with or without a torn tail of the next line, resumed with --seed 8,
+        is exit 2 with the ledger byte-identical, torn tail included."""
         cfg = str(CONFIGS / "search_surrogate.json")
         out = tmp_path / "run"
         assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = (out / "ledger.jsonl").read_bytes().splitlines(keepends=True)
-        (out / "ledger.jsonl").write_bytes(b"".join(lines[:10]))
-        assert main(["search", "--config", cfg, "--out", str(out), "--seed", "8",
-                     "--resume"]) == EXIT_USAGE
-        assert "another search wrote the ledger" in capsys.readouterr().err
-        assert (out / "ledger.jsonl").read_bytes() == b"".join(lines[:10])
-        assert main(["search", "--config", cfg, "--out", str(out),
-                     "--resume"]) == EXIT_OK
-        assert (out / "ledger.jsonl").read_bytes() == b"".join(lines)
+        for torn in (b"", lines[10][:50]):
+            cut = b"".join(lines[:10]) + torn
+            (out / "ledger.jsonl").write_bytes(cut)
+            assert main(["search", "--config", cfg, "--out", str(out), "--seed", "8",
+                         "--resume"]) == EXIT_USAGE
+            assert "another search wrote the ledger" in capsys.readouterr().err
+            assert (out / "ledger.jsonl").read_bytes() == cut
+            assert main(["search", "--config", cfg, "--out", str(out),
+                         "--resume"]) == EXIT_OK
+            assert (out / "ledger.jsonl").read_bytes() == b"".join(lines)
 
     @pytest.mark.parametrize("bad", [b"{oops\n", b"\n"])
     def test_refused_resume_leaves_ledger_as_it_was(self, tmp_path, bad):
@@ -416,25 +419,28 @@ class TestTrainCommand:
 
     def test_resume_is_bitwise(self, tmp_path, genome_file, corpus_file):
         """3 steps then --resume for 2 leaves the same files as 5 steps
-        (on one machine and numpy/BLAS build)."""
-        def train(out, steps, *extra):
-            assert main(["train", "--genome", genome_file, "--corpus",
-                         corpus_file, "--out", str(out), "--config",
-                         self.train_cfg(tmp_path, max_steps=steps),
-                         *extra]) == EXIT_OK
+        (on one machine and numpy/BLAS build), and the trajectory logs
+        every log_every-th step of the run, not of each call."""
+        for log_every in (1, 2):
+            def train(out, steps, *extra):
+                assert main(["train", "--genome", genome_file, "--corpus",
+                             corpus_file, "--out", str(out), "--config",
+                             self.train_cfg(tmp_path, max_steps=steps,
+                                            log_every=log_every),
+                             *extra]) == EXIT_OK
 
-        split, whole = tmp_path / "split", tmp_path / "whole"
-        train(split, 3)
-        train(split, 2, "--resume")
-        train(whole, 5)
-        assert (split / "checkpoint.bin").read_bytes() == \
-            (whole / "checkpoint.bin").read_bytes()
+            split, whole = tmp_path / f"split{log_every}", tmp_path / f"whole{log_every}"
+            train(split, 3)
+            train(split, 2, "--resume")
+            train(whole, 5)
+            assert (split / "checkpoint.bin").read_bytes() == \
+                (whole / "checkpoint.bin").read_bytes()
 
-        def losses(out):
-            return [json.loads(line)["loss"] for line in
-                    (out / "trajectory.jsonl").read_text().splitlines()]
-        assert len(losses(whole)) == 5
-        assert losses(split) == losses(whole)
+            def logged(out):
+                return [(rec["step"], rec["loss"]) for rec in map(
+                    json.loads, (out / "trajectory.jsonl").read_text().splitlines())]
+            assert [step for step, _ in logged(whole)] == list(range(log_every, 6, log_every))
+            assert logged(split) == logged(whole)
 
     def test_crash_then_resume_equals_one_run(self, tmp_path, genome_file,
                                               corpus_file, monkeypatch):

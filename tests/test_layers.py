@@ -365,6 +365,40 @@ class TestAuxLoss:
         got = L.load_balance_aux_loss(Tensor(scores)).item()
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
+    def test_gradient_matches_finite_differences(self):
+        """One node whose only parent is ``scores``. Its gradient matches
+        central differences at every score whose +-eps move leaves each
+        row's top-1 expert as it was: rows 0 and 3 tie for their maximum
+        (the lowest index is top-1, and a tied maximum is skipped, since
+        moving it moves the top-1 choice), and no token picks expert 3,
+        whose column gets a zero gradient."""
+        data = np.array([[0.4, 0.4, 0.15, 0.05],
+                         [0.1, 0.6, 0.2, 0.1],
+                         [0.2, 0.1, 0.5, 0.2],
+                         [0.3, 0.1, 0.3, 0.3],
+                         [0.7, 0.1, 0.1, 0.1]])
+        scores = Tensor(data.copy(), requires_grad=True)
+        loss = L.load_balance_aux_loss(scores)
+        assert len(loss._parents) == 1 and loss._parents[0] is scores
+        loss.backward()
+        eps = 1e-6
+        checked = set()
+        for t, e in np.ndindex(data.shape):
+            row = data[t]
+            if row[e] == row.max() and np.count_nonzero(row == row.max()) > 1:
+                continue
+            up, down = data.copy(), data.copy()
+            up[t, e] += eps
+            down[t, e] -= eps
+            fd = (L.load_balance_aux_loss(Tensor(up)).item()
+                  - L.load_balance_aux_loss(Tensor(down)).item()) / (2 * eps)
+            assert abs(fd - scores.grad[t, e]) < 1e-8, (t, e)
+            checked.add((t, e))
+        assert len(checked) == data.size - 5  # the 2 + 3 tied maxima
+        np.testing.assert_array_equal(scores.grad[:, 3], 0.0)
+        np.testing.assert_allclose(scores.grad[0], 4 * np.array([3, 1, 1, 0]) / 25,
+                                   rtol=1e-15)
+
 
 def moe_cfg(**kw):
     base = dict(model_dim=4, expert_hidden_dim=6, n_experts=2,
@@ -430,8 +464,8 @@ class TestMoeForward:
         (L.GATE_TOP2, "gated_gelu"), (L.GATE_TOP2, "relu"),
         (L.GATE_EXPERT_CHOICE, "gated_relu"), (L.GATE_EXPERT_CHOICE, "gelu")])
     def test_matches_per_expert_scatter_oracle_bitwise(self, gating, activation):
-        # one N-ary scatter over all experts sums each row in the same
-        # order as per-expert scatters joined by adds
+        # one combine node over all experts weights and sums each row in
+        # the same order as per-expert weighted placements joined by adds
         cfg = moe_cfg(model_dim=8, expert_hidden_dim=12, n_experts=6,
                       gating=gating, capacity_factor=2, activation=activation)
         rng = np.random.default_rng(22)

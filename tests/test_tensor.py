@@ -48,23 +48,23 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0, 0.0]), axis=-1)
+        out = T.softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_stabilized_no_overflow(self):
-        out = T.softmax(Tensor([1000.0, 1000.0]), axis=-1)
+        out = T.softmax(Tensor([1000.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
         assert np.all(np.isfinite(out.data))
 
     def test_matches_scalar_oracle(self):
-        out = T.softmax(Tensor([1.0, 2.0, 3.0]), axis=-1)
+        out = T.softmax(Tensor([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out.data, softmax_oracle([1.0, 2.0, 3.0]),
                                    atol=1e-15)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one(self, row):
-        out = T.softmax(Tensor(row), axis=-1)
+        out = T.softmax(Tensor(row))
         assert abs(out.data.sum() - 1.0) <= 1e-12
 
     def test_gradient(self):
@@ -72,7 +72,7 @@ class TestSoftmax:
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = rng.normal(size=(3, 5))
         worst, _ = finite_difference_check(
-            {"x": x}, lambda: T.tsum(T.mul(T.softmax(x, axis=-1), w)))
+            {"x": x}, lambda: T.tsum(T.mul(T.softmax(x), w)))
         assert worst < 1e-5
 
 
