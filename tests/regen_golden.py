@@ -44,6 +44,9 @@ EXPERT_CHOICE_BLOCK = {"layers": ["attn", "moe", "ffn", "moe"], "d": 32, "d_moe"
                        "c": 2, "a": "gated_gelu", "n_experts": 4, "schema_version": 1}
 TRAIN = {"batch_size": 2, "seq_len": 32, "max_steps": 30, "seed": 0,
          "valid_fraction": 0.1, "log_every": 1, "eval_tokens": 256}
+# 96 routed tokens per step, not a power of two, so the load-balance loss's
+# 1/n and top-1 fractions round and the order of its float operations shows.
+TRAIN_3X32 = dict(TRAIN, batch_size=3)
 PROXY_SEARCH = {
     "mode": "train", "seed": 2, "population": 3, "rounds": 2,
     "budget": {"cost_units": 12 * 110444544.0},  # 12 baseline steps
@@ -121,11 +124,11 @@ def _write_json(path, doc):
     return path
 
 
-def _train(work, name, block):
+def _train(work, name, block, config="train.json"):
     genome = _write_json(work / f"{name}.json", block)
     out = work / name
     _cli(["train", "--genome", genome, "--corpus", work / "corpus.txt",
-          "--config", work / "train.json", "--out", out, "--stack", 3])
+          "--config", work / config, "--out", out, "--stack", 3])
     lines = (out / "trajectory.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     for rec in records:
@@ -170,10 +173,12 @@ def run_cases():
         work = Path(tmp)
         (work / "corpus.txt").write_bytes(corpus_bytes())
         _write_json(work / "train.json", TRAIN)
+        _write_json(work / "train_3x32.json", TRAIN_3X32)
         search = _write_json(work / "search.json",
                              dict(PROXY_SEARCH, corpus=str(work / "corpus.txt")))
         return {
             "train_top2": _train(work, "train_top2", TOP2_BLOCK),
+            "train_top2_3x32": _train(work, "train_top2_3x32", TOP2_BLOCK, "train_3x32.json"),
             "train_expert_choice": _train(work, "train_expert_choice", EXPERT_CHOICE_BLOCK),
             "search_proxy": _search(work, "search_proxy", search),
             "search_surrogate": _search(work, "search_surrogate",
