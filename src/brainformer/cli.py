@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 import sys
 import time
@@ -23,8 +22,6 @@ from . import search as S
 from . import training as TR
 from .layers import positive_int, real_number
 
-log = logging.getLogger("brainformer")
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -32,16 +29,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     pass
-
-
-def _setup_logging():
-    level = os.environ.get("BRAINFORMER_LOG_LEVEL", "warn").lower()
-    levels = {"error": logging.ERROR, "warn": logging.WARNING,
-              "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        raise UsageError(f"BRAINFORMER_LOG_LEVEL must be one of {sorted(levels)}")
-    logging.basicConfig(level=levels[level],
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _sha256(path):
@@ -166,7 +153,7 @@ def _build_runner(cfg, seed, space):
         if M.KIND_MOE in space.layer_kinds:
             moes += space.moe_configs()
         _check_routing(moes, train_cfg, corpus,
-                       "valid" if TR.model_has_valid(corpus) else "train")
+                       "valid" if corpus.has_valid else "train")
         return runner
     raise UsageError(f"search config: unknown mode {mode!r}")
 
@@ -213,8 +200,6 @@ def cmd_search(args):
                         rec.final_loss, rec.stop_reason])
     _write_manifest(args.out, "search", args.config, seed, started,
                     ["ledger.jsonl", "topk.json", "summary.csv"])
-    log.info("search finished: %d trials, %d completed",
-             len(state.history), len(state.completed()))
     return EXIT_OK
 
 
@@ -266,13 +251,13 @@ def cmd_train(args):
         raise UsageError(f"train config: {exc}")
     spec = _load_model_spec(args.genome, default_blocks=args.stack)
     if spec.block.d_head * spec.block.h > 4096 and cfg.seq_len > 512:
-        log.warning("large config; this is a desk-scale trainer")
+        print("warning: large config; this is a desk-scale trainer", file=sys.stderr)
     if cfg.seq_len > spec.max_seq_len:
         raise UsageError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
                          f"{spec.max_seq_len}")
     corpus = _load_corpus(args.corpus, cfg.valid_fraction)
     _check_routing(_moe_configs(spec.block), cfg, corpus,
-                   "valid" if TR.model_has_valid(corpus) else None)
+                   "valid" if corpus.has_valid else None)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     traj = os.path.join(args.out, "trajectory.jsonl")
     model = M.LanguageModel(spec, seed=cfg.seed)
@@ -280,7 +265,6 @@ def cmd_train(args):
     if args.resume:
         if os.path.exists(ckpt):
             TR.load_checkpoint(model, state, ckpt)
-            log.info("resumed from step %d", state.step)
         TR.cut_trajectory(traj, state.step)
     elif os.path.exists(ckpt) or os.path.exists(traj):
         raise UsageError(f"{args.out} holds a run (use --resume)")
@@ -295,14 +279,14 @@ def cmd_train(args):
         "final_loss": result.final_loss,
         "diverged": result.diverged,
     }
-    if TR.model_has_valid(corpus) and result.steps > 0 and not result.diverged:
+    if corpus.has_valid and result.steps > 0 and not result.diverged:
         report["valid_ppl"] = TR.evaluate_perplexity(
             model, corpus, seq_len=cfg.seq_len, max_tokens=cfg.eval_tokens)
     _write_json(os.path.join(args.out, "train_report.json"), report)
     _write_manifest(args.out, "train", args.config, cfg.seed, started,
                     ["checkpoint.bin", "trajectory.jsonl", "train_report.json"])
     if result.diverged:
-        log.error("training diverged at step %d", state.step)
+        print(f"error: training diverged at step {state.step}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -356,7 +340,7 @@ def cmd_report(args):
     except OSError as exc:
         raise UsageError(f"cannot read ledger: {exc}")
     if skipped:
-        log.warning("skipped %d corrupt ledger lines", skipped)
+        print(f"warning: skipped {skipped} corrupt ledger lines", file=sys.stderr)
     trials = sorted((r for r in records if r.trial_id >= 0),
                     key=lambda r: r.trial_id)
     _make_out_dir(args.out)
@@ -437,7 +421,6 @@ def build_parser():
 
 def main(argv=None):
     try:
-        _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:

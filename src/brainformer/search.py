@@ -40,7 +40,7 @@ from .model import (
     SCALE_FACTORS, scale_model_dim,
 )
 from .training import (
-    TrainState, evaluate_perplexity, measure_step_time, model_has_valid,
+    TrainState, evaluate_perplexity, measure_step_time,
     read_log, train_steps, BYTE_VOCAB,
 )
 
@@ -248,9 +248,9 @@ def read_ledger(path):
 # Trial runners
 # ---------------------------------------------------------------------------
 
-def proxy_model_spec(genome, vocab_size=BYTE_VOCAB, max_seq_len=128):
+def proxy_model_spec(genome, max_seq_len=128):
     return ModelSpec(block=genome, n_blocks=PROXY_STACK,
-                     vocab_size=vocab_size, max_seq_len=max_seq_len)
+                     vocab_size=BYTE_VOCAB, max_seq_len=max_seq_len)
 
 
 def run_trial(genome, trial_id, parent_id, baseline, budget, step_time,
@@ -390,8 +390,7 @@ class ProxyTrainingRunner:
                               self.baseline_record())
 
     def _evaluate(self, genome, trial_id, parent_id, baseline):
-        spec = proxy_model_spec(genome, vocab_size=self.corpus.vocab_size,
-                                max_seq_len=self.cfg.seq_len)
+        spec = proxy_model_spec(genome, max_seq_len=self.cfg.seq_len)
         model = LanguageModel(spec, seed=self.seed)
         cost = float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
         cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
@@ -405,7 +404,7 @@ class ProxyTrainingRunner:
                     res.diverged)
 
         def quality(step):
-            split = "valid" if model_has_valid(self.corpus) else "train"
+            split = "valid" if self.corpus.has_valid else "train"
             return evaluate_perplexity(model, self.corpus, split=split,
                                        seq_len=self.cfg.seq_len,
                                        max_tokens=self.cfg.eval_tokens)
@@ -521,8 +520,7 @@ def check_topk(k, factors, stacks):
                           f"stacks={stacks!r}")
 
 
-def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8),
-                  vocab_size=BYTE_VOCAB, max_seq_len=1024):
+def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8)):
     """Scale-and-stack the k best completed trials into full model specs.
 
     Ties in reward break toward the earlier trial id. If fewer than k
@@ -543,7 +541,7 @@ def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8),
         scaled = []
         for f, n in zip(factors, stacks):
             spec = ModelSpec(block=scale_model_dim(genome, f), n_blocks=n,
-                             vocab_size=vocab_size, max_seq_len=max_seq_len)
+                             vocab_size=BYTE_VOCAB, max_seq_len=1024)
             scaled.append({"factor": f, "n_blocks": n,
                            "model": spec.to_json_dict()})
         out["selected"].append({

@@ -21,8 +21,6 @@ from .layers import positive_int, real_number
 from .model import ConfigError, lm_loss
 
 BYTE_VOCAB = 258  # 256 byte values + 2 reserved specials
-TOK_BOS = 256
-TOK_EOS = 257
 
 
 class TrainingError(RuntimeError):
@@ -87,7 +85,8 @@ def lr_at(step, cfg):
 # ---------------------------------------------------------------------------
 
 class ByteCorpus:
-    """Raw bytes as token ids with a disjoint train/validation split."""
+    """Raw bytes as token ids with a disjoint train/validation split.
+    ``has_valid``: the validation split holds a window (at least 2 ids)."""
 
     def __init__(self, data, valid_fraction=0.1):
         if not (real_number(valid_fraction) and 0 <= valid_fraction < 1):
@@ -102,6 +101,7 @@ class ByteCorpus:
             raise ValueError("validation fraction leaves no training data")
         self.train_ids = ids[:split]
         self.valid_ids = ids[split:]
+        self.has_valid = self.valid_ids.size >= 2
         self.vocab_size = BYTE_VOCAB
 
     def sample_batch(self, rng, batch_size, seq_len):
@@ -432,27 +432,18 @@ def read_log(path, parse, keep=None):
     return records[:kept], sum(len(line) + 1 for line in lines[:kept])
 
 
-def resume_log(path, parse, keep=None):
-    """``read_log``'s records, the file cut after them: a torn last line
-    (a crash mid-write) goes, and a refused log is left as it was."""
-    records, end = read_log(path, parse, keep)
-    if end is not None:
-        os.truncate(path, end)
-    return records
-
-
 def cut_trajectory(path, step):
     """Keep a ``train_steps`` trajectory's records up to ``step``, so a
-    resumed run appends to what its checkpoint holds (``resume_log``)."""
+    resumed run appends to what its checkpoint holds: the file is cut
+    after ``read_log``'s records, so a torn last line (a crash mid-write)
+    goes, and a refused log is left as it was."""
     def record_step(doc):
         if not positive_int(doc["step"], 1):
             raise ValueError(f"step {doc['step']!r}")
         return doc["step"]
-    resume_log(path, record_step, keep=lambda s: s <= step)
-
-
-def model_has_valid(corpus):
-    return corpus.valid_ids.size >= 2
+    _, end = read_log(path, record_step, keep=lambda s: s <= step)
+    if end is not None:
+        os.truncate(path, end)
 
 
 # Tokens per evaluation forward. Stacking windows into one forward trades
@@ -491,7 +482,8 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
 def measure_step_time(model, corpus, cfg):
     """Median recorded ``step_time`` of 3 steps after one warm-up step of
     training a throwaway copy of the model (inf if it diverges first)."""
-    res = train_steps(copy.deepcopy(model), corpus, replace(cfg, log_every=1), 4,
-                      TrainState.fresh(model, cfg))
+    throwaway = copy.deepcopy(model)
+    res = train_steps(throwaway, corpus, replace(cfg, log_every=1), 4,
+                      TrainState.fresh(throwaway, cfg))
     times = [r["step_time"] for r in res.records[1:]]  # first is warm-up
     return float(np.median(times)) if times else math.inf

@@ -384,6 +384,27 @@ class TestTrainCommand:
         assert len((out / "trajectory.jsonl").read_text().splitlines()) == 3
         assert (out / "checkpoint.bin").exists()
 
+    def test_divergence_exits_1_with_one_stderr_line(self, tmp_path, genome_file,
+                                                     corpus_file, monkeypatch, capsys):
+        real_loss, calls = TR.lm_loss, []
+
+        def diverging_loss(*args, **kw):  # the third step's loss is NaN
+            loss, ce = real_loss(*args, **kw)
+            calls.append(None)
+            if len(calls) == 3:
+                loss.data = np.full_like(loss.data, np.nan)
+            return loss, ce
+        monkeypatch.setattr(TR, "lm_loss", diverging_loss)
+        out = tmp_path / "run"
+        rc = main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                   "--config", self.train_cfg(tmp_path, max_steps=5), "--out", str(out)])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: training diverged at step 2\n"
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["diverged"] is True
+        assert report["steps"] == report["total_step"] == 2
+        assert "valid_ppl" not in report
+
     def test_zero_steps_checkpoint_is_init(self, tmp_path, genome_file,
                                            corpus_file):
         out = tmp_path / "run"
@@ -807,6 +828,23 @@ def test_out_is_a_regular_file(tmp_path, genome_file, corpus_file, command, caps
     assert out.read_bytes() == b"not a directory"
 
 
+@pytest.mark.parametrize("command", ["train", "search-surrogate", "search-train"])
+def test_successful_run_writes_nothing_to_stderr(tmp_path, genome_file, corpus_file,
+                                                 command, capsys):
+    if command == "train":
+        argv = ["train", "--genome", genome_file, "--corpus", corpus_file,
+                "--config", TestTrainCommand().train_cfg(tmp_path)]
+    elif command == "search-surrogate":
+        argv = ["search", "--config", search_config(tmp_path)]
+    else:
+        argv = ["search", "--config", search_config(
+            tmp_path, mode="train", corpus=corpus_file, rounds=1,
+            budget={"cost_units": 3e6},
+            train={"batch_size": 2, "seq_len": 8, "eval_tokens": 32})]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 class TestReport:
     def make_record(self, trial_id, reward, parent_id=None):
         return TrialRecord(trial_id=trial_id, parent_id=parent_id,
@@ -863,18 +901,6 @@ class TestReport:
     def test_missing_ledger(self, tmp_path):
         assert main(["report", "--ledger", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "rep")]) == EXIT_USAGE
-
-
-class TestEnvironment:
-    def test_bad_log_level(self, monkeypatch, genome_file):
-        monkeypatch.setenv("BRAINFORMER_LOG_LEVEL", "loud")
-        assert main(["count-params", "--genome", genome_file]) == EXIT_USAGE
-
-    def test_valid_log_levels(self, monkeypatch, genome_file, capsys):
-        for level in ("error", "warn", "info", "debug"):
-            monkeypatch.setenv("BRAINFORMER_LOG_LEVEL", level)
-            assert main(["count-params", "--genome", genome_file]) == EXIT_OK
-            capsys.readouterr()
 
 
 class TestShippedConfigs:

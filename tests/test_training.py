@@ -17,7 +17,7 @@ from brainformer.search import proxy_model_spec
 from brainformer.training import (
     BYTE_VOCAB, CHUNK_BYTES, TrainConfig, TrainingError, Adafactor, ByteCorpus,
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
-    save_checkpoint, load_checkpoint, cut_trajectory, resume_log,
+    save_checkpoint, load_checkpoint, cut_trajectory, read_log,
 )
 from brainformer.tensor import Tensor
 
@@ -864,26 +864,37 @@ class TestCutTrajectory:
 
 
 class TestResumeLog:
-    """``resume_log`` is the one resume rule of both run logs: every
-    complete line must parse, a refused log is left as it was, a missing
-    log has no records, and the file is cut after the kept records."""
+    """Resuming a run log: ``read_log`` reads it and changes no byte, and
+    the caller cuts the file at the ``end`` it returns (``cut_trajectory``
+    at once, ``search.evolve`` once every replayed trial has matched). Every
+    complete line must parse, a refused log is left as it was, and a
+    missing log has no records and stays missing."""
 
     lines = [json.dumps({"step": s}) + "\n" for s in (1, 2, 3)]
 
     def test_missing_file_has_no_records(self, tmp_path):
-        assert resume_log(tmp_path / "none.jsonl", dict) == []
-        assert not (tmp_path / "none.jsonl").exists()
+        path = tmp_path / "none.jsonl"
+        assert read_log(path, dict) == ([], None)
+        cut_trajectory(path, 3)
+        assert not path.exists()
 
     def test_keeps_every_complete_record_and_cuts_a_torn_tail(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        path.write_text("".join(self.lines) + '{"step": 4')
-        assert resume_log(path, dict) == [{"step": s} for s in (1, 2, 3)]
+        text = "".join(self.lines) + '{"step": 4'
+        path.write_text(text)
+        end = len("".join(self.lines))
+        assert read_log(path, dict) == ([{"step": s} for s in (1, 2, 3)], end)
+        assert path.read_text() == text
+        cut_trajectory(path, 3)
         assert path.read_text() == "".join(self.lines)
 
     def test_keep_is_a_prefix(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text("".join(self.lines))
-        assert resume_log(path, dict, keep=lambda rec: rec["step"] != 2) == [{"step": 1}]
+        assert read_log(path, dict, keep=lambda rec: rec["step"] != 2) == \
+            ([{"step": 1}], len(self.lines[0]))
+        assert path.read_text() == "".join(self.lines)
+        cut_trajectory(path, 1)
         assert path.read_text() == self.lines[0]
 
     @pytest.mark.parametrize("bad", ["", "  ", "not json", "[1]"])
@@ -892,12 +903,16 @@ class TestResumeLog:
         text = self.lines[0] + bad + "\n" + self.lines[1] + '{"step": 3'
         path.write_text(text)
         with pytest.raises(ConfigError, match="not a record"):
-            resume_log(path, lambda doc: doc["step"])
+            read_log(path, lambda doc: doc["step"])
+        with pytest.raises(ConfigError, match="not a record"):
+            cut_trajectory(path, 1)
         assert path.read_text() == text
 
     def test_directory_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot resume from"):
-            resume_log(tmp_path, dict)
+            read_log(tmp_path, dict)
+        with pytest.raises(ConfigError, match="cannot resume from"):
+            cut_trajectory(tmp_path, 1)
 
 
 class TestGraphLifetime:
