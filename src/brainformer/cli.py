@@ -20,15 +20,11 @@ import time
 from . import model as M
 from . import search as S
 from . import training as TR
-from .layers import positive_int, real_number
+from .layers import ConfigError, positive_int, real_number
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    pass
 
 
 def _sha256(path):
@@ -64,8 +60,8 @@ def _load_corpus(path, valid_fraction):
     try:
         with open(path, "rb") as fh:
             return TR.ByteCorpus(fh.read(), valid_fraction=valid_fraction)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"corpus: {exc}")
+    except (OSError, ConfigError) as exc:
+        raise ConfigError(f"corpus: {exc}")
 
 
 def _load_json(path, what):
@@ -74,11 +70,11 @@ def _load_json(path, what):
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {what}: {exc}")
+        raise ConfigError(f"cannot read {what}: {exc}")
     except ValueError as exc:  # not UTF-8, or not JSON
-        raise UsageError(f"{what} is not valid JSON ({path}): {exc}")
+        raise ConfigError(f"{what} is not valid JSON ({path}): {exc}")
     if not isinstance(doc, dict):
-        raise UsageError(f"{what} must be a JSON object ({path})")
+        raise ConfigError(f"{what} must be a JSON object ({path})")
     return doc
 
 
@@ -89,7 +85,7 @@ def _make_out_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot create output directory: {exc}")
+        raise ConfigError(f"cannot create output directory: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +111,36 @@ def _build_runner(cfg, seed, space):
     budget = cfg.get("budget", {})
     cost_units, seconds = budget.get("cost_units"), budget.get("seconds")
     if (cost_units is None) == (seconds is None):
-        raise UsageError("search config: budget needs exactly one of "
-                         "cost_units, seconds")
+        raise ConfigError("search config: budget needs exactly one of "
+                          "cost_units, seconds")
     limit = seconds if cost_units is None else cost_units
     if not (real_number(limit) and limit > 0):
-        raise UsageError(f"search config: budget must be a positive number, "
-                         f"got {limit!r}")
+        raise ConfigError(f"search config: budget must be a positive number, "
+                          f"got {limit!r}")
     train_doc = cfg.get("train", {})
     for key, source in SEARCH_SETS.items():
         if key in train_doc:
-            raise UsageError(f"search config: train.{key} is not read; the "
-                             f"search takes it from {source}")
+            raise ConfigError(f"search config: train.{key} is not read; the "
+                              f"search takes it from {source}")
     try:
         train_cfg = TR.TrainConfig.from_dict(train_doc)
-    except ValueError as exc:
-        raise UsageError(f"search config: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"search config: {exc}")
     if mode == "surrogate":
         if seconds is not None:
-            raise UsageError("surrogate mode only supports cost budgets")
+            raise ConfigError("surrogate mode only supports cost budgets")
         unread = sorted(set(train_doc) - {"batch_size", "seq_len"})
         if unread:
-            raise UsageError(f"search config: a surrogate search reads only "
-                             f"train.batch_size and train.seq_len, not {unread}")
+            raise ConfigError(f"search config: a surrogate search reads only "
+                              f"train.batch_size and train.seq_len, not {unread}")
         return S.SurrogateRunner(budget_cost_units=cost_units,
                                  baseline_genome=baseline,
                                  batch_size=train_cfg.batch_size,
                                  seq_len=train_cfg.seq_len)
     if mode == "train":
         if not isinstance(cfg.get("corpus"), str):
-            raise UsageError(f"search config: train mode needs a corpus path, "
-                             f"got {cfg.get('corpus')!r}")
+            raise ConfigError(f"search config: train mode needs a corpus path, "
+                              f"got {cfg.get('corpus')!r}")
         corpus = _load_corpus(cfg["corpus"], cfg.get("valid_fraction", 0.1))
         runner = S.ProxyTrainingRunner(corpus, train_cfg, budget_cost_units=cost_units,
                                        budget_seconds=seconds, baseline_genome=baseline,
@@ -155,17 +151,17 @@ def _build_runner(cfg, seed, space):
         _check_routing(moes, train_cfg, corpus,
                        "valid" if corpus.has_valid else "train")
         return runner
-    raise UsageError(f"search config: unknown mode {mode!r}")
+    raise ConfigError(f"search config: unknown mode {mode!r}")
 
 
 def cmd_search(args):
     cfg = _load_json(args.config, "search config")
     for name in ("population", "rounds"):
         if name not in cfg:
-            raise UsageError(f"search config: missing field {name!r}")
+            raise ConfigError(f"search config: missing field {name!r}")
     for name in ("budget", "space", "train", "topk", "baseline_genome"):
         if not isinstance(cfg.get(name, {}), dict):
-            raise UsageError(f"search config: {name} must be a JSON object")
+            raise ConfigError(f"search config: {name} must be a JSON object")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     tournament_size = cfg.get("tournament_size")
     for name, value, least in (
@@ -173,12 +169,12 @@ def cmd_search(args):
             ("seed", seed, 0),
             ("tournament_size", 1 if tournament_size is None else tournament_size, 1)):
         if not positive_int(value, least):
-            raise UsageError(f"search config: {name} must be an integer >= "
-                             f"{least}, got {value!r}")
+            raise ConfigError(f"search config: {name} must be an integer >= "
+                              f"{least}, got {value!r}")
     try:
         space = S.SearchSpace.from_dict(cfg.get("space", {}))
-    except M.ConfigError as exc:
-        raise UsageError(f"search config: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"search config: {exc}")
     topk = cfg.get("topk", {})
     topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
     S.check_topk(*topk_args)
@@ -187,7 +183,7 @@ def cmd_search(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     ledger_path = os.path.join(args.out, "ledger.jsonl")
     if not args.resume and os.path.exists(ledger_path):
-        raise UsageError(f"ledger already exists (use --resume): {ledger_path}")
+        raise ConfigError(f"ledger already exists (use --resume): {ledger_path}")
     state = S.evolve(space, cfg["population"], cfg["rounds"], runner,
                      seed=seed, tournament_size=tournament_size,
                      ledger_path=ledger_path, resume=args.resume)
@@ -217,8 +213,8 @@ def _load_model_spec(path, default_blocks=1):
         block = M.BlockSpec.from_json_dict(doc)
         return M.ModelSpec(block=block, n_blocks=default_blocks,
                            vocab_size=TR.BYTE_VOCAB, max_seq_len=1024)
-    except M.ConfigError as exc:
-        raise UsageError(f"malformed genome {path}: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"malformed genome {path}: {exc}")
 
 
 def _moe_configs(block):
@@ -227,18 +223,15 @@ def _moe_configs(block):
 
 
 def _check_routing(moes, cfg, corpus, split):
-    """Raise UsageError unless each MoE layer config in ``moes`` can route a
+    """Raise ConfigError unless each MoE layer config in ``moes`` can route a
     training batch and an evaluation window of ``split`` (None: no
     evaluation); ``MoeConfig.capacity`` states what each must satisfy."""
     routed = [cfg.batch_size * cfg.seq_len]
     if split is not None:
         routed.append(corpus.window_len(cfg.seq_len, split))
-    try:
-        for moe in moes:
-            for n_tokens in routed:
-                moe.capacity(n_tokens)
-    except ValueError as exc:
-        raise UsageError(f"train config: {exc}")
+    for moe in moes:
+        for n_tokens in routed:
+            moe.capacity(n_tokens)
 
 
 def cmd_train(args):
@@ -247,14 +240,14 @@ def cmd_train(args):
         cfg_doc["seed"] = args.seed
     try:
         cfg = TR.TrainConfig.from_dict(cfg_doc)
-    except ValueError as exc:
-        raise UsageError(f"train config: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"train config: {exc}")
     spec = _load_model_spec(args.genome, default_blocks=args.stack)
     if spec.block.d_head * spec.block.h > 4096 and cfg.seq_len > 512:
         print("warning: large config; this is a desk-scale trainer", file=sys.stderr)
     if cfg.seq_len > spec.max_seq_len:
-        raise UsageError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
-                         f"{spec.max_seq_len}")
+        raise ConfigError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
+                          f"{spec.max_seq_len}")
     corpus = _load_corpus(args.corpus, cfg.valid_fraction)
     _check_routing(_moe_configs(spec.block), cfg, corpus,
                    "valid" if corpus.has_valid else None)
@@ -267,7 +260,7 @@ def cmd_train(args):
             TR.load_checkpoint(model, state, ckpt)
         TR.cut_trajectory(traj, state.step)
     elif os.path.exists(ckpt) or os.path.exists(traj):
-        raise UsageError(f"{args.out} holds a run (use --resume)")
+        raise ConfigError(f"{args.out} holds a run (use --resume)")
     _make_out_dir(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     result = TR.train_steps(model, corpus, cfg, cfg.max_steps, state,
@@ -313,7 +306,7 @@ def cmd_count_params(args):
         try:
             ref_total, ref_act = (float(x) for x in args.reference.split(","))
         except ValueError:
-            raise UsageError("--reference expects TOTAL,ACTIVATED")
+            raise ConfigError("--reference expects TOTAL,ACTIVATED")
         # totals compare to the reference total, activated counts to activated
         refs = {name: ref_act if name.startswith("n_act") else ref_total
                 for name in counts}
@@ -338,7 +331,7 @@ def cmd_report(args):
     try:
         records, skipped = S.read_ledger(args.ledger)
     except OSError as exc:
-        raise UsageError(f"cannot read ledger: {exc}")
+        raise ConfigError(f"cannot read ledger: {exc}")
     if skipped:
         print(f"warning: skipped {skipped} corrupt ledger lines", file=sys.stderr)
     trials = sorted((r for r in records if r.trial_id >= 0),
@@ -423,11 +416,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except M.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TR.TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)

@@ -31,6 +31,11 @@ GATINGS = (GATE_TOP2, GATE_EXPERT_CHOICE)
 NEG_MASK = -1e30  # exp(NEG_MASK - finite) underflows to exactly 0.0
 
 
+class ConfigError(ValueError):
+    """A value from outside the program (a config, genome, corpus, ledger,
+    checkpoint or flag) it cannot use; own-invariant checks raise ValueError."""
+
+
 def positive_int(value, least=1):
     """True for an int >= least; a bool, float or string is not a count."""
     return type(value) is int and value >= least
@@ -49,7 +54,7 @@ class AttentionConfig:
 
     def __post_init__(self):
         if not all(map(positive_int, (self.model_dim, self.n_heads, self.head_dim))):
-            raise ValueError(f"attention dims must be positive integers: {self}")
+            raise ConfigError(f"attention dims must be positive integers: {self}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,9 @@ class FfnConfig:
 
     def __post_init__(self):
         if not all(map(positive_int, (self.model_dim, self.hidden_dim))):
-            raise ValueError(f"ffn dims must be positive integers: {self}")
+            raise ConfigError(f"ffn dims must be positive integers: {self}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,11 @@ class MoeConfig:
     def __post_init__(self):
         if not all(map(positive_int, (self.model_dim, self.expert_hidden_dim,
                                       self.n_experts))):
-            raise ValueError(f"moe dims must be positive integers: {self}")
+            raise ConfigError(f"moe dims must be positive integers: {self}")
         if not positive_int(self.capacity_factor):
-            raise ValueError("capacity_factor must be an integer >= 1")
+            raise ConfigError("capacity_factor must be an integer >= 1")
         if self.gating not in GATINGS:
-            raise ValueError(f"unknown gating {self.gating!r}")
+            raise ConfigError(f"unknown gating {self.gating!r}")
         # the experts' FfnConfig checks the activation
         object.__setattr__(self, "expert", FfnConfig(self.model_dim, self.expert_hidden_dim,
                                                      self.activation))
@@ -95,9 +100,9 @@ class MoeConfig:
         c, e = self.capacity_factor, self.n_experts
         k = (c * n_tokens) // e
         if k < 1:
-            raise ValueError(f"per-expert capacity floor({c}*{n_tokens}/{e}) < 1")
+            raise ConfigError(f"per-expert capacity floor({c}*{n_tokens}/{e}) < 1")
         if self.gating == GATE_EXPERT_CHOICE and k > n_tokens:
-            raise ValueError(f"expert-choice capacity floor({c}*{n_tokens}/{e}) "
+            raise ConfigError(f"expert-choice capacity floor({c}*{n_tokens}/{e}) "
                              f"= {k} exceeds the {n_tokens} tokens routed; "
                              f"expert choice needs c <= n_experts")
         return k

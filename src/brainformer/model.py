@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from . import layers as L
+from .layers import ConfigError
 from .tensor import Tensor
 
 GENOME_SCHEMA_VERSION = 1
@@ -23,10 +24,6 @@ KIND_ATTN = "attn"
 KIND_FFN = "ffn"
 KIND_MOE = "moe"
 LAYER_KINDS = (KIND_ATTN, KIND_MOE, KIND_FFN)
-
-
-class ConfigError(ValueError):
-    """Invalid genome / model configuration."""
 
 
 @dataclass(frozen=True)
@@ -56,16 +53,13 @@ class BlockSpec:
                 raise ConfigError(f"unknown layer kind {kind!r}")
         if KIND_ATTN not in self.layers:
             raise ConfigError("block needs at least one attention layer")
-        try:  # the layer configs check widths, gating and activation
-            configs = {
-                KIND_ATTN: L.AttentionConfig(self.d, self.h, self.d_head),
-                KIND_MOE: L.MoeConfig(self.d, self.d_moe, self.n_experts, self.g,
-                                      self.c, self.a),
-                KIND_FFN: L.FfnConfig(self.d, self.d_ffn, self.a),
-            }
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "_layer_configs", configs)
+        # the layer configs check widths, gating and activation
+        object.__setattr__(self, "_layer_configs", {
+            KIND_ATTN: L.AttentionConfig(self.d, self.h, self.d_head),
+            KIND_MOE: L.MoeConfig(self.d, self.d_moe, self.n_experts, self.g,
+                                  self.c, self.a),
+            KIND_FFN: L.FfnConfig(self.d, self.d_ffn, self.a),
+        })
 
     def layer_config(self, kind):
         """The config every sub-layer of ``kind`` in this block shares, as

@@ -82,11 +82,8 @@ class SearchSpace:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ConfigError(f"search space domain {name} is empty")
-        try:  # routing n_experts tokens, each expert's capacity is c itself
-            for moe in self.moe_configs():
-                moe.capacity(self.n_experts)
-        except ValueError as exc:
-            raise ConfigError(f"search space: {exc}") from None
+        for moe in self.moe_configs():  # routing n_experts tokens, capacity is c
+            moe.capacity(self.n_experts)
 
     def moe_configs(self):
         """An MoE layer config per (g, c) the space allows: every way its

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .layers import positive_int, real_number
-from .model import ConfigError, lm_loss
+from .layers import ConfigError, positive_int, real_number
+from .model import lm_loss
 
 BYTE_VOCAB = 258  # 256 byte values + 2 reserved specials
 
@@ -51,21 +51,21 @@ class TrainConfig:
             if f.type == "int":
                 least = 0 if f.name in ("seed", "max_steps") else 1
                 if not positive_int(value, least):
-                    raise ValueError(f"{f.name} must be an integer >= {least}, "
-                                     f"got {value!r}")
+                    raise ConfigError(f"{f.name} must be an integer >= {least}, "
+                                      f"got {value!r}")
             elif not real_number(value):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
         for name, in_range, rule in (("base_lr", self.base_lr > 0, "> 0"),
                                      ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                                      ("aux_coeff", self.aux_coeff >= 0, ">= 0")):
             if not in_range:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, doc):
         bad = set(doc) - set(cls.__dataclass_fields__)
         if bad:
-            raise ValueError(f"unknown train config fields: {sorted(bad)}")
+            raise ConfigError(f"unknown train config fields: {sorted(bad)}")
         return cls(**doc)
 
 
@@ -90,15 +90,15 @@ class ByteCorpus:
 
     def __init__(self, data, valid_fraction=0.1):
         if not (real_number(valid_fraction) and 0 <= valid_fraction < 1):
-            raise ValueError(f"valid_fraction must be a number in [0, 1), "
-                             f"got {valid_fraction!r}")
+            raise ConfigError(f"valid_fraction must be a number in [0, 1), "
+                              f"got {valid_fraction!r}")
         ids = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int64)
         if ids.size < 2:
-            raise ValueError("corpus too small")
+            raise ConfigError("corpus too small")
         n_valid = int(round(len(ids) * valid_fraction))
         split = len(ids) - n_valid
         if split < 2:
-            raise ValueError("validation fraction leaves no training data")
+            raise ConfigError("validation fraction leaves no training data")
         self.train_ids = ids[:split]
         self.valid_ids = ids[split:]
         self.has_valid = self.valid_ids.size >= 2

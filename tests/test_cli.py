@@ -811,6 +811,33 @@ def test_unreadable_input_file(tmp_path, genome_file, corpus_file, role, damage,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["search", "train"])
+def test_refusal_from_the_package_is_one_error_line(tmp_path, corpus_file, command,
+                                                    capsys):
+    """A ConfigError raised below the CLI, here a resume refused by
+    ``search.evolve`` (another seed's ledger) or ``training.load_checkpoint``
+    (a checkpoint of another model), exits 2 with one ``error:`` line."""
+    out = tmp_path / "run"
+    if command == "search":
+        argv = ["search", "--config", search_config(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        argv += ["--seed", "8"]
+    else:
+        genome = tmp_path / "genome.json"
+        genome.write_text(json.dumps(toy_block(layers=("attn",), d=16).to_json_dict()))
+        argv = ["train", "--genome", str(genome), "--corpus", corpus_file, "--config",
+                TestTrainCommand().train_cfg(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        genome.write_text(json.dumps(toy_block(layers=("attn", "ffn"),
+                                               d=16).to_json_dict()))
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot resume from" if command == "search"
+                          else "error: checkpoint ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("command", ["train", "search", "count-params", "report"])
 def test_out_is_a_regular_file(tmp_path, genome_file, corpus_file, command, capsys):
     """An --out that names an existing regular file is a usage error, and
