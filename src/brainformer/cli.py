@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -203,15 +204,19 @@ def cmd_search(args):
 # train
 # ---------------------------------------------------------------------------
 
-def _load_model_spec(path, default_blocks=1):
-    """A genome file holds a full model spec (it has a ``"block"`` key) or
-    a bare block, stacked ``default_blocks`` times over the byte vocab."""
+def _load_model_spec(path, stack):
+    """A genome file holds a full model spec (it has a ``"block"`` key),
+    which ``stack`` must leave None, or a bare block, stacked ``stack``
+    times (None: once) over the byte vocab."""
     doc = _load_json(path, "genome")
+    if "block" in doc and stack is not None:
+        raise ConfigError(f"--stack applies to a bare block; {path} is a full "
+                          f"model spec, which sets its own n_blocks")
     try:
         if "block" in doc:
             return M.ModelSpec.from_json_dict(doc)
         block = M.BlockSpec.from_json_dict(doc)
-        return M.ModelSpec(block=block, n_blocks=default_blocks,
+        return M.ModelSpec(block=block, n_blocks=1 if stack is None else stack,
                            vocab_size=TR.BYTE_VOCAB, max_seq_len=1024)
     except ConfigError as exc:
         raise ConfigError(f"malformed genome {path}: {exc}")
@@ -242,7 +247,7 @@ def cmd_train(args):
         cfg = TR.TrainConfig.from_dict(cfg_doc)
     except ConfigError as exc:
         raise ConfigError(f"train config: {exc}")
-    spec = _load_model_spec(args.genome, default_blocks=args.stack)
+    spec = _load_model_spec(args.genome, args.stack)
     if spec.block.d_head * spec.block.h > 4096 and cfg.seq_len > 512:
         print("warning: large config; this is a desk-scale trainer", file=sys.stderr)
     if cfg.seq_len > spec.max_seq_len:
@@ -289,7 +294,7 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 
 def cmd_count_params(args):
-    spec = _load_model_spec(args.genome, default_blocks=args.stack)
+    spec = _load_model_spec(args.genome, args.stack)
     if args.scale:
         spec = dataclasses.replace(spec, block=M.scale_model_dim(spec.block, args.scale))
     counts = dataclasses.asdict(M.count_params(spec))
@@ -302,11 +307,15 @@ def cmd_count_params(args):
             "table, and untied output projection; the *_no_embed variants "
             "exclude all three"),
     }
-    if args.reference:
+    if args.reference is not None:
         try:
-            ref_total, ref_act = (float(x) for x in args.reference.split(","))
+            given = [float(x) for x in args.reference.split(",")]
         except ValueError:
-            raise ConfigError("--reference expects TOTAL,ACTIVATED")
+            given = []
+        if len(given) != 2 or not all(0 < ref < math.inf for ref in given):
+            raise ConfigError(f"--reference expects TOTAL,ACTIVATED, two positive "
+                              f"finite numbers, got {args.reference!r}")
+        ref_total, ref_act = given
         # totals compare to the reference total, activated counts to activated
         refs = {name: ref_act if name.startswith("n_act") else ref_total
                 for name in counts}
@@ -392,7 +401,7 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--stack", type=int, default=1,
+    p.add_argument("--stack", type=int,
                    help="block repetitions when the genome file is a bare block")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -400,7 +409,7 @@ def build_parser():
     p = sub.add_parser("count-params", help="parameter and FLOP accounting")
     p.add_argument("--genome", required=True)
     p.add_argument("--scale", type=int, choices=M.SCALE_FACTORS)
-    p.add_argument("--stack", type=int, default=1)
+    p.add_argument("--stack", type=int)
     p.add_argument("--reference", help="TOTAL,ACTIVATED reference counts to compare")
     p.add_argument("--out")
     p.set_defaults(func=cmd_count_params)

@@ -51,6 +51,8 @@ STOP_STEP_TIME = "step_time_violation"
 STOP_PERPLEXITY = "perplexity_violation"
 STOP_DIVERGED = "diverged"
 STOP_BASELINE = "baseline"  # reference entry, not a search trial
+STOP_REASONS = (STOP_COMPLETED, STOP_STEP_TIME, STOP_PERPLEXITY, STOP_DIVERGED,
+                STOP_BASELINE)
 
 # The genome fields drawn from a SearchSpace domain besides the block length
 # and layer order, in sample-draw and mutation-item order.
@@ -215,7 +217,18 @@ class TrialRecord:
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(**doc)
+        """The record of a ledger line's JSON object. It raises ConfigError
+        unless the trial id is an int >= -1, the parent null or an earlier
+        trial's id, the reward a number, the stop reason one of
+        ``STOP_REASONS`` and the genome an object."""
+        rec = cls(**doc)
+        if not (L.positive_int(rec.trial_id, -1)
+                and (rec.parent_id is None or L.positive_int(rec.parent_id, 0)
+                     and rec.parent_id < rec.trial_id)
+                and L.real_number(rec.reward) and rec.stop_reason in STOP_REASONS
+                and isinstance(rec.genome, dict)):
+            raise ConfigError(f"not a trial record: trial {rec.trial_id!r}")
+        return rec
 
     def block_spec(self):
         return BlockSpec.from_json_dict(self.genome)
@@ -245,7 +258,7 @@ def read_ledger(path):
 # Trial runners
 # ---------------------------------------------------------------------------
 
-def proxy_model_spec(genome, max_seq_len=128):
+def proxy_model_spec(genome, max_seq_len):
     return ModelSpec(block=genome, n_blocks=PROXY_STACK,
                      vocab_size=BYTE_VOCAB, max_seq_len=max_seq_len)
 

@@ -102,7 +102,6 @@ class ByteCorpus:
         self.train_ids = ids[:split]
         self.valid_ids = ids[split:]
         self.has_valid = self.valid_ids.size >= 2
-        self.vocab_size = BYTE_VOCAB
 
     def sample_batch(self, rng, batch_size, seq_len):
         """Flat training (inputs, targets) of shape [batch_size * seq_len]."""

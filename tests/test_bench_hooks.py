@@ -35,7 +35,7 @@ def test_tracer_counts_scored_eval_tokens(monkeypatch):
     block = brainformer.BlockSpec(layers=("attn",), d=8, d_moe=8, d_ffn=8, h=2,
                                   d_head=4, g="top2", c=1, a="relu", n_experts=1)
     model = brainformer.LanguageModel(
-        brainformer.ModelSpec(block, 1, corpus.vocab_size, 16), seed=0)
+        brainformer.ModelSpec(block, 1, brainformer.training.BYTE_VOCAB, 16), seed=0)
     tracer = importlib.import_module("tracer").Tracer(brainformer)
     tracer.install()
     try:

@@ -349,6 +349,23 @@ class TestSearchCommand:
                      "--resume"]) == EXIT_USAGE
         assert (out / "ledger.jsonl").read_bytes() == torn
 
+    def test_resume_refuses_mistyped_ledger(self, tmp_path, capsys):
+        """A ledger whose trial ids are strings replays none of its trials:
+        the resume is refused with the ledger's bytes unchanged, not run
+        again from the start and appended."""
+        cfg = search_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        docs = [json.loads(line) for line in
+                (out / "ledger.jsonl").read_text().splitlines()[:5]]
+        mistyped = "".join(json.dumps(dict(doc, trial_id=str(doc["trial_id"]))) + "\n"
+                           for doc in docs).encode()
+        (out / "ledger.jsonl").write_bytes(mistyped)
+        assert main(["search", "--config", cfg, "--out", str(out),
+                     "--resume"]) == EXIT_USAGE
+        assert "is not a record" in capsys.readouterr().err
+        assert (out / "ledger.jsonl").read_bytes() == mistyped
+
     def test_resume_with_ledger_directory(self, tmp_path, capsys):
         out = tmp_path / "run"
         (out / "ledger.jsonl").mkdir(parents=True)
@@ -740,6 +757,19 @@ class TestCountParams:
         assert main(["count-params", "--genome", genome_file,
                      "--reference", "abc"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("reference", [
+        "1,0", "0,1", "1,-5", "nan,1", "1,inf", "nan,inf", "1e400,1", "abc", "1",
+        "1,2,3", ""])
+    def test_reference_must_be_two_positive_finite_numbers(self, tmp_path, genome_file,
+                                                           reference, capsys):
+        out = tmp_path / "d"
+        assert main(["count-params", "--genome", genome_file, "--reference", reference,
+                     "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --reference expects")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         {"n_blocks": "6"}, {"vocab_size": "x"}, {"n_blocks": 2.5},
         {"n_blocks": True}, {"block": {"d": 64.5}}, {"block": {"c": True}},
@@ -838,6 +868,33 @@ def test_refusal_from_the_package_is_one_error_line(tmp_path, corpus_file, comma
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["train", "count-params"])
+def test_stack_applies_to_a_bare_block_only(tmp_path, genome_file, corpus_file,
+                                            command, capsys):
+    """A bare block is stacked --stack times, once without it; a full model
+    spec sets its own n_blocks, so --stack with one is refused."""
+    full = tmp_path / "model.json"
+    full.write_text(json.dumps(ModelSpec(block=toy_block(), n_blocks=2, vocab_size=258,
+                                         max_seq_len=64).to_json_dict()))
+    argv = {"train": ["train", "--corpus", corpus_file,
+                      "--config", TestTrainCommand().train_cfg(tmp_path)],
+            "count-params": ["count-params"]}[command]
+    out = tmp_path / "o"
+    assert main(argv + ["--genome", str(full), "--stack", "2",
+                        "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --stack applies to a bare block") and err.count("\n") == 1
+    assert not out.exists()
+    for genome, stack, n_blocks in ((full, [], 2), (genome_file, [], 1),
+                                    (genome_file, ["--stack", "3"], 3)):
+        out = tmp_path / f"run{n_blocks}"
+        assert main(argv + ["--genome", str(genome), *stack,
+                            "--out", str(out)]) == EXIT_OK
+        if command == "count-params":
+            report = json.loads((out / "param_report.json").read_text())
+            assert report["genome"]["n_blocks"] == n_blocks
+
+
 @pytest.mark.parametrize("command", ["train", "search", "count-params", "report"])
 def test_out_is_a_regular_file(tmp_path, genome_file, corpus_file, command, capsys):
     """An --out that names an existing regular file is a usage error, and
@@ -924,6 +981,22 @@ class TestReport:
                      "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "report.json").read_text())
         assert doc["skipped_corrupt_lines"] == 2
+
+    def test_mistyped_record_skipped(self, tmp_path, capsys):
+        """A record with a string trial id is one skipped line, not a
+        crash when trial ids are compared."""
+        recs = [self.make_record(0, -3.0), self.make_record(1, -2.0, parent_id=0),
+                self.make_record(2, -1.0, parent_id=1)]
+        lines = [record_to_line(r) for r in recs]
+        lines[1] = lines[1].replace('"trial_id":1', '"trial_id":"1"')
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "rep"
+        assert main(["report", "--ledger", str(ledger), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == "warning: skipped 1 corrupt ledger lines\n"
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["skipped_corrupt_lines"] == 1 and doc["n_trials"] == 2
+        assert [n["trial_id"] for n in doc["best_lineage"]] == [2]
 
     def test_missing_ledger(self, tmp_path):
         assert main(["report", "--ledger", str(tmp_path / "nope.jsonl"),

@@ -298,6 +298,36 @@ class TestLedger:
         assert len(records) == 2
         assert skipped == 1
 
+    @pytest.mark.parametrize("edit", [
+        {"trial_id": "3"}, {"trial_id": -2}, {"trial_id": 3.0}, {"trial_id": True},
+        {"parent_id": "1"}, {"parent_id": -1}, {"parent_id": 3}, {"parent_id": 4},
+        {"reward": "-2.5"}, {"reward": None}, {"reward": False},
+        {"stop_reason": "done"}, {"stop_reason": None}, {"genome": [1]}])
+    def test_record_fields_checked_where_parsed(self, edit):
+        doc = {"trial_id": 3, "parent_id": 1, "genome": {}, "step_time": 1.0,
+               "cost_per_step": 1.0, "steps": 10, "final_loss": 2.5,
+               "reward": -2.5, "stop_reason": STOP_COMPLETED}
+        assert TrialRecord.from_json_dict(doc).trial_id == 3
+        with pytest.raises(ConfigError, match="not a trial record"):
+            TrialRecord.from_json_dict(dict(doc, **edit))
+
+    def test_parent_must_be_an_earlier_trial(self, tmp_path):
+        """Every real parent is an earlier trial, so a record naming itself,
+        the baseline or a later trial is skipped: of two records naming
+        each other, a cycle, the earlier one goes."""
+        def rec(trial_id, parent_id):
+            return TrialRecord(trial_id=trial_id, parent_id=parent_id, genome={},
+                               step_time=1.0, cost_per_step=1.0, steps=0,
+                               final_loss=None, reward=-1.0,
+                               stop_reason=STOP_STEP_TIME)
+        path = tmp_path / "ledger.jsonl"
+        recs = [rec(0, None), rec(1, 0), rec(2, 3), rec(3, 2), rec(4, 4), rec(5, -1)]
+        path.write_text("".join(record_to_line(r) + "\n" for r in recs))
+        records, skipped = read_ledger(path)
+        assert [(r.trial_id, r.parent_id) for r in records] == [(0, None), (1, 0),
+                                                                 (3, 2)]
+        assert skipped == 3
+
 
 def run_toy_search(ledger_path=None, rounds=8, resume=False, seed=3):
     space = toy_space()

@@ -154,7 +154,7 @@ class TestCorpus:
 
     def test_token_range_fits_byte_vocab(self):
         c = tiny_corpus()
-        assert c.vocab_size == 258
+        assert BYTE_VOCAB == 258
         assert c.train_ids.max() < 256
 
     def test_windows_nonoverlapping(self):
@@ -319,7 +319,7 @@ class TestChunkedUpdate:
     must give the same params and moments, bit for bit."""
 
     def model_case(self, block):
-        model = LanguageModel(proxy_model_spec(BlockSpec(**block)), seed=0)
+        model = LanguageModel(proxy_model_spec(BlockSpec(**block), 128), seed=0)
         corpus, rng = ByteCorpus(TEXT), np.random.default_rng(0)
 
         def set_grads(step):
