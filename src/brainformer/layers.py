@@ -103,8 +103,8 @@ class MoeConfig:
             raise ConfigError(f"per-expert capacity floor({c}*{n_tokens}/{e}) < 1")
         if self.gating == GATE_EXPERT_CHOICE and k > n_tokens:
             raise ConfigError(f"expert-choice capacity floor({c}*{n_tokens}/{e}) "
-                             f"= {k} exceeds the {n_tokens} tokens routed; "
-                             f"expert choice needs c <= n_experts")
+                              f"= {k} exceeds the {n_tokens} tokens routed; "
+                              f"expert choice needs c <= n_experts")
         return k
 
 

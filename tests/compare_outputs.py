@@ -1,0 +1,107 @@
+"""Byte identity of two source trees on the benchmark workloads.
+
+    python tests/compare_outputs.py OLD_SRC NEW_SRC [--seeds N ...]
+
+For each seed (default 0-9) and each workload of ``perfbench/workloads.py``
+it writes the inputs the benchmark gives the program, at the benchmark's
+run length (``run_seconds`` of ``BENCHMARK.json``), and runs
+``python -m brainformer.cli`` on them once per tree, with that tree as
+``PYTHONPATH`` and one BLAS thread, as ``perfbench/run.py`` runs it. It
+compares a search's ``ledger.jsonl``, ``topk.json`` and ``summary.csv``,
+and a training's ``checkpoint.bin``, ``train_report.json`` and
+``trajectory.jsonl`` without its wall-clock ``step_time``; both runs must
+exit 0 with an empty stderr. It prints one table row per output and exits
+1 on any difference. pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS, write_inputs  # noqa: E402
+
+SINGLE_THREAD_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                      "MKL_NUM_THREADS": "1"}
+OUTPUTS = {"search": ("ledger.jsonl", "topk.json", "summary.csv"),
+           "train": ("checkpoint.bin", "train_report.json", "trajectory.jsonl")}
+
+
+def run_cli(src, argv, out_dir, cwd):
+    """Run the command line of the tree at ``src``; (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **SINGLE_THREAD_BLAS)
+    proc = subprocess.run([sys.executable, "-m", "brainformer.cli", *argv,
+                           "--out", out_dir], cwd=cwd, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return proc.returncode, proc.stderr.decode(errors="replace")
+
+
+def read_output(path):
+    """A file's bytes (a trajectory's without ``step_time``), or None if it
+    is missing."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    if os.path.basename(path) != "trajectory.jsonl":
+        return data
+    lines = []
+    for line in data.splitlines():
+        doc = json.loads(line)
+        del doc["step_time"]
+        lines.append(json.dumps(doc, sort_keys=True))
+    return "\n".join(lines).encode()
+
+
+def compare(workload, seed, seconds, old_src, new_src):
+    """Table rows ``(what, ok, detail)`` of one workload and seed; the
+    inputs and outputs go in a directory removed on return."""
+    with tempfile.TemporaryDirectory() as case:
+        argv, _ = write_inputs(workload, seed, seconds, os.path.join(case, "in"))
+        outs = {side: os.path.join(case, side) for side in ("old", "new")}
+        runs = {side: run_cli(src, argv, outs[side], case)
+                for side, src in (("old", old_src), ("new", new_src))}
+        rows = [("exit 0, empty stderr",
+                 all(code == 0 and not err for code, err in runs.values()),
+                 "; ".join(f"{side}: exit {code}, stderr {err.strip()[-200:]!r}"
+                           for side, (code, err) in runs.items()))]
+        for name in OUTPUTS[workload.kind]:
+            old, new = (read_output(os.path.join(outs[side], name)) for side in outs)
+            detail = "missing" if old is None or new is None else \
+                f"{len(old)} bytes" if old == new else f"{len(old)} vs {len(new)} bytes"
+            rows.append((name, old is not None and old == new, detail))
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="byte identity of two source trees "
+                                             "on the benchmark workloads")
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    print(f"{'seed':>4}  {'workload':<16} {'output':<21} {'result':<9} detail")
+    n_rows = n_bad = 0
+    for seed in args.seeds:
+        for workload in WORKLOADS.values():
+            for what, ok, detail in compare(workload, seed, seconds,
+                                            args.old_src, args.new_src):
+                print(f"{seed:>4}  {workload.name:<16} {what:<21} "
+                      f"{'ok' if ok else 'FAIL':<9} {detail}", flush=True)
+                n_rows += 1
+                n_bad += not ok
+    print(f"{n_rows - n_bad} of {n_rows} checks hold")
+    return 1 if n_bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
