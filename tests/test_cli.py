@@ -349,16 +349,18 @@ class TestSearchCommand:
                      "--resume"]) == EXIT_USAGE
         assert (out / "ledger.jsonl").read_bytes() == torn
 
-    def test_resume_refuses_mistyped_ledger(self, tmp_path, capsys):
-        """A ledger whose trial ids are strings replays none of its trials:
-        the resume is refused with the ledger's bytes unchanged, not run
-        again from the start and appended."""
+    @pytest.mark.parametrize("field", ["trial_id", "step_time"])
+    def test_resume_refuses_mistyped_ledger(self, tmp_path, field, capsys):
+        """A ledger whose trial ids are strings would replay none of its
+        trials and run them all again, and a baseline whose step time is a
+        string cannot be compared with a trial's: either ledger is refused
+        with its bytes unchanged."""
         cfg = search_config(tmp_path)
         out = tmp_path / "run"
         assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
         docs = [json.loads(line) for line in
                 (out / "ledger.jsonl").read_text().splitlines()[:5]]
-        mistyped = "".join(json.dumps(dict(doc, trial_id=str(doc["trial_id"]))) + "\n"
+        mistyped = "".join(json.dumps(dict(doc, **{field: str(doc[field])})) + "\n"
                            for doc in docs).encode()
         (out / "ledger.jsonl").write_bytes(mistyped)
         assert main(["search", "--config", cfg, "--out", str(out),

@@ -302,11 +302,12 @@ class TestLedger:
         {"trial_id": "3"}, {"trial_id": -2}, {"trial_id": 3.0}, {"trial_id": True},
         {"parent_id": "1"}, {"parent_id": -1}, {"parent_id": 3}, {"parent_id": 4},
         {"reward": "-2.5"}, {"reward": None}, {"reward": False},
+        {"step_time": "1.0"}, {"step_time": None}, {"quality_25": "2.9"},
         {"stop_reason": "done"}, {"stop_reason": None}, {"genome": [1]}])
     def test_record_fields_checked_where_parsed(self, edit):
         doc = {"trial_id": 3, "parent_id": 1, "genome": {}, "step_time": 1.0,
                "cost_per_step": 1.0, "steps": 10, "final_loss": 2.5,
-               "reward": -2.5, "stop_reason": STOP_COMPLETED}
+               "reward": -2.5, "stop_reason": STOP_COMPLETED, "quality_25": 2.9}
         assert TrialRecord.from_json_dict(doc).trial_id == 3
         with pytest.raises(ConfigError, match="not a trial record"):
             TrialRecord.from_json_dict(dict(doc, **edit))
