@@ -885,7 +885,8 @@ def test_stack_applies_to_a_bare_block_only(tmp_path, genome_file, corpus_file,
     assert main(argv + ["--genome", str(full), "--stack", "2",
                         "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: --stack applies to a bare block") and err.count("\n") == 1
+    assert err.startswith("error: --stack applies to a bare block")
+    assert err.count("\n") == 1
     assert not out.exists()
     for genome, stack, n_blocks in ((full, [], 2), (genome_file, [], 1),
                                     (genome_file, ["--stack", "3"], 3)):
