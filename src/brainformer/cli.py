@@ -216,10 +216,11 @@ def _load_model_spec(path, stack):
         if "block" in doc:
             return M.ModelSpec.from_json_dict(doc)
         block = M.BlockSpec.from_json_dict(doc)
-        return M.ModelSpec(block=block, n_blocks=1 if stack is None else stack,
-                           vocab_size=TR.BYTE_VOCAB, max_seq_len=1024)
     except ConfigError as exc:
         raise ConfigError(f"malformed genome {path}: {exc}")
+    # a bad --stack is the command line's fault, not the file's
+    return M.ModelSpec(block=block, n_blocks=1 if stack is None else stack,
+                       vocab_size=TR.BYTE_VOCAB, max_seq_len=1024)
 
 
 def _moe_configs(block):

@@ -18,7 +18,9 @@ the node drops its closure and its parent links, so each activation and
 intermediate gradient is freed by refcount as soon as the sweep has used
 it. A tensor the caller still holds keeps its data and ``.grad``. Leaves
 (parameters, inputs) are never consumed, so they can feed any number of
-graphs; a second ``backward`` that reaches a consumed node raises.
+graphs; a second ``backward`` that reaches a consumed node raises. The
+sweep can report each leaf as soon as its gradient is final, so an
+optimizer can apply it before the sweep ends.
 
 Gradient ownership: a parent's first gradient becomes its ``.grad`` as is
 when the op has just computed it (``_accum(t, g)``), and later ones are
@@ -79,7 +81,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
+    def backward(self, on_leaf=None):
         """Reverse-mode sweep from a scalar loss, consuming its graph.
 
         Visits each recorded op exactly once (reverse topological order)
@@ -88,11 +90,18 @@ class Tensor:
         backward has run, so the sweep frees the graph as it goes. A graph
         that reaches a node an earlier sweep consumed raises RuntimeError
         before any gradient is touched.
+
+        ``on_leaf``, if given, is called with each requires_grad leaf that
+        an op of the graph consumes, once the last such op's backward has
+        run, so the leaf's ``grad`` is final: a leaf consumed twice (as in
+        ``mul(x, x)``) is reported once, after both uses. The search for
+        the graph counts each leaf's consuming edges.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
         topo = []
         visited = set()
+        uses = {}  # requires_grad leaf -> consuming edges whose backward is to run
         stack = [(self, False)]
         while stack:
             node, processed = stack.pop()
@@ -106,6 +115,8 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
+                if p._backward is None and p.requires_grad:
+                    uses[p] = uses.get(p, 0) + 1
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
@@ -113,7 +124,14 @@ class Tensor:
             node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                parents = node._parents
                 node._backward, node._parents = _consumed, ()
+                for p in parents:
+                    left = uses.get(p)
+                    if left is not None:
+                        uses[p] = left - 1
+                        if left == 1 and on_leaf is not None:
+                            on_leaf(p)
 
 
 def _consumed(g):

@@ -195,20 +195,45 @@ class Adafactor:
             for i in range(0, len(names), per_chunk):
                 self._chunks.append(_Chunk(names[i:i + per_chunk], shape, self.state))
 
+    def sweep(self, params, lr):
+        """The ``on_leaf`` callback of ``Tensor.backward`` that steps each
+        chunk, as ``update`` would, once every member's gradient is final,
+        so a sweep never holds the gradients of a chunk it has finished. A
+        chunk with a member that gets no gradient is left to ``update``."""
+        waiting = {}  # param -> [members not yet reported, chunk, members]
+        for chunk in self._chunks:
+            members = [params[name] for name in chunk.names]
+            entry = [len(members), chunk, members]
+            for p in members:
+                waiting[p] = entry
+
+        def on_leaf(leaf):
+            entry = waiting.get(leaf)
+            if entry is not None and leaf.grad is not None:
+                entry[0] -= 1
+                if not entry[0]:
+                    _, chunk, members = entry
+                    self._update_chunk(chunk, range(len(members)), members,
+                                       chunk.moments, lr)
+        return on_leaf
+
     def update(self, params, lr):
         """One step on every parameter that has a gradient, one chunk at a
         time, bit for bit the arithmetic of a loop over the params. A chunk
         stacks its members' gradients (one member's as a view) and drops
         them once its moments are updated, so its new params can take the
         freed memory. Each ``p.data`` is rebound to its slice of the
-        chunk's fresh result, never changed in place.
+        chunk's fresh result, never changed in place. In training, the
+        sweep (``sweep``) has already stepped every chunk whose members all
+        got a gradient; this steps the rest.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
-        outer product. Raises TrainingError naming the first parameter, in
-        chunk order (shapes by first appearance, each in ``params`` order),
-        whose gradient holds a NaN or inf: earlier chunks are stepped, and
-        its chunk's params, moments and gradients are left as they were.
+        outer product. Raises TrainingError naming the first parameter whose
+        gradient holds a NaN or inf, in the order chunks are stepped: sweep
+        order in training, chunk order (shapes by first appearance, each in
+        ``params`` order) here. Earlier chunks are stepped, and its chunk's
+        params, moments and gradients are left as they were.
         """
         for chunk in self._chunks:
             members = [params[name] for name in chunk.names]
@@ -370,10 +395,11 @@ class TrainResult:
 def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     """Train ``n_steps`` steps (0 is a no-op run), advancing ``state``
     (moments, RNG, step) in place, so calls that share one state are one
-    run, bitwise. Backward frees each step's graph and the update its
-    gradients, so between steps the run holds its params and ``state``
-    only. Divergence (non-finite loss) aborts with the partial trajectory
-    retained.
+    run, bitwise. Backward frees each step's graph as it sweeps and steps
+    each optimizer chunk once its gradients are final, so a step holds the
+    gradients of unfinished chunks only, and between steps the run holds
+    its params and ``state`` only. Divergence (non-finite loss) aborts
+    with the partial trajectory retained.
     """
     result = TrainResult()
     out = open(trajectory_path, "a") if trajectory_path else None
@@ -386,8 +412,8 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
             if not math.isfinite(loss.item()):
                 result.diverged = True
                 break
-            loss.backward()
             lr = lr_at(state.step + 1, cfg)
+            loss.backward(state.optimizer.sweep(model.params, lr))
             state.optimizer.update(model.params, lr)
             state.step += 1
             result.steps += 1

@@ -11,12 +11,15 @@ compares a search's ``ledger.jsonl``, ``topk.json`` and ``summary.csv``,
 and a training's ``checkpoint.bin``, ``train_report.json`` and
 ``trajectory.jsonl`` without its wall-clock ``step_time``; both runs must
 exit 0 with an empty stderr. It prints one table row per output and exits
-1 on any difference. pytest does not collect it.
+1 on any difference. The exit row also shows each run's peak RSS
+(``ru_maxrss`` of that child, from ``os.wait4``); memory is reported, not
+compared. pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -34,30 +37,41 @@ OUTPUTS = {"search": ("ledger.jsonl", "topk.json", "summary.csv"),
 
 
 def run_cli(src, argv, out_dir, cwd):
-    """Run the command line of the tree at ``src``; (exit code, stderr)."""
+    """Run the command line of the tree at ``src``; (exit code, stderr,
+    peak RSS in MB from that child's own rusage)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **SINGLE_THREAD_BLAS)
-    proc = subprocess.run([sys.executable, "-m", "brainformer.cli", *argv,
+    with subprocess.Popen([sys.executable, "-m", "brainformer.cli", *argv,
                            "--out", out_dir], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    return proc.returncode, proc.stderr.decode(errors="replace")
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err.decode(errors="replace"), usage.ru_maxrss / 1024
 
 
 def read_output(path):
-    """A file's bytes (a trajectory's without ``step_time``), or None if it
-    is missing."""
+    """``(size, sha256)`` of a file's bytes (a trajectory's without
+    ``step_time``), or None if it is missing. Files are hashed in blocks:
+    a child's ``ru_maxrss`` starts at this process's own peak, so holding
+    a checkpoint here would raise every later run's figure."""
+    digest, size = hashlib.sha256(), 0
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            if os.path.basename(path) == "trajectory.jsonl":
+                lines = []
+                for line in fh:
+                    doc = json.loads(line)
+                    del doc["step_time"]
+                    lines.append(json.dumps(doc, sort_keys=True))
+                blocks = ["\n".join(lines).encode()]
+            else:
+                blocks = iter(lambda: fh.read(1 << 20), b"")
+            for block in blocks:
+                digest.update(block)
+                size += len(block)
     except FileNotFoundError:
         return None
-    if os.path.basename(path) != "trajectory.jsonl":
-        return data
-    lines = []
-    for line in data.splitlines():
-        doc = json.loads(line)
-        del doc["step_time"]
-        lines.append(json.dumps(doc, sort_keys=True))
-    return "\n".join(lines).encode()
+    return size, digest.hexdigest()
 
 
 def compare(workload, seed, seconds, old_src, new_src):
@@ -69,13 +83,14 @@ def compare(workload, seed, seconds, old_src, new_src):
         runs = {side: run_cli(src, argv, outs[side], case)
                 for side, src in (("old", old_src), ("new", new_src))}
         rows = [("exit 0, empty stderr",
-                 all(code == 0 and not err for code, err in runs.values()),
-                 "; ".join(f"{side}: exit {code}, stderr {err.strip()[-200:]!r}"
-                           for side, (code, err) in runs.items()))]
+                 all(code == 0 and not err for code, err, _ in runs.values()),
+                 "; ".join(f"{side}: exit {code}, stderr {err.strip()[-200:]!r}, "
+                           f"peak RSS {rss:.1f} MB"
+                           for side, (code, err, rss) in runs.items()))]
         for name in OUTPUTS[workload.kind]:
             old, new = (read_output(os.path.join(outs[side], name)) for side in outs)
             detail = "missing" if old is None or new is None else \
-                f"{len(old)} bytes" if old == new else f"{len(old)} vs {len(new)} bytes"
+                f"{old[0]} bytes" if old == new else f"{old[0]} vs {new[0]} bytes"
             rows.append((name, old is not None and old == new, detail))
     return rows
 

@@ -898,6 +898,16 @@ def test_stack_applies_to_a_bare_block_only(tmp_path, genome_file, corpus_file,
             assert report["genome"]["n_blocks"] == n_blocks
 
 
+def test_bad_stack_is_not_blamed_on_the_genome(tmp_path, genome_file, capsys):
+    """A --stack the model spec refuses is a usage error of its own; the
+    well-formed genome file is not called malformed."""
+    assert main(["count-params", "--genome", genome_file, "--stack", "0",
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_blocks must be") and err.count("\n") == 1
+    assert "malformed genome" not in err
+
+
 @pytest.mark.parametrize("command", ["train", "search", "count-params", "report"])
 def test_out_is_a_regular_file(tmp_path, genome_file, corpus_file, command, capsys):
     """An --out that names an existing regular file is a usage error, and

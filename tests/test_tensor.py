@@ -345,6 +345,53 @@ class TestGraphConsumption:
             assert not pending
 
 
+class TestLeafCallback:
+    """``backward(on_leaf)`` reports each requires_grad leaf exactly once,
+    after the last op that consumes it, so its gradient is final."""
+
+    def _leaves(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        c = Tensor(rng.normal(size=(4, 5)))  # an input: never reported
+        return x, w, b, c
+
+    @staticmethod
+    def _graph(x, w, b, c):
+        # x is used twice by one mul and once by an add; w feeds two matmuls
+        h = T.add(T.matmul(T.mul(x, x), w), T.matmul(T.add(x, c), w))
+        return T.tsum(T.gelu(T.add(h, b)))
+
+    def test_each_leaf_once_with_its_final_gradient(self):
+        leaves = self._leaves()
+        reported = []
+        self._graph(*leaves).backward(
+            lambda leaf: reported.append((leaf, leaf.grad.copy())))
+        x, w, b, c = leaves  # each reported once; the input c never
+        assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, (x, w, b)))
+        assert c.grad is None
+        plain = tuple(Tensor(t.data, requires_grad=t.requires_grad) for t in leaves)
+        self._graph(*plain).backward()
+        final = {id(t): p.grad for t, p in zip(leaves, plain)}
+        for leaf, grad in reported:  # nothing was added after the report
+            assert grad.tobytes() == final[id(leaf)].tobytes()
+            assert leaf.grad.tobytes() == grad.tobytes()
+
+    def test_consumed_graph_raises_before_any_report(self):
+        leaves = self._leaves()
+        loss = self._graph(*leaves)
+        loss.backward()
+        reported = []
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward(reported.append)
+        x, w, _, _ = leaves
+        again = T.tsum(T.mul(loss, T.tsum(T.matmul(x, w))))
+        with pytest.raises(RuntimeError, match="consumed"):
+            again.backward(reported.append)
+        assert reported == []
+
+
 class TestNoGrad:
     @staticmethod
     def _ops(x, w):

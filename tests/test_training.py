@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -305,6 +306,10 @@ PROXY_BLOCK = dict(layers=("attn", "ffn", "attn", "moe"), d=64, d_moe=128, d_ffn
 D32_BLOCK = dict(layers=("attn", "attn", "attn", "ffn", "attn"), d=32, d_moe=128,
                  d_ffn=128, h=4, d_head=16, g="expert_choice", c=2, a="gated_gelu",
                  n_experts=4)
+# top-2 over 16 small experts: on TEXT some get no token, and their
+# matrices share chunks with busy experts' ones
+IDLE_EXPERTS_BLOCK = dict(layers=("attn", "moe"), d=16, d_moe=32, d_ffn=32, h=2,
+                          d_head=8, g="top2", c=1, a="relu", n_experts=16)
 TEXT = b"the quick brown fox jumps over the lazy dog and the cat sat on the mat. " * 20
 
 
@@ -401,6 +406,40 @@ class TestChunkedUpdate:
         if case in ("proxy", "budget_split", "scalar_and_vector"):
             assert any(idle)  # some chunk was stepped in part
 
+    @pytest.mark.parametrize("block", [PROXY_BLOCK, IDLE_EXPERTS_BLOCK])
+    def test_sweep_steps_match_backward_then_update(self, block, monkeypatch):
+        """``train_steps`` steps each chunk inside the sweep, once its
+        members' gradients are final: over several steps its params and
+        moments are bitwise those of a plain ``backward()`` followed by
+        ``update``. When the sweep ends, no chunk whose members all got a
+        gradient still holds one; ``update`` steps only chunks with a member
+        that got none (an idle expert's), in part."""
+        spec = proxy_model_spec(BlockSpec(**block), 128)
+        model, ref = LanguageModel(spec, seed=0), LanguageModel(spec, seed=0)
+        cfg, corpus = TrainConfig(batch_size=2, seq_len=32, warmup_constant_steps=2), ByteCorpus(TEXT)
+        state, ref_state = fresh(model, cfg), fresh(ref, cfg)
+        left = []  # per step: chunks left to update with all / some members' gradients
+        real_update = Adafactor.update
+
+        def update(self, params, lr):
+            if self is state.optimizer:
+                has = [[params[n].grad is not None for n in c.names] for c in self._chunks]
+                left.append((sum(map(all, has)), sum(map(any, has))))
+            real_update(self, params, lr)
+        monkeypatch.setattr(Adafactor, "update", update)
+        for step in range(1, 6):
+            train_steps(model, corpus, cfg, 1, state)
+            inputs, targets = corpus.sample_batch(ref_state.rng, cfg.batch_size, cfg.seq_len)
+            lm_loss(ref, inputs, targets, aux_coeff=cfg.aux_coeff,
+                    seq_len=cfg.seq_len)[0].backward()
+            ref_state.optimizer.update(ref.params, lr_at(step, cfg))
+            for n, p in model.params.items():
+                assert p.data.tobytes() == ref.params[n].data.tobytes(), (step, n)
+                for k, m in state.optimizer.state[n].items():
+                    assert m.tobytes() == ref_state.optimizer.state[n][k].tobytes(), (step, n, k)
+        assert len(left) == 5 and all(whole == 0 for whole, _ in left)
+        assert any(some for _, some in left)  # update stepped a chunk in part
+
     @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
     def test_nonfinite_mid_chunk_names_it_and_changes_nothing(self, shape):
         """A NaN in the middle member's gradient raises naming it, and
@@ -425,6 +464,41 @@ class TestChunkedUpdate:
             for k, m in opt.state[n].items():
                 np.testing.assert_array_equal(m, before[n][1][k])
         assert not np.array_equal(params["early"].data, before["early"][0])
+
+    def test_nonfinite_in_the_sweep_names_it_and_changes_nothing(self, monkeypatch):
+        """A NaN put into a gradient during the sweep makes ``train_steps``
+        raise naming its param, with the params and moments of its whole
+        chunk as they were. Chunks are stepped in sweep order: ``out``,
+        swept first, was stepped; ``embed``, swept last but first in chunk
+        order, was not."""
+        model, cfg, corpus = tiny_model(), TrainConfig(batch_size=2, seq_len=16), tiny_corpus()
+        state = fresh(model, cfg)
+        train_steps(model, corpus, cfg, 1, state)  # non-zero moments
+        opt, bad = state.optimizer, "layer0.ln.b"
+        chunk = next(c for c in opt._chunks if bad in c.names)
+        assert len(chunk.names) > 1 and chunk.names[-1] != bad
+        before = {n: (p.data.copy(), copy.deepcopy(opt.state[n]))
+                  for n, p in model.params.items()}
+        real_sweep = Adafactor.sweep
+
+        def sweep(self, params, lr):
+            on_leaf = real_sweep(self, params, lr)
+
+            def poisoned(leaf):
+                if leaf is params[bad]:
+                    leaf.grad.reshape(-1)[0] = np.nan
+                on_leaf(leaf)
+            return poisoned
+        monkeypatch.setattr(Adafactor, "sweep", sweep)
+        with pytest.raises(TrainingError, match=re.escape(repr(bad))):
+            train_steps(model, corpus, cfg, 1, state)
+        for n in chunk.names:
+            np.testing.assert_array_equal(model.params[n].data, before[n][0])
+            for k, m in opt.state[n].items():
+                np.testing.assert_array_equal(m, before[n][1][k])
+        assert not np.array_equal(model.params["out"].data, before["out"][0])
+        np.testing.assert_array_equal(model.params["embed"].data, before["embed"][0])
+        assert state.step == 1
 
 
 class TestBudget:
