@@ -219,17 +219,19 @@ class TrialRecord:
     def from_json_dict(cls, doc):
         """The record of a ledger line's JSON object. It raises ConfigError
         unless the trial id is an int >= -1, the parent null or an earlier
-        trial's id, the reward and step time numbers, the 25% quality null
-        or a number (a resumed search compares the last two with the
-        baseline's), the stop reason one of ``STOP_REASONS`` and the genome
-        an object."""
+        trial's id, the steps an int >= 0, the reward, step time and cost
+        per step numbers, the final loss and 25% quality null or numbers,
+        the stop reason one of ``STOP_REASONS``, the genome an object and
+        the trajectory a list."""
         rec = cls(**doc)
         if not (L.positive_int(rec.trial_id, -1)
                 and (rec.parent_id is None or L.positive_int(rec.parent_id, 0)
                      and rec.parent_id < rec.trial_id)
-                and L.real_number(rec.reward) and L.real_number(rec.step_time)
-                and (rec.quality_25 is None or L.real_number(rec.quality_25))
-                and rec.stop_reason in STOP_REASONS and isinstance(rec.genome, dict)):
+                and L.positive_int(rec.steps, 0)
+                and all(map(L.real_number, (rec.reward, rec.step_time, rec.cost_per_step)))
+                and all(v is None or L.real_number(v) for v in (rec.final_loss, rec.quality_25))
+                and rec.stop_reason in STOP_REASONS and isinstance(rec.genome, dict)
+                and isinstance(rec.trajectory, list)):
             raise ConfigError(f"not a trial record: trial {rec.trial_id!r}")
         return rec
 

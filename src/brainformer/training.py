@@ -194,27 +194,20 @@ class Adafactor:
             per_chunk = max(1, CHUNK_BYTES // params[names[0]].data.nbytes)
             for i in range(0, len(names), per_chunk):
                 self._chunks.append(_Chunk(names[i:i + per_chunk], shape, self.state))
+        # param -> chunk, for the chunks of one member, which ``sweep`` steps
+        self._single = {params[c.names[0]]: c for c in self._chunks if len(c.names) == 1}
 
-    def sweep(self, params, lr):
+    def sweep(self, lr):
         """The ``on_leaf`` callback of ``Tensor.backward`` that steps each
-        chunk, as ``update`` would, once every member's gradient is final,
-        so a sweep never holds the gradients of a chunk it has finished. A
-        chunk with a member that gets no gradient is left to ``update``."""
-        waiting = {}  # param -> [members not yet reported, chunk, members]
-        for chunk in self._chunks:
-            members = [params[name] for name in chunk.names]
-            entry = [len(members), chunk, members]
-            for p in members:
-                waiting[p] = entry
-
+        param that has a chunk of its own, as ``update`` would, once its
+        gradient is final, so a sweep drops each such gradient as soon as
+        it is applied. Chunks that stack several members are left to
+        ``update``: stepped between backward ops they ran slower than back
+        to back."""
         def on_leaf(leaf):
-            entry = waiting.get(leaf)
-            if entry is not None and leaf.grad is not None:
-                entry[0] -= 1
-                if not entry[0]:
-                    _, chunk, members = entry
-                    self._update_chunk(chunk, range(len(members)), members,
-                                       chunk.moments, lr)
+            chunk = self._single.get(leaf)
+            if chunk is not None and leaf.grad is not None:
+                self._update_chunk(chunk, [0], [leaf], lr)
         return on_leaf
 
     def update(self, params, lr):
@@ -224,31 +217,31 @@ class Adafactor:
         them once its moments are updated, so its new params can take the
         freed memory. Each ``p.data`` is rebound to its slice of the
         chunk's fresh result, never changed in place. In training, the
-        sweep (``sweep``) has already stepped every chunk whose members all
-        got a gradient; this steps the rest.
+        sweep (``sweep``) has already stepped the one-member chunks; this
+        steps the chunks that stack several members.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
         outer product. Raises TrainingError naming the first parameter whose
-        gradient holds a NaN or inf, in the order chunks are stepped: sweep
-        order in training, chunk order (shapes by first appearance, each in
-        ``params`` order) here. Earlier chunks are stepped, and its chunk's
-        params, moments and gradients are left as they were.
+        gradient holds a NaN or inf, in the order chunks are stepped: chunk
+        order (shapes by first appearance, each in ``params`` order), after
+        the one-member chunks the sweep has stepped in its own order.
+        Earlier chunks are stepped, and its chunk's params, moments and
+        gradients are left as they were.
         """
         for chunk in self._chunks:
             members = [params[name] for name in chunk.names]
             live = [i for i, p in enumerate(members) if p.grad is not None]
-            if len(live) == len(members):
-                self._update_chunk(chunk, live, members, chunk.moments, lr)
-            elif live:  # step copies of the live members' moments, then write them back
-                moments = {key: m[live] for key, m in chunk.moments.items()}
-                self._update_chunk(chunk, live, [members[i] for i in live], moments, lr)
-                for key, m in moments.items():
-                    chunk.moments[key][live] = m
+            if live:
+                self._update_chunk(chunk, live, [members[i] for i in live], lr)
 
-    def _update_chunk(self, chunk, live, members, moments, lr):
+    def _update_chunk(self, chunk, live, members, lr):
+        """Step ``members``, the chunk's members at indices ``live``: the
+        whole chunk in place, or copies of part of its moments, written
+        back once stepped."""
         b2, k = self.beta2, len(members)
-        whole = moments is chunk.moments
+        whole = k == len(chunk.names)
+        moments = chunk.moments if whole else {key: m[live] for key, m in chunk.moments.items()}
         if k == 1:
             G, P = members[0].grad[None], members[0].data[None]
         else:
@@ -302,6 +295,9 @@ class Adafactor:
         for p, view in zip(members, views):
             p.data = view
         chunk.stacked, chunk.views = (new, views) if whole else (None, ())
+        if not whole:
+            for key, m in moments.items():
+                chunk.moments[key][live] = m
 
     @staticmethod
     def _check_finite(chunk, live, G, reduced):
@@ -396,10 +392,10 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     """Train ``n_steps`` steps (0 is a no-op run), advancing ``state``
     (moments, RNG, step) in place, so calls that share one state are one
     run, bitwise. Backward frees each step's graph as it sweeps and steps
-    each optimizer chunk once its gradients are final, so a step holds the
-    gradients of unfinished chunks only, and between steps the run holds
-    its params and ``state`` only. Divergence (non-finite loss) aborts
-    with the partial trajectory retained.
+    each one-member optimizer chunk once its gradient is final; the update
+    after it steps the chunks that stack several members. Between steps the
+    run holds its params and ``state`` only. Divergence (non-finite loss)
+    aborts with the partial trajectory retained.
     """
     result = TrainResult()
     out = open(trajectory_path, "a") if trajectory_path else None
@@ -413,7 +409,7 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
                 result.diverged = True
                 break
             lr = lr_at(state.step + 1, cfg)
-            loss.backward(state.optimizer.sweep(model.params, lr))
+            loss.backward(state.optimizer.sweep(lr))
             state.optimizer.update(model.params, lr)
             state.step += 1
             result.steps += 1

@@ -368,6 +368,31 @@ class TestSearchCommand:
         assert "is not a record" in capsys.readouterr().err
         assert (out / "ledger.jsonl").read_bytes() == mistyped
 
+    def test_resume_refuses_ill_typed_record(self, tmp_path, capsys):
+        """A record whose final loss, steps, cost per step and trajectory
+        have the wrong types would be copied into ``topk.json`` and
+        ``summary.csv`` on resume: the shipped search's ledger with its best
+        completed record so changed is refused with its bytes unchanged,
+        and ``report`` skips that line."""
+        cfg, out = str(CONFIGS / "search_surrogate.json"), tmp_path / "run"
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "ledger.jsonl").read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        best = max((i for i, doc in enumerate(docs) if doc["stop_reason"] == STOP_COMPLETED),
+                   key=lambda i: docs[i]["reward"])
+        docs[best].update(final_loss="oops", steps="many", cost_per_step=None,
+                          trajectory={"step": 1})
+        lines[best] = json.dumps(docs[best])
+        ill_typed = "".join(line + "\n" for line in lines).encode()
+        (out / "ledger.jsonl").write_bytes(ill_typed)
+        assert main(["search", "--config", cfg, "--out", str(out), "--resume"]) == EXIT_USAGE
+        assert "is not a record" in capsys.readouterr().err
+        assert (out / "ledger.jsonl").read_bytes() == ill_typed
+        assert main(["report", "--ledger", str(out / "ledger.jsonl"),
+                     "--out", str(tmp_path / "rep")]) == EXIT_OK
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert report["skipped_corrupt_lines"] == 1
+
     def test_resume_with_ledger_directory(self, tmp_path, capsys):
         out = tmp_path / "run"
         (out / "ledger.jsonl").mkdir(parents=True)

@@ -303,7 +303,10 @@ class TestLedger:
         {"parent_id": "1"}, {"parent_id": -1}, {"parent_id": 3}, {"parent_id": 4},
         {"reward": "-2.5"}, {"reward": None}, {"reward": False},
         {"step_time": "1.0"}, {"step_time": None}, {"quality_25": "2.9"},
-        {"stop_reason": "done"}, {"stop_reason": None}, {"genome": [1]}])
+        {"stop_reason": "done"}, {"stop_reason": None}, {"genome": [1]},
+        {"steps": "many"}, {"steps": -1}, {"steps": 10.0}, {"steps": True},
+        {"cost_per_step": None}, {"cost_per_step": "1.0"}, {"final_loss": "oops"},
+        {"final_loss": True}, {"trajectory": {"step": 1}}, {"trajectory": None}])
     def test_record_fields_checked_where_parsed(self, edit):
         doc = {"trial_id": 3, "parent_id": 1, "genome": {}, "step_time": 1.0,
                "cost_per_step": 1.0, "steps": 10, "final_loss": 2.5,

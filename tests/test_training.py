@@ -408,23 +408,22 @@ class TestChunkedUpdate:
 
     @pytest.mark.parametrize("block", [PROXY_BLOCK, IDLE_EXPERTS_BLOCK])
     def test_sweep_steps_match_backward_then_update(self, block, monkeypatch):
-        """``train_steps`` steps each chunk inside the sweep, once its
-        members' gradients are final: over several steps its params and
-        moments are bitwise those of a plain ``backward()`` followed by
-        ``update``. When the sweep ends, no chunk whose members all got a
-        gradient still holds one; ``update`` steps only chunks with a member
-        that got none (an idle expert's), in part."""
+        """``train_steps`` steps each one-member chunk inside the sweep,
+        once its gradient is final, and the rest in ``update``: over several
+        steps its params and moments are bitwise those of a plain
+        ``backward()`` followed by ``update``. When ``update`` is entered,
+        no one-member chunk still holds a gradient, and each chunk that
+        stacks several holds every gradient a plain ``backward()`` gives."""
         spec = proxy_model_spec(BlockSpec(**block), 128)
         model, ref = LanguageModel(spec, seed=0), LanguageModel(spec, seed=0)
         cfg, corpus = TrainConfig(batch_size=2, seq_len=32, warmup_constant_steps=2), ByteCorpus(TEXT)
         state, ref_state = fresh(model, cfg), fresh(ref, cfg)
-        left = []  # per step: chunks left to update with all / some members' gradients
+        held = {}  # optimizer -> per step: per chunk, which members hold a gradient
         real_update = Adafactor.update
 
         def update(self, params, lr):
-            if self is state.optimizer:
-                has = [[params[n].grad is not None for n in c.names] for c in self._chunks]
-                left.append((sum(map(all, has)), sum(map(any, has))))
+            held.setdefault(self, []).append(
+                [[params[n].grad is not None for n in c.names] for c in self._chunks])
             real_update(self, params, lr)
         monkeypatch.setattr(Adafactor, "update", update)
         for step in range(1, 6):
@@ -437,8 +436,13 @@ class TestChunkedUpdate:
                 assert p.data.tobytes() == ref.params[n].data.tobytes(), (step, n)
                 for k, m in state.optimizer.state[n].items():
                     assert m.tobytes() == ref_state.optimizer.state[n][k].tobytes(), (step, n, k)
-        assert len(left) == 5 and all(whole == 0 for whole, _ in left)
-        assert any(some for _, some in left)  # update stepped a chunk in part
+        swept, plain = held[state.optimizer], held[ref_state.optimizer]
+        assert len(swept) == len(plain) == 5
+        for chunks, ref_chunks in zip(swept, plain):
+            for has, ref_has in zip(chunks, ref_chunks):
+                assert has == ([False] if len(has) == 1 else ref_has)
+        assert any(has == [True] for chunks in plain for has in chunks)  # the sweep stepped some
+        assert any(len(has) > 1 and any(has) for chunks in swept for has in chunks)
 
     @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
     def test_nonfinite_mid_chunk_names_it_and_changes_nothing(self, shape):
@@ -466,26 +470,42 @@ class TestChunkedUpdate:
         assert not np.array_equal(params["early"].data, before["early"][0])
 
     def test_nonfinite_in_the_sweep_names_it_and_changes_nothing(self, monkeypatch):
-        """A NaN put into a gradient during the sweep makes ``train_steps``
-        raise naming its param, with the params and moments of its whole
-        chunk as they were. Chunks are stepped in sweep order: ``out``,
-        swept first, was stepped; ``embed``, swept last but first in chunk
-        order, was not."""
+        """A NaN put into a one-member chunk's gradient (``embed``'s) during
+        the sweep makes ``train_steps`` raise in the sweep, naming its
+        param, with the params and moments of its chunk as they were.
+        One-member chunks are stepped in sweep order: ``out``, swept first,
+        was stepped; ``pos``, swept after ``embed``, was not."""
+        self.poison_in_sweep(monkeypatch, "embed", stepped="out", kept="pos")
+
+    def test_nonfinite_in_a_stacked_chunk_raises_from_update(self, monkeypatch):
+        """A NaN put into the gradient of a chunk that stacks several
+        members (``layer0.ln.b``'s) during the sweep raises from ``update``
+        after the sweep, in chunk order, with its whole chunk as it was:
+        ``pos``, swept last, was stepped; ``layer0.wq``, in a later chunk,
+        was not."""
+        self.poison_in_sweep(monkeypatch, "layer0.ln.b", stepped="pos", kept="layer0.wq")
+
+    @staticmethod
+    def poison_in_sweep(monkeypatch, bad, stepped, kept):
+        """Put a NaN into ``bad``'s gradient as the sweep reports it: the
+        step raises naming it, its chunk unchanged, ``stepped``'s param
+        stepped and ``kept``'s not."""
         model, cfg, corpus = tiny_model(), TrainConfig(batch_size=2, seq_len=16), tiny_corpus()
         state = fresh(model, cfg)
         train_steps(model, corpus, cfg, 1, state)  # non-zero moments
-        opt, bad = state.optimizer, "layer0.ln.b"
+        opt = state.optimizer
         chunk = next(c for c in opt._chunks if bad in c.names)
-        assert len(chunk.names) > 1 and chunk.names[-1] != bad
+        assert (chunk.names == [bad] if bad == "embed"
+                else len(chunk.names) > 1 and chunk.names[-1] != bad)
         before = {n: (p.data.copy(), copy.deepcopy(opt.state[n]))
                   for n, p in model.params.items()}
         real_sweep = Adafactor.sweep
 
-        def sweep(self, params, lr):
-            on_leaf = real_sweep(self, params, lr)
+        def sweep(self, lr):
+            on_leaf = real_sweep(self, lr)
 
             def poisoned(leaf):
-                if leaf is params[bad]:
+                if leaf is model.params[bad]:
                     leaf.grad.reshape(-1)[0] = np.nan
                 on_leaf(leaf)
             return poisoned
@@ -496,8 +516,8 @@ class TestChunkedUpdate:
             np.testing.assert_array_equal(model.params[n].data, before[n][0])
             for k, m in opt.state[n].items():
                 np.testing.assert_array_equal(m, before[n][1][k])
-        assert not np.array_equal(model.params["out"].data, before["out"][0])
-        np.testing.assert_array_equal(model.params["embed"].data, before["embed"][0])
+        assert not np.array_equal(model.params[stepped].data, before[stepped][0])
+        np.testing.assert_array_equal(model.params[kept].data, before[kept][0])
         assert state.step == 1
 
 
