@@ -110,10 +110,10 @@ def _build_runner(cfg, seed, space):
     baseline_doc = cfg.get("baseline_genome")
     baseline = M.BlockSpec.from_json_dict(baseline_doc) if baseline_doc else None
     budget = cfg.get("budget", {})
+    if len(budget) != 1 or not budget.keys() <= {"cost_units", "seconds"}:
+        raise ConfigError(f"search config: budget needs exactly one of "
+                          f"cost_units, seconds, got {sorted(budget)}")
     cost_units, seconds = budget.get("cost_units"), budget.get("seconds")
-    if (cost_units is None) == (seconds is None):
-        raise ConfigError("search config: budget needs exactly one of "
-                          "cost_units, seconds")
     limit = seconds if cost_units is None else cost_units
     if not (real_number(limit) and limit > 0):
         raise ConfigError(f"search config: budget must be a positive number, "
@@ -177,6 +177,9 @@ def cmd_search(args):
     except ConfigError as exc:
         raise ConfigError(f"search config: {exc}")
     topk = cfg.get("topk", {})
+    unknown = sorted(set(topk) - {"k", "factors", "stacks"})
+    if unknown:
+        raise ConfigError(f"search config: unknown topk fields: {unknown}")
     topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
     S.check_topk(*topk_args)
     runner = _build_runner(cfg, seed, space)

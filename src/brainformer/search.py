@@ -84,6 +84,15 @@ class SearchSpace:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ConfigError(f"search space domain {name} is empty")
+        bad = [k for k in self.k_choices if not L.positive_int(k)]
+        if bad:
+            raise ConfigError(f"search space k_choices must be integers >= 1, got {bad[0]!r}")
+        # each value swapped into the first choices, over all the layer
+        # kinds, builds a genome; the checks are per value, so all do
+        first = {f: self.domain(f)[0] for f in SEARCHED_FIELDS}
+        for f, value in ((f, v) for f in SEARCHED_FIELDS for v in self.domain(f)):
+            BlockSpec(layers=self.layer_kinds, **{**first, f: value},
+                      n_experts=self.n_experts, d_head=self.d_head)
         for moe in self.moe_configs():  # routing n_experts tokens, capacity is c
             moe.capacity(self.n_experts)
 

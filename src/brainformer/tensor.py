@@ -51,7 +51,8 @@ class Tensor:
 
     ``data`` is always a float64 ndarray. ``grad`` is allocated lazily
     during backward and has the same shape as ``data``. Tensors are
-    immutable after construction except for grad accumulation.
+    immutable after construction except for grad accumulation and the
+    optimizer, which owns a param's ``data`` and steps it in place.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")

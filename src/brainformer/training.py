@@ -147,22 +147,25 @@ CHUNK_BYTES = 256 * 1024
 
 
 class _Chunk:
-    """Same-shape params stepped together. Their moments are stacked along
-    a new first axis; each ``Adafactor.state`` entry holds views of its
-    slices. ``stacked`` is the last whole-chunk update's result and
-    ``views`` the slices of it the members' ``p.data`` were given."""
+    """Same-shape params stepped together. Their values and moments are
+    ``arrays`` stacked along a new first axis (``"p"``, ``"r"``/``"c"`` or
+    ``"v"``); each ``p.data`` and ``Adafactor.state`` entry is a view of
+    its slice. A one-member chunk stacks ``p.data[None]``, not a copy."""
 
-    def __init__(self, names, shape, state):
-        k = len(names)
+    def __init__(self, names, params, state):
+        k, shape = len(names), params[names[0]].shape
         self.names = names
+        self.members = [params[name] for name in names]
         self.factored = len(shape) == 2 and shape[0] > 1 and shape[1] > 1
+        self.arrays = {"p": self.members[0].data[None] if k == 1
+                       else np.stack([p.data for p in self.members])}
         if self.factored:
-            self.moments = {"r": np.zeros((k, shape[0])), "c": np.zeros((k, shape[1]))}
+            self.arrays.update(r=np.zeros((k, shape[0])), c=np.zeros((k, shape[1])))
         else:
-            self.moments = {"v": np.zeros((k,) + shape)}
-        for i, name in enumerate(names):
-            state[name] = {key: m[i, ...] for key, m in self.moments.items()}
-        self.stacked, self.views = None, ()
+            self.arrays["v"] = np.zeros((k,) + shape)
+        for i, (name, p) in enumerate(zip(names, self.members)):
+            p.data = self.arrays["p"][i, ...]  # [i] of a 1-D stack would be a copy
+            state[name] = {key: a[i, ...] for key, a in self.arrays.items() if key != "p"}
 
 
 class Adafactor:
@@ -175,8 +178,8 @@ class Adafactor:
 
     Params are grouped by shape (in order of first appearance) into chunks
     of up to ``CHUNK_BYTES // param_bytes`` members, at least one. The
-    optimizer owns the moments: ``state[name]`` holds views of the chunks'
-    stacked arrays, which ``load_checkpoint`` copies into.
+    optimizer owns the params' values and moments and steps them in place;
+    outside code may change a param in place but never rebinds ``p.data``.
     """
 
     EPS1 = 1e-30
@@ -193,9 +196,9 @@ class Adafactor:
         for shape, names in by_shape.items():
             per_chunk = max(1, CHUNK_BYTES // params[names[0]].data.nbytes)
             for i in range(0, len(names), per_chunk):
-                self._chunks.append(_Chunk(names[i:i + per_chunk], shape, self.state))
+                self._chunks.append(_Chunk(names[i:i + per_chunk], params, self.state))
         # param -> chunk, for the chunks of one member, which ``sweep`` steps
-        self._single = {params[c.names[0]]: c for c in self._chunks if len(c.names) == 1}
+        self._single = {c.members[0]: c for c in self._chunks if len(c.members) == 1}
 
     def sweep(self, lr):
         """The ``on_leaf`` callback of ``Tensor.backward`` that steps each
@@ -207,56 +210,45 @@ class Adafactor:
         def on_leaf(leaf):
             chunk = self._single.get(leaf)
             if chunk is not None and leaf.grad is not None:
-                self._update_chunk(chunk, [0], [leaf], lr)
+                self._update_chunk(chunk, [0], lr)
         return on_leaf
 
-    def update(self, params, lr):
+    def update(self, lr):
         """One step on every parameter that has a gradient, one chunk at a
         time, bit for bit the arithmetic of a loop over the params. A chunk
-        stacks its members' gradients (one member's as a view) and drops
-        them once its moments are updated, so its new params can take the
-        freed memory. Each ``p.data`` is rebound to its slice of the
-        chunk's fresh result, never changed in place. In training, the
-        sweep (``sweep``) has already stepped the one-member chunks; this
-        steps the chunks that stack several members.
+        stacks its members' gradients (one member's as a view), drops them
+        once its moments are updated, and subtracts the step from its
+        params in place. In training, the sweep (``sweep``) has already
+        stepped the one-member chunks; this steps the chunks that stack
+        several members.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
         outer product. Raises TrainingError naming the first parameter whose
         gradient holds a NaN or inf, in the order chunks are stepped: chunk
-        order (shapes by first appearance, each in ``params`` order), after
-        the one-member chunks the sweep has stepped in its own order.
+        order (shapes by first appearance, each in construction order),
+        after the one-member chunks the sweep has stepped in its own order.
         Earlier chunks are stepped, and its chunk's params, moments and
         gradients are left as they were.
         """
         for chunk in self._chunks:
-            members = [params[name] for name in chunk.names]
-            live = [i for i, p in enumerate(members) if p.grad is not None]
+            live = [i for i, p in enumerate(chunk.members) if p.grad is not None]
             if live:
-                self._update_chunk(chunk, live, [members[i] for i in live], lr)
+                self._update_chunk(chunk, live, lr)
 
-    def _update_chunk(self, chunk, live, members, lr):
-        """Step ``members``, the chunk's members at indices ``live``: the
-        whole chunk in place, or copies of part of its moments, written
-        back once stepped."""
-        b2, k = self.beta2, len(members)
-        whole = k == len(chunk.names)
-        moments = chunk.moments if whole else {key: m[live] for key, m in chunk.moments.items()}
-        if k == 1:
-            G, P = members[0].grad[None], members[0].data[None]
-        else:
-            G = np.stack([p.grad for p in members])
-            # the last result, unless a member was rebound since (a loaded
-            # checkpoint, a deep copy of the model)
-            if whole and chunk.stacked is not None and all(
-                    p.data is v for p, v in zip(members, chunk.views)):
-                P = chunk.stacked
-            else:
-                P = np.stack([p.data for p in members])
-        # one fresh buffer holds g * g, then the step u, then the new params
+    def _update_chunk(self, chunk, live, lr):
+        """Step the chunk's members at indices ``live``: the whole chunk in
+        place, or copies of part of its arrays, written back once stepped."""
+        b2, k = self.beta2, len(live)
+        members = [chunk.members[i] for i in live]
+        whole = k == len(chunk.members)
+        arrays = chunk.arrays if whole else {key: a[live] for key, a in chunk.arrays.items()}
+        G = members[0].grad[None] if k == 1 else np.stack([p.grad for p in members])
+        P = arrays["p"]
+        # one fresh buffer holds g * g, then the step u
         G2 = np.multiply(G, G, out=np.empty(G.shape))
         if chunk.factored:
-            R, C = moments["r"], moments["c"]
+            R, C = arrays["r"], arrays["c"]
             rows = np.add.reduce(G2, axis=2)
             self._check_finite(chunk, live, G, rows)
             cols = np.add.reduce(G2, axis=1)
@@ -273,7 +265,7 @@ class Adafactor:
             U = np.multiply(G, row_factor[:, :, None], out=G2)
             U *= (1.0 / np.sqrt(C))[:, None, :]
         else:
-            V = moments["v"]
+            V = arrays["v"]
             self._check_finite(chunk, live, G, G2)
             G2 += self.EPS1
             G2 *= 1 - b2
@@ -290,14 +282,10 @@ class Adafactor:
         scale = [lr * max(self.EPS2, math.sqrt(pp / size)) / max(1.0, math.sqrt(uu / size) / self.CLIP)
                  for uu, pp in zip(np.vecdot(flat_u, flat_u).tolist(), np.vecdot(flat_p, flat_p).tolist())]
         flat_u *= np.array(scale)[:, None]
-        new = np.subtract(P, U, out=U)
-        views = [new[i, ...] for i in range(k)]  # new[i] of a 1-D stack is a copy
-        for p, view in zip(members, views):
-            p.data = view
-        chunk.stacked, chunk.views = (new, views) if whole else (None, ())
+        P -= U
         if not whole:
-            for key, m in moments.items():
-                chunk.moments[key][live] = m
+            for key, a in arrays.items():
+                chunk.arrays[key][live] = a
 
     @staticmethod
     def _check_finite(chunk, live, G, reduced):
@@ -352,7 +340,8 @@ def save_checkpoint(model, state, path):
 
 
 def load_checkpoint(model, state, path):
-    """Restore the params and the state's moments, RNG and step in place.
+    """Restore the params and the state's moments, RNG and step in place,
+    copying into the arrays the run holds (no ``p.data`` is rebound).
     A file that is not a checkpoint of exactly this model's params and this
     state's moments, shapes included, raises ConfigError and changes nothing.
     It is opened here: ``np.load`` leaves its own handle open on a bad zip."""
@@ -372,11 +361,8 @@ def load_checkpoint(model, state, path):
     misfit = sorted(want ^ {(key, arr.shape) for key, arr in arrays.items()})
     if misfit:
         raise ConfigError(f"checkpoint {path} does not fit this run: {misfit[0][0]!r}")
-    for name, p in model.params.items():
-        p.data = arrays[f"param/{name}"]
-    for name, moments in state.optimizer.state.items():
-        for k in moments:  # copy into the optimizer's views of its chunks
-            moments[k][...] = arrays[f"{k}/{name}"]
+    for key, view in _checkpoint_arrays(model, state).items():
+        view[...] = arrays[key]
     state.rng, state.step = rng, step
 
 
@@ -410,7 +396,7 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
                 break
             lr = lr_at(state.step + 1, cfg)
             loss.backward(state.optimizer.sweep(lr))
-            state.optimizer.update(model.params, lr)
+            state.optimizer.update(lr)
             state.step += 1
             result.steps += 1
             result.final_loss = ce.item()

@@ -253,6 +253,31 @@ class TestSearchCommand:
         assert "topk" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, edit, message", [
+        ("space", {"k_choices": [2.5, 4]}, "k_choices must be integers >= 1, got 2.5"),
+        ("space", {"k_choices": [True]}, "k_choices must be integers >= 1, got True"),
+        ("space", {"layer_kinds": ["attn", "conv"]}, "unknown layer kind 'conv'"),
+        ("space", {"layer_kinds": ["moe", "ffn"]}, "needs at least one attention layer"),
+        ("space", {"d_head": True}, "head_dim=True"),
+        ("space", {"h_choices": [2, 0]}, "n_heads=0"),
+        ("space", {"a_choices": ["relu", "tanh"]}, "unknown activation 'tanh'"),
+        ("budget", {"secnds": 3}, "got ['cost_units', 'secnds']"),
+        ("topk", {"factor": [2]}, "unknown topk fields: ['factor']")])
+    def test_config_no_search_can_use_is_refused_first(self, tmp_path, section,
+                                                      edit, message, capsys):
+        """A space holding a genome that cannot be built, and a budget or
+        topk key the search does not read, exit 2 with one error line
+        before anything is written."""
+        doc = json.loads(Path(search_config(tmp_path)).read_text())
+        doc[section].update(edit)
+        path, out = tmp_path / "bad.json", tmp_path / "o"
+        path.write_text(json.dumps(doc))
+        assert main(["search", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: search config: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corpus, valid_fraction", [("missing", 0.1),
                                                         ("corpus", 1.0),
                                                         ("corpus", -0.5),
@@ -520,11 +545,11 @@ class TestTrainCommand:
         def train(out, steps, *extra, crash_at=None):
             calls = []
 
-            def update(self, params, lr):
+            def update(self, lr):
                 calls.append(lr)
                 if len(calls) == crash_at:
                     raise Crash
-                real_update(self, params, lr)
+                real_update(self, lr)
 
             monkeypatch.setattr(TR.Adafactor, "update", update)
             argv = ["train", "--genome", genome_file, "--corpus", corpus_file,

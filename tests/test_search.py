@@ -121,9 +121,10 @@ class TestSample:
         assert {v[3] for v in seen} == {2, 3}
 
     def test_unsatisfiable_space(self):
-        s = toy_space(layer_kinds=("moe",))
-        with pytest.raises(ConfigError):
-            sample_candidate(s, random.Random(0))
+        """A space whose blocks can hold no attention layer is refused
+        when it is made, before any draw."""
+        with pytest.raises(ConfigError, match="needs at least one attention layer"):
+            toy_space(layer_kinds=("moe",))
 
 
 class TestMutate:

@@ -187,7 +187,7 @@ class TestAdafactor:
         p = Tensor(np.array([2.0]), requires_grad=True)
         p.grad = np.array([0.5])
         opt = Adafactor({"p": p}, beta2=0.99)
-        opt.update({"p": p}, lr=0.1)
+        opt.update(lr=0.1)
         v = 0.01 * (0.25 + 1e-30)
         u = 0.5 / math.sqrt(v)
         u /= max(1.0, abs(u))  # clip at rms 1
@@ -200,7 +200,7 @@ class TestAdafactor:
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
         p.grad = g.copy()
         opt = Adafactor({"w": p}, beta2=0.9)
-        opt.update({"w": p}, lr=0.05)
+        opt.update(lr=0.05)
         g2 = g * g + 1e-30
         r = 0.1 * g2.sum(axis=1)
         c = 0.1 * g2.sum(axis=0)
@@ -228,13 +228,13 @@ class TestAdafactor:
                   "b": Tensor(rng.normal(size=4), requires_grad=True)}
         for p in params.values():
             p.grad = rng.normal(size=p.shape)
-        Adafactor(params).update(params, lr=0.1)
+        Adafactor(params).update(lr=0.1)
         assert all(p.grad is None for p in params.values())
 
     def test_none_grad_skipped(self):
         p = Tensor(np.ones(3), requires_grad=True)
         opt = Adafactor({"b": p})
-        opt.update({"b": p}, lr=0.1)
+        opt.update(lr=0.1)
         np.testing.assert_array_equal(p.data, np.ones(3))
 
     def test_nonfinite_grad_raises(self):
@@ -242,7 +242,7 @@ class TestAdafactor:
         p.grad = np.array([1.0, np.nan, 0.0])
         opt = Adafactor({"b": p})
         with pytest.raises(TrainingError):
-            opt.update({"b": p}, lr=0.1)
+            opt.update(lr=0.1)
 
     @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
     def test_matches_unfactored_oracle(self, shape):
@@ -259,7 +259,7 @@ class TestAdafactor:
             g = rng.normal(size=shape) * (1.0 if step < 5 else 1e-3)
             p.grad, q.grad = g.copy(), g.copy()
             before = np.array(q.data)
-            opt.update({"w": p}, lr=0.1)
+            opt.update(lr=0.1)
             adafactor_oracle(ref, {"w": q}, lr=0.1)
             np.testing.assert_allclose(p.data - before, q.data - before,
                                        rtol=1e-12, atol=0)
@@ -269,7 +269,7 @@ class TestAdafactor:
             step_rms = math.sqrt(np.mean((q.data - before) ** 2))
             alpha = 0.1 * max(1e-3, math.sqrt(np.mean(before * before)))
             clipped.append(step_rms > alpha * (1 - 1e-9))
-            p.data = np.array(q.data)
+            p.data[...] = q.data
         assert any(clipped) and not all(clipped)  # both regimes were compared
 
     @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
@@ -283,7 +283,7 @@ class TestAdafactor:
         before = p.data.copy()
         opt = Adafactor({"layer0.w": p})
         with pytest.raises(TrainingError, match="'layer0.w'"):
-            opt.update({"layer0.w": p}, lr=0.1)
+            opt.update(lr=0.1)
         np.testing.assert_array_equal(p.data, before)
 
     def test_update_magnitude_bounded(self):
@@ -294,7 +294,7 @@ class TestAdafactor:
         for _ in range(5):
             before = p.data.copy()
             p.grad = rng.normal(size=(4, 4)) * 100
-            opt.update({"w": p}, lr=0.1)
+            opt.update(lr=0.1)
             step = p.data - before
             rms_param = max(1e-3, math.sqrt(np.mean(before * before)))
             assert math.sqrt(np.mean(step * step)) <= 0.1 * rms_param + 1e-12
@@ -343,10 +343,11 @@ class TestChunkedUpdate:
                 p.grad = None if (step, name) in drop else rng.normal(size=p.shape)
         return params, set_grads, between
 
-    def reload_and_rebind(self, tmp_path):
+    def reload_and_scale(self, tmp_path):
         """Save after step 2, load that checkpoint after step 4 (and put the
-        reference back to step 2), then scale one param from outside after
-        step 5: the chunk must restack its params each time."""
+        reference back to step 2), then scale one param in place from
+        outside after step 5: the chunk must step the values it holds then,
+        not those it last wrote."""
         path = tmp_path / "ckpt.bin"
         saved = {}
 
@@ -363,12 +364,12 @@ class TestChunkedUpdate:
                 ref.state = copy.deepcopy(saved["moments"])
             elif step == 5:
                 for side in (params, ref_params):
-                    side["w1"].data = side["w1"].data * 0.5
+                    side["w1"].data *= 0.5
         shapes = {"w0": (8, 8), "w1": (8, 8), "w2": (8, 8), "b0": (4,), "b1": (4,)}
         return self.random_case(shapes, between=between)
 
     @pytest.mark.parametrize("case", ["proxy", "d32_genome", "budget_split",
-                                      "scalar_and_vector", "reload_and_rebind"])
+                                      "scalar_and_vector", "reload_and_scale"])
     def test_matches_per_param_loop(self, case, tmp_path):
         if case == "proxy":
             params, set_grads, between = self.model_case(PROXY_BLOCK)
@@ -382,7 +383,7 @@ class TestChunkedUpdate:
             params, set_grads, between = self.random_case(
                 {"s0": (), "v": (6,), "s1": (), "w": (5, 7)}, drop={(2, "s0")})
         else:
-            params, set_grads, between = self.reload_and_rebind(tmp_path)
+            params, set_grads, between = self.reload_and_scale(tmp_path)
         ref_params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
         opt, ref = Adafactor(params), Adafactor(ref_params)
         if case == "budget_split":
@@ -394,7 +395,7 @@ class TestChunkedUpdate:
             for n, p in params.items():
                 ref_params[n].grad = None if p.grad is None else p.grad.copy()
             idle.append(sum(p.grad is None for p in params.values()))
-            opt.update(params, lr=0.05)
+            opt.update(lr=0.05)
             adafactor_reference(ref, ref_params, lr=0.05)
             assert all(p.grad is None for p in params.values())
             for n, p in params.items():
@@ -405,6 +406,25 @@ class TestChunkedUpdate:
                 between(step, params, opt, ref_params, ref)
         if case in ("proxy", "budget_split", "scalar_and_vector"):
             assert any(idle)  # some chunk was stepped in part
+
+    def test_construction_keeps_values_and_owns_storage(self):
+        """``Adafactor(params)`` changes no value, bit for bit. Each
+        ``p.data`` is a view of its chunk's stacked ``"p"`` array, and a
+        one-member chunk stacks its param's own array instead of a copy."""
+        rng = np.random.default_rng(34)
+        params = random_params(rng, {"big": (256, 128), "w0": (5, 7), "w1": (5, 7),
+                                     "v": (6,), "s0": (), "s1": ()})
+        before = {n: p.data.copy() for n, p in params.items()}
+        own = params["big"].data
+        opt = Adafactor(params)
+        assert [c.names for c in opt._chunks] == [["big"], ["w0", "w1"], ["v"], ["s0", "s1"]]
+        for chunk in opt._chunks:
+            assert [params[n] for n in chunk.names] == chunk.members
+            for name, p in zip(chunk.names, chunk.members):
+                assert p.data.shape == before[name].shape
+                assert p.data.tobytes() == before[name].tobytes(), name
+                assert np.shares_memory(p.data, chunk.arrays["p"]), name
+        assert np.shares_memory(opt._chunks[0].arrays["p"], own)
 
     @pytest.mark.parametrize("block", [PROXY_BLOCK, IDLE_EXPERTS_BLOCK])
     def test_sweep_steps_match_backward_then_update(self, block, monkeypatch):
@@ -421,17 +441,17 @@ class TestChunkedUpdate:
         held = {}  # optimizer -> per step: per chunk, which members hold a gradient
         real_update = Adafactor.update
 
-        def update(self, params, lr):
+        def update(self, lr):
             held.setdefault(self, []).append(
-                [[params[n].grad is not None for n in c.names] for c in self._chunks])
-            real_update(self, params, lr)
+                [[p.grad is not None for p in c.members] for c in self._chunks])
+            real_update(self, lr)
         monkeypatch.setattr(Adafactor, "update", update)
         for step in range(1, 6):
             train_steps(model, corpus, cfg, 1, state)
             inputs, targets = corpus.sample_batch(ref_state.rng, cfg.batch_size, cfg.seq_len)
             lm_loss(ref, inputs, targets, aux_coeff=cfg.aux_coeff,
                     seq_len=cfg.seq_len)[0].backward()
-            ref_state.optimizer.update(ref.params, lr_at(step, cfg))
+            ref_state.optimizer.update(lr_at(step, cfg))
             for n, p in model.params.items():
                 assert p.data.tobytes() == ref.params[n].data.tobytes(), (step, n)
                 for k, m in state.optimizer.state[n].items():
@@ -456,13 +476,13 @@ class TestChunkedUpdate:
         assert [c.names for c in opt._chunks] == [["early"], ["first", "mid", "last"]]
         for p in params.values():
             p.grad = rng.normal(size=p.shape)
-        opt.update(params, lr=0.1)  # non-zero moments
+        opt.update(lr=0.1)  # non-zero moments
         before = {n: (p.data.copy(), copy.deepcopy(opt.state[n])) for n, p in params.items()}
         for p in params.values():
             p.grad = rng.normal(size=p.shape)
         params["mid"].grad.reshape(-1)[-1] = np.nan
         with pytest.raises(TrainingError, match="'mid'"):
-            opt.update(params, lr=0.1)
+            opt.update(lr=0.1)
         for n in ("first", "mid", "last"):
             np.testing.assert_array_equal(params[n].data, before[n][0])
             for k, m in opt.state[n].items():
@@ -734,12 +754,15 @@ class TestCarriedState:
         assert_same_params(parts, whole)
 
     def test_fresh_state_starts_over(self):
-        """A second fresh state draws the same batches as the first did."""
+        """A second fresh state draws the same batches as the first did.
+        It is built once the first is done with the model: an optimizer
+        owns its params' storage from construction."""
         corpus = tiny_corpus()
         cfg = TrainConfig(seq_len=8, batch_size=2)
         m = tiny_model()
-        first, again = fresh(m, cfg), fresh(m, cfg)
+        first = fresh(m, cfg)
         train_steps(m, corpus, cfg, 2, first)
+        again = fresh(m, cfg)
         res = train_steps(m, corpus, cfg, 2, again)
         assert again.rng.bit_generator.state == first.rng.bit_generator.state
         assert again.step == 2 and [r["step"] for r in res.records] == [1, 2]
@@ -821,6 +844,23 @@ class TestCheckpointFile:
         loaded_state = fresh(loaded, self.cfg)
         load_checkpoint(loaded, loaded_state, path)
         assert loaded_state.step == 1
+
+    def test_load_copies_into_the_arrays_the_run_holds(self, tmp_path):
+        """Loading restores the values into each ``p.data`` and each
+        ``state[name]`` view the run already holds (the optimizer's
+        storage), rebinding none of them."""
+        m, state = self.saved(tmp_path)
+        want = self.snapshot(m, state)
+        train_steps(m, self.corpus, self.cfg, 1, state)
+        held = ({k: p.data for k, p in m.params.items()},
+                {n: dict(moments) for n, moments in state.optimizer.state.items()})
+        load_checkpoint(m, state, tmp_path / "ckpt.bin")
+        for k, p in m.params.items():
+            assert p.data is held[0][k], k
+        for n, moments in state.optimizer.state.items():
+            for k, v in moments.items():
+                assert v is held[1][n][k], (n, k)
+        self.assert_unchanged(m, state, want)
 
     def test_every_truncation_is_a_config_error(self, tmp_path):
         m, _ = self.saved(tmp_path)
