@@ -15,8 +15,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
+
+import numpy as np
+import scipy
 
 from . import model as M
 from . import search as S
@@ -53,8 +57,22 @@ def _write_manifest(out_dir, command, config_path, seed, started, artifacts):
         "artifacts": {name: _sha256(os.path.join(out_dir, name))
                       for name in artifacts
                       if os.path.exists(os.path.join(out_dir, name))},
+        "environment": _environment(),
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _environment():
+    """The build a run ran on: float results differ across numpy and BLAS
+    builds. ``nproc`` counts the CPUs this process may run on, and
+    ``optimizer_thread`` tells whether the process started the
+    optimizer's stepper thread (``training.Adafactor.sweep``)."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    stepper = TR.Adafactor.stepper
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "nproc": len(os.sched_getaffinity(0)),
+            "optimizer_thread": stepper is not None and stepper.thread is not None}
 
 
 def _load_corpus(path, valid_fraction):

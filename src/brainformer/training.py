@@ -6,10 +6,14 @@ A search budget becomes a step count in ``search.run_trial`` alone.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import copy
 import json
 import math
 import os
+import queue
+import threading
 import time
 import zipfile
 from dataclasses import dataclass, field, fields, replace
@@ -168,6 +172,56 @@ class _Chunk:
             state[name] = {key: a[i, ...] for key, a in self.arrays.items() if key != "p"}
 
 
+class _Stepper:
+    """Runs the steps of big params that sweeps submit, in order and one at
+    a time under ``lock``: on a daemon thread while the sweep goes on, or,
+    with one CPU, inline as each is submitted. After a step raises, the
+    later ones are dropped; ``take_over`` returns the error."""
+
+    def __init__(self):
+        self.jobs = collections.deque()  # (optimizer, chunk, lr), in sweep order
+        self.lock = threading.Lock()
+        self.wake = queue.SimpleQueue()
+        self.error = self.thread = None
+        if len(os.sched_getaffinity(0)) > 1:
+            self.thread = threading.Thread(target=self._serve, name="adafactor-stepper",
+                                           daemon=True)
+            self.thread.start()
+
+    def submit(self, job):
+        self.jobs.append(job)
+        if self.thread is None:
+            self.run()
+        else:
+            self.wake.put(None)
+
+    def _serve(self):
+        while True:
+            self.wake.get()
+            self.run()
+
+    def run(self):
+        """Step the queued jobs until none is left. Whoever holds the lock
+        pops the next one, so no job is in flight once this returns."""
+        while True:
+            with self.lock:
+                if not self.jobs:
+                    return
+                optimizer, chunk, lr = self.jobs.popleft()
+                if self.error is None:
+                    try:
+                        optimizer._update_chunk(chunk, [0], lr)
+                    except Exception as exc:  # raised again on the sweep's thread
+                        self.error = exc
+
+    def take_over(self):
+        """Run what the thread has not started on the caller's thread, and
+        return (and forget) the first error a step raised, if any."""
+        self.run()
+        error, self.error = self.error, None
+        return error
+
+
 class Adafactor:
     """Factored second-moment optimizer.
 
@@ -177,7 +231,8 @@ class Adafactor:
     size scaled by the parameter RMS.
 
     Params are grouped by shape (in order of first appearance) into chunks
-    of up to ``CHUNK_BYTES // param_bytes`` members, at least one. The
+    of up to ``CHUNK_BYTES // param_bytes`` members, at least one, so a
+    big param (of at least ``CHUNK_BYTES``) is a chunk of its own. The
     optimizer owns the params' values and moments and steps them in place;
     outside code may change a param in place but never rebinds ``p.data``.
     """
@@ -185,6 +240,9 @@ class Adafactor:
     EPS1 = 1e-30
     EPS2 = 1e-3
     CLIP = 1.0
+    # one per process, made by the first sweep with a big param: a thread
+    # per optimizer would outlive it (a search builds one per trial)
+    stepper = None
 
     def __init__(self, params, beta2=0.99):
         self.beta2 = beta2
@@ -197,39 +255,59 @@ class Adafactor:
             per_chunk = max(1, CHUNK_BYTES // params[names[0]].data.nbytes)
             for i in range(0, len(names), per_chunk):
                 self._chunks.append(_Chunk(names[i:i + per_chunk], params, self.state))
-        # param -> chunk, for the chunks of one member, which ``sweep`` steps
-        self._single = {c.members[0]: c for c in self._chunks if len(c.members) == 1}
+        # param -> chunk, for the params of at least CHUNK_BYTES (one-member
+        # chunks), which ``sweep`` steps
+        self._big = {c.members[0]: c for c in self._chunks
+                     if c.members[0].data.nbytes >= CHUNK_BYTES}
 
+    @contextlib.contextmanager
     def sweep(self, lr):
-        """The ``on_leaf`` callback of ``Tensor.backward`` that steps each
-        param that has a chunk of its own, as ``update`` would, once its
-        gradient is final, so a sweep drops each such gradient as soon as
-        it is applied. Chunks that stack several members are left to
-        ``update``: stepped between backward ops they ran slower than back
-        to back."""
+        """``with opt.sweep(lr) as on_leaf: loss.backward(on_leaf)`` is one
+        training step. ``on_leaf`` hands each big param (of at least
+        ``CHUNK_BYTES``) to ``Adafactor.stepper`` once the sweep reports it:
+        its gradient is final and no later backward op reads it, so the
+        stepper's thread steps it, as ``update`` would, while the sweep goes
+        on. When the sweep ends, the caller's thread steps in order what the
+        thread has not started and waits for the one in flight. It then
+        re-raises the first error of those steps (no big param after that
+        one was stepped, and ``update`` does not run), or calls
+        ``update(lr)`` for every other chunk, back to back: handed to the
+        thread too, the small ones made the search slower. With one CPU
+        there is no thread, and each big param is stepped inline when it
+        is reported; an error is still raised after the sweep."""
+        if self._big and Adafactor.stepper is None:
+            Adafactor.stepper = _Stepper()
+        stepper = Adafactor.stepper if self._big else None
+
         def on_leaf(leaf):
-            chunk = self._single.get(leaf)
+            chunk = self._big.get(leaf)
             if chunk is not None and leaf.grad is not None:
-                self._update_chunk(chunk, [0], lr)
-        return on_leaf
+                stepper.submit((self, chunk, lr))
+        try:
+            yield on_leaf
+        finally:
+            error = stepper.take_over() if stepper else None
+        if error:
+            raise error
+        self.update(lr)
 
     def update(self, lr):
         """One step on every parameter that has a gradient, one chunk at a
         time, bit for bit the arithmetic of a loop over the params. A chunk
         stacks its members' gradients (one member's as a view), drops them
         once its moments are updated, and subtracts the step from its
-        params in place. In training, the sweep (``sweep``) has already
-        stepped the one-member chunks; this steps the chunks that stack
-        several members.
+        params in place. In training, ``sweep`` has already stepped the
+        big params (of at least ``CHUNK_BYTES``) and calls this for every
+        other chunk, one-member or stacked.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
         outer product. Raises TrainingError naming the first parameter whose
-        gradient holds a NaN or inf, in the order chunks are stepped: chunk
-        order (shapes by first appearance, each in construction order),
-        after the one-member chunks the sweep has stepped in its own order.
-        Earlier chunks are stepped, and its chunk's params, moments and
-        gradients are left as they were.
+        gradient holds a NaN or inf, in chunk order (shapes by first
+        appearance, each in construction order); in training, ``sweep`` has
+        raised first for a big param, in sweep order. Earlier chunks are
+        stepped, and its chunk's params, moments and gradients are left as
+        they were.
         """
         for chunk in self._chunks:
             live = [i for i, p in enumerate(chunk.members) if p.grad is not None]
@@ -377,11 +455,13 @@ class TrainResult:
 def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     """Train ``n_steps`` steps (0 is a no-op run), advancing ``state``
     (moments, RNG, step) in place, so calls that share one state are one
-    run, bitwise. Backward frees each step's graph as it sweeps and steps
-    each one-member optimizer chunk once its gradient is final; the update
-    after it steps the chunks that stack several members. Between steps the
-    run holds its params and ``state`` only. Divergence (non-finite loss)
-    aborts with the partial trajectory retained.
+    run, bitwise. Backward frees each step's graph as it sweeps, and inside
+    ``Adafactor.sweep`` the optimizer's stepper thread steps each big param
+    once its gradient is final while the sweep goes on; after the sweep the
+    rest of the chunks are stepped back to back. A non-finite gradient
+    raises TrainingError after the sweep. Between steps the run holds its
+    params and ``state`` only. Divergence (non-finite loss) aborts with the
+    partial trajectory retained.
     """
     result = TrainResult()
     out = open(trajectory_path, "a") if trajectory_path else None
@@ -395,8 +475,8 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
                 result.diverged = True
                 break
             lr = lr_at(state.step + 1, cfg)
-            loss.backward(state.optimizer.sweep(lr))
-            state.optimizer.update(lr)
+            with state.optimizer.sweep(lr) as on_leaf:
+                loss.backward(on_leaf)
             state.step += 1
             result.steps += 1
             result.final_loss = ce.item()

@@ -1,5 +1,8 @@
 import json
 import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,19 @@ def search_config(tmp_path, **overrides):
     return str(path)
 
 
+def check_environment(manifest):
+    """A manifest's ``environment`` names the build it ran on."""
+    env = manifest["environment"]
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version", "nproc",
+                        "optimizer_thread"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert (env["blas"], env["blas_version"]) == (blas["name"], blas["version"])
+    assert env["nproc"] == len(os.sched_getaffinity(0))
+    assert env["optimizer_thread"] in (True, False)
+
+
 class TestSearchCommand:
     def test_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -71,6 +87,7 @@ class TestSearchCommand:
         assert set(manifest["artifacts"]) == {"ledger.jsonl", "topk.json",
                                               "summary.csv"}
         assert manifest["seed"] == 7
+        check_environment(manifest)
 
     def test_deterministic_across_runs(self, tmp_path):
         cfg = search_config(tmp_path)
@@ -452,6 +469,41 @@ class TestTrainCommand:
         assert "valid_ppl" in report
         assert len((out / "trajectory.jsonl").read_text().splitlines()) == 3
         assert (out / "checkpoint.bin").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {"checkpoint.bin", "train_report.json",
+                                              "trajectory.jsonl"}
+        check_environment(manifest)
+
+    def test_one_cpu_run_writes_the_same_bytes(self, tmp_path, corpus_file):
+        """``brainformer train`` on a genome whose expert matrices, embed and
+        out reach ``CHUNK_BYTES``, pinned to one CPU, starts no stepper
+        thread and steps those params inline: its checkpoint and its
+        trajectory (without ``step_time``) are those of a run that may use
+        every CPU, byte for byte. Both children run one BLAS thread."""
+        genome = tmp_path / "wide.json"
+        genome.write_text(json.dumps(toy_block(d=128, d_moe=256, d_ffn=256, h=4,
+                                               d_head=32, n_experts=4).to_json_dict()))
+        src = str(Path(TR.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        one_cpu = min(os.sched_getaffinity(0))
+
+        def train(out, pin):
+            subprocess.run([sys.executable, "-m", "brainformer.cli", "train", "--genome",
+                            str(genome), "--corpus", corpus_file, "--out", str(out),
+                            "--config", self.train_cfg(tmp_path, max_steps=4)],
+                           env=env, check=True, capture_output=True,
+                           preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None)
+            records = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+            for rec in records:
+                del rec["step_time"]
+            env_doc = json.loads((out / "manifest.json").read_text())["environment"]
+            return (out / "checkpoint.bin").read_bytes(), records, env_doc
+        pinned, free = train(tmp_path / "pinned", True), train(tmp_path / "free", False)
+        assert pinned[:2] == free[:2]
+        assert len(pinned[1]) == 4
+        assert (pinned[2]["nproc"], pinned[2]["optimizer_thread"]) == (1, False)
+        several = len(os.sched_getaffinity(0)) > 1
+        assert free[2]["optimizer_thread"] == several
 
     def test_divergence_exits_1_with_one_stderr_line(self, tmp_path, genome_file,
                                                      corpus_file, monkeypatch, capsys):

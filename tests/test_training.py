@@ -1,9 +1,14 @@
+import contextlib
 import copy
 import gc
 import io
 import json
 import math
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -20,6 +25,7 @@ from brainformer.training import (
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint, cut_trajectory, read_log,
 )
+from brainformer import training
 from brainformer.tensor import Tensor
 
 from helpers import adafactor_oracle, adafactor_reference, perplexity_oracle
@@ -310,6 +316,10 @@ D32_BLOCK = dict(layers=("attn", "attn", "attn", "ffn", "attn"), d=32, d_moe=128
 # matrices share chunks with busy experts' ones
 IDLE_EXPERTS_BLOCK = dict(layers=("attn", "moe"), d=16, d_moe=32, d_ffn=32, h=2,
                           d_head=8, g="top2", c=1, a="relu", n_experts=16)
+# the wide benchmark genome's [128,256] expert matrices, 4 experts: the
+# experts, embed and out reach CHUNK_BYTES
+WIDE_BLOCK = dict(layers=("attn", "moe"), d=128, d_moe=256, d_ffn=256, h=4, d_head=32,
+                  g="top2", c=2, a="relu", n_experts=4)
 TEXT = b"the quick brown fox jumps over the lazy dog and the cat sat on the mat. " * 20
 
 
@@ -428,16 +438,16 @@ class TestChunkedUpdate:
 
     @pytest.mark.parametrize("block", [PROXY_BLOCK, IDLE_EXPERTS_BLOCK])
     def test_sweep_steps_match_backward_then_update(self, block, monkeypatch):
-        """``train_steps`` steps each one-member chunk inside the sweep,
-        once its gradient is final, and the rest in ``update``: over several
-        steps its params and moments are bitwise those of a plain
-        ``backward()`` followed by ``update``. When ``update`` is entered,
-        no one-member chunk still holds a gradient, and each chunk that
-        stacks several holds every gradient a plain ``backward()`` gives."""
+        """With ``CHUNK_BYTES`` at half the embedding's bytes, so that some
+        params are big, some one-member chunks small and some chunks stack
+        several: ``train_steps`` steps each big param in the sweep and every
+        other chunk in ``update``, bitwise as a plain ``backward()`` then
+        ``update``. When ``update`` is entered, no big param still holds a
+        gradient, and every other chunk, one-member or stacked, holds each
+        gradient a plain ``backward()`` gives."""
         spec = proxy_model_spec(BlockSpec(**block), 128)
         model, ref = LanguageModel(spec, seed=0), LanguageModel(spec, seed=0)
-        cfg, corpus = TrainConfig(batch_size=2, seq_len=32, warmup_constant_steps=2), ByteCorpus(TEXT)
-        state, ref_state = fresh(model, cfg), fresh(ref, cfg)
+        monkeypatch.setattr(training, "CHUNK_BYTES", model.params["embed"].data.nbytes // 2)
         held = {}  # optimizer -> per step: per chunk, which members hold a gradient
         real_update = Adafactor.update
 
@@ -446,8 +456,69 @@ class TestChunkedUpdate:
                 [[p.grad is not None for p in c.members] for c in self._chunks])
             real_update(self, lr)
         monkeypatch.setattr(Adafactor, "update", update)
-        for step in range(1, 6):
+        state = self.train_against_plain_update(model, ref, steps=5)
+        opt = state.optimizer
+        big = [c.members[0] in opt._big for c in opt._chunks]
+        assert any(big) and not all(big)
+        swept, plain = held[opt], held[next(o for o in held if o is not opt)]
+        assert len(swept) == len(plain) == 5
+        for chunks, ref_chunks in zip(swept, plain):
+            for has, ref_has, is_big in zip(chunks, ref_chunks, big):
+                assert has == ([False] if is_big else ref_has)
+        assert any(is_big and has == [True] for chunks in plain
+                   for has, is_big in zip(chunks, big))  # the sweep stepped some
+        assert any(len(has) > 1 and any(has) for chunks in swept for has in chunks)
+        if block is PROXY_BLOCK:  # small one-member chunks are left to update
+            assert any(len(has) == 1 and not is_big and has == [True]
+                       for chunks in swept for has, is_big in zip(chunks, big))
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_stepper_thread_matches_backward_then_update(self, switch_interval, monkeypatch):
+        """On a model whose expert matrices, embed and out reach the real
+        ``CHUNK_BYTES``, ``train_steps`` gives the params and moments of a
+        plain ``backward()`` then ``update``, bitwise, over 5 steps, also with
+        the interpreter switching threads every microsecond. With two or more
+        CPUs the big params are stepped on the stepper's thread. After each
+        call no param holds a gradient, and the stepper has no job queued or
+        in flight."""
+        spec = ModelSpec(block=BlockSpec(**WIDE_BLOCK), n_blocks=1, vocab_size=BYTE_VOCAB,
+                         max_seq_len=32)
+        model, ref = LanguageModel(spec, seed=0), LanguageModel(spec, seed=0)
+        threads = set()  # the threads that stepped a big param
+        real_update_chunk = Adafactor._update_chunk
+
+        def update_chunk(self, chunk, live, lr):
+            if chunk.members[0] in self._big:
+                threads.add(threading.current_thread())
+            real_update_chunk(self, chunk, live, lr)
+        monkeypatch.setattr(Adafactor, "_update_chunk", update_chunk)
+        interval = sys.getswitchinterval()
+        try:
+            if switch_interval is not None:
+                sys.setswitchinterval(switch_interval)
+            state = self.train_against_plain_update(model, ref, steps=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(state.optimizer._big) == 10  # 8 expert matrices, embed, out
+        stepper = Adafactor.stepper
+        assert (stepper.thread is not None) == (len(os.sched_getaffinity(0)) > 1)
+        if stepper.thread is not None:
+            assert stepper.thread in threads
+
+    @staticmethod
+    def train_against_plain_update(model, ref, steps):
+        """Train ``model`` one ``train_steps`` call a step and ``ref`` by a
+        plain ``backward()`` then ``update``, checking after each step that
+        params and moments are bitwise equal, that no param holds a gradient
+        and that the stepper is idle. Returns ``model``'s state."""
+        cfg = TrainConfig(batch_size=2, seq_len=32, warmup_constant_steps=2)
+        corpus = ByteCorpus(TEXT)
+        state, ref_state = fresh(model, cfg), fresh(ref, cfg)
+        for step in range(1, steps + 1):
             train_steps(model, corpus, cfg, 1, state)
+            assert all(p.grad is None for p in model.params.values())
+            if Adafactor.stepper is not None:
+                assert not Adafactor.stepper.jobs and not Adafactor.stepper.lock.locked()
             inputs, targets = corpus.sample_batch(ref_state.rng, cfg.batch_size, cfg.seq_len)
             lm_loss(ref, inputs, targets, aux_coeff=cfg.aux_coeff,
                     seq_len=cfg.seq_len)[0].backward()
@@ -456,13 +527,7 @@ class TestChunkedUpdate:
                 assert p.data.tobytes() == ref.params[n].data.tobytes(), (step, n)
                 for k, m in state.optimizer.state[n].items():
                     assert m.tobytes() == ref_state.optimizer.state[n][k].tobytes(), (step, n, k)
-        swept, plain = held[state.optimizer], held[ref_state.optimizer]
-        assert len(swept) == len(plain) == 5
-        for chunks, ref_chunks in zip(swept, plain):
-            for has, ref_has in zip(chunks, ref_chunks):
-                assert has == ([False] if len(has) == 1 else ref_has)
-        assert any(has == [True] for chunks in plain for has in chunks)  # the sweep stepped some
-        assert any(len(has) > 1 and any(has) for chunks in swept for has in chunks)
+        return state
 
     @pytest.mark.parametrize("shape", [(5, 7), (6,), ()])
     def test_nonfinite_mid_chunk_names_it_and_changes_nothing(self, shape):
@@ -490,55 +555,115 @@ class TestChunkedUpdate:
         assert not np.array_equal(params["early"].data, before["early"][0])
 
     def test_nonfinite_in_the_sweep_names_it_and_changes_nothing(self, monkeypatch):
-        """A NaN put into a one-member chunk's gradient (``embed``'s) during
-        the sweep makes ``train_steps`` raise in the sweep, naming its
-        param, with the params and moments of its chunk as they were.
-        One-member chunks are stepped in sweep order: ``out``, swept first,
-        was stepped; ``pos``, swept after ``embed``, was not."""
-        self.poison_in_sweep(monkeypatch, "embed", stepped="out", kept="pos")
+        """A NaN put into a big param's gradient (``embed``'s, with
+        ``CHUNK_BYTES`` lowered so that ``embed`` and ``out`` are big) during
+        the sweep makes ``train_steps`` raise after the sweep, naming its
+        param, with the params and moments of its chunk as they were. Big
+        params are stepped in sweep order: ``out``, swept first, was
+        stepped; ``update`` did not run, so ``pos`` (a small one-member
+        chunk) and every other param were not."""
+        model = tiny_model()
+        monkeypatch.setattr(training, "CHUNK_BYTES", model.params["embed"].data.nbytes)
+        changed, stepped, updates = self.poison_in_sweep(monkeypatch, model, "embed")
+        assert changed == stepped == {"out"} and updates == []
+
+    def test_nonfinite_in_the_stepper_raises_on_the_caller(self, monkeypatch):
+        """On a model whose expert matrices, embed and out reach the real
+        ``CHUNK_BYTES``, a NaN put into a middle expert matrix's gradient,
+        met on the stepper's thread (inline with one CPU), raises from
+        ``train_steps`` on the caller's thread, naming it, with its chunk
+        unchanged. The big params reported before it are stepped, those
+        after it (``embed`` among them) are not, and ``update`` does not
+        run. Warnings are errors here, so an exception left unhandled in
+        the thread would fail the test."""
+        bad = "layer1.expert1.w_out"
+        met_on = []  # the thread that stepped ``bad``'s poisoned gradient
+        real_update_chunk, real_take_over = Adafactor._update_chunk, training._Stepper.take_over
+
+        def update_chunk(self, chunk, live, lr):
+            if bad in chunk.names and np.isnan(chunk.members[0].grad).any():
+                met_on.append(threading.current_thread())
+            real_update_chunk(self, chunk, live, lr)
+
+        def take_over(self):  # the thread runs every job: the caller takes over none
+            deadline = time.monotonic() + 60
+            while (self.jobs or self.lock.locked()) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real_take_over(self)
+        monkeypatch.setattr(Adafactor, "_update_chunk", update_chunk)
+        monkeypatch.setattr(training._Stepper, "take_over", take_over)
+        spec = ModelSpec(block=BlockSpec(**WIDE_BLOCK), n_blocks=1, vocab_size=BYTE_VOCAB,
+                         max_seq_len=32)
+        changed, stepped, updates = self.poison_in_sweep(
+            monkeypatch, LanguageModel(spec, seed=0), bad)
+        assert changed == stepped and "out" in stepped and "embed" not in stepped
+        assert updates == []
+        assert met_on == [Adafactor.stepper.thread or threading.current_thread()]
 
     def test_nonfinite_in_a_stacked_chunk_raises_from_update(self, monkeypatch):
         """A NaN put into the gradient of a chunk that stacks several
         members (``layer0.ln.b``'s) during the sweep raises from ``update``
         after the sweep, in chunk order, with its whole chunk as it was:
-        ``pos``, swept last, was stepped; ``layer0.wq``, in a later chunk,
+        the big params (``out`` and ``embed``, with ``CHUNK_BYTES``
+        lowered) were stepped in the sweep, ``pos``, a small one-member
+        chunk before it, by ``update``; ``layer0.wq``, in a later chunk,
         was not."""
-        self.poison_in_sweep(monkeypatch, "layer0.ln.b", stepped="pos", kept="layer0.wq")
+        model = tiny_model()
+        monkeypatch.setattr(training, "CHUNK_BYTES", model.params["embed"].data.nbytes)
+        changed, stepped, updates = self.poison_in_sweep(monkeypatch, model, "layer0.ln.b")
+        assert stepped == {"out", "embed"}
+        assert {"out", "embed", "pos"} <= changed and "layer0.wq" not in changed
+        assert len(updates) == 1
 
     @staticmethod
-    def poison_in_sweep(monkeypatch, bad, stepped, kept):
-        """Put a NaN into ``bad``'s gradient as the sweep reports it: the
-        step raises naming it, its chunk unchanged, ``stepped``'s param
-        stepped and ``kept``'s not."""
-        model, cfg, corpus = tiny_model(), TrainConfig(batch_size=2, seq_len=16), tiny_corpus()
+    def poison_in_sweep(monkeypatch, model, bad):
+        """Train one step, then one with a NaN put into ``bad``'s gradient as
+        the sweep reports it. That step raises on this thread naming
+        ``bad``, its chunk's params and moments unchanged, every big param
+        the sweep reported before ``bad`` stepped and every one after it
+        not. Returns the names of the params it changed, the names of the
+        big params reported before ``bad`` and the ``lr`` of each ``update``
+        call it made."""
+        cfg, corpus = TrainConfig(batch_size=2, seq_len=16), tiny_corpus()
         state = fresh(model, cfg)
         train_steps(model, corpus, cfg, 1, state)  # non-zero moments
         opt = state.optimizer
         chunk = next(c for c in opt._chunks if bad in c.names)
-        assert (chunk.names == [bad] if bad == "embed"
-                else len(chunk.names) > 1 and chunk.names[-1] != bad)
+        assert (chunk.names == [bad]) == (model.params[bad] in opt._big)
         before = {n: (p.data.copy(), copy.deepcopy(opt.state[n]))
                   for n, p in model.params.items()}
-        real_sweep = Adafactor.sweep
+        names = {p: n for n, p in model.params.items()}
+        reported, updates = [], []
+        real_sweep, real_update = Adafactor.sweep, Adafactor.update
 
+        @contextlib.contextmanager
         def sweep(self, lr):
-            on_leaf = real_sweep(self, lr)
+            with real_sweep(self, lr) as on_leaf:
+                def poisoned(leaf):
+                    reported.append(names[leaf])
+                    if leaf is model.params[bad]:
+                        leaf.grad.reshape(-1)[0] = np.nan
+                    on_leaf(leaf)
+                yield poisoned
 
-            def poisoned(leaf):
-                if leaf is model.params[bad]:
-                    leaf.grad.reshape(-1)[0] = np.nan
-                on_leaf(leaf)
-            return poisoned
+        def update(self, lr):
+            updates.append(lr)
+            real_update(self, lr)
         monkeypatch.setattr(Adafactor, "sweep", sweep)
+        monkeypatch.setattr(Adafactor, "update", update)
         with pytest.raises(TrainingError, match=re.escape(repr(bad))):
             train_steps(model, corpus, cfg, 1, state)
         for n in chunk.names:
             np.testing.assert_array_equal(model.params[n].data, before[n][0])
             for k, m in opt.state[n].items():
                 np.testing.assert_array_equal(m, before[n][1][k])
-        assert not np.array_equal(model.params[stepped].data, before[stepped][0])
-        np.testing.assert_array_equal(model.params[kept].data, before[kept][0])
+        changed = {n for n, p in model.params.items() if not np.array_equal(p.data, before[n][0])}
+        big = [n for n in reported if model.params[n] in opt._big]
+        cut = big.index(bad) if bad in big else len(big)
+        assert big[:cut] and set(big[:cut]) <= changed
+        assert not set(big[cut:]) & changed
         assert state.step == 1
+        return changed, set(big[:cut]), updates
 
 
 class TestBudget:
