@@ -64,15 +64,17 @@ def _write_manifest(out_dir, command, config_path, seed, started, artifacts):
 
 def _environment():
     """The build a run ran on: float results differ across numpy and BLAS
-    builds. ``nproc`` counts the CPUs this process may run on, and
-    ``optimizer_thread`` tells whether the process started the
-    optimizer's stepper thread (``training.Adafactor.sweep``)."""
+    builds. ``nproc`` counts the CPUs this process may run on (all of the
+    machine's where the OS cannot say), and ``optimizer_thread`` tells
+    whether the process started the optimizer's stepper thread
+    (``training.Adafactor.sweep``)."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    stepper = TR.Adafactor.stepper
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "nproc": len(os.sched_getaffinity(0)),
-            "optimizer_thread": stepper is not None and stepper.thread is not None}
+            "blas_version": blas.get("version"), "nproc": nproc,
+            "optimizer_thread": TR.Adafactor.stepper is not None}
 
 
 def _load_corpus(path, valid_fraction):

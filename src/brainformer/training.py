@@ -174,26 +174,22 @@ class _Chunk:
 
 class _Stepper:
     """Runs the steps of big params that sweeps submit, in order and one at
-    a time under ``lock``: on a daemon thread while the sweep goes on, or,
-    with one CPU, inline as each is submitted. After a step raises, the
-    later ones are dropped; ``take_over`` returns the error."""
+    a time under ``lock``, on a daemon thread while the sweep goes on.
+    After a step raises, the later ones are dropped; ``take_over`` returns
+    the error."""
 
     def __init__(self):
         self.jobs = collections.deque()  # (optimizer, chunk, lr), in sweep order
         self.lock = threading.Lock()
         self.wake = queue.SimpleQueue()
-        self.error = self.thread = None
-        if len(os.sched_getaffinity(0)) > 1:
-            self.thread = threading.Thread(target=self._serve, name="adafactor-stepper",
-                                           daemon=True)
-            self.thread.start()
+        self.error = None
+        self.thread = threading.Thread(target=self._serve, name="adafactor-stepper",
+                                       daemon=True)
+        self.thread.start()
 
     def submit(self, job):
         self.jobs.append(job)
-        if self.thread is None:
-            self.run()
-        else:
-            self.wake.put(None)
+        self.wake.put(None)
 
     def _serve(self):
         while True:
@@ -272,9 +268,7 @@ class Adafactor:
         re-raises the first error of those steps (no big param after that
         one was stepped, and ``update`` does not run), or calls
         ``update(lr)`` for every other chunk, back to back: handed to the
-        thread too, the small ones made the search slower. With one CPU
-        there is no thread, and each big param is stepped inline when it
-        is reported; an error is still raised after the sweep."""
+        thread too, the small ones made the search slower."""
         if self._big and Adafactor.stepper is None:
             Adafactor.stepper = _Stepper()
         stepper = Adafactor.stepper if self._big else None

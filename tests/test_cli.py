@@ -71,7 +71,9 @@ def check_environment(manifest):
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     assert (env["blas"], env["blas_version"]) == (blas["name"], blas["version"])
-    assert env["nproc"] == len(os.sched_getaffinity(0))
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    assert env["nproc"] == nproc
     assert env["optimizer_thread"] in (True, False)
 
 
@@ -474,25 +476,30 @@ class TestTrainCommand:
                                               "trajectory.jsonl"}
         check_environment(manifest)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the OS cannot pin a process to one CPU")
     def test_one_cpu_run_writes_the_same_bytes(self, tmp_path, corpus_file):
         """``brainformer train`` on a genome whose expert matrices, embed and
-        out reach ``CHUNK_BYTES``, pinned to one CPU, starts no stepper
-        thread and steps those params inline: its checkpoint and its
-        trajectory (without ``step_time``) are those of a run that may use
-        every CPU, byte for byte. Both children run one BLAS thread."""
+        out reach ``CHUNK_BYTES``, pinned to one CPU, still steps those
+        params on the stepper thread: its checkpoint and its trajectory
+        (without ``step_time``) are those of a run that may use every CPU,
+        byte for byte. Both children run one BLAS thread. The pinned child
+        sets its own affinity before it imports the package, so no thread
+        of this process takes part in the fork."""
         genome = tmp_path / "wide.json"
         genome.write_text(json.dumps(toy_block(d=128, d_moe=256, d_ffn=256, h=4,
                                                d_head=32, n_experts=4).to_json_dict()))
         src = str(Path(TR.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        one_cpu = min(os.sched_getaffinity(0))
+        pin = "os.sched_setaffinity(0, {%d}); " % min(os.sched_getaffinity(0))
 
-        def train(out, pin):
-            subprocess.run([sys.executable, "-m", "brainformer.cli", "train", "--genome",
-                            str(genome), "--corpus", corpus_file, "--out", str(out),
+        def train(out, pinned):
+            code = ("import os, sys; " + (pin if pinned else "")
+                    + "from brainformer.cli import main; sys.exit(main(sys.argv[1:]))")
+            subprocess.run([sys.executable, "-c", code, "train", "--genome", str(genome),
+                            "--corpus", corpus_file, "--out", str(out),
                             "--config", self.train_cfg(tmp_path, max_steps=4)],
-                           env=env, check=True, capture_output=True,
-                           preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None)
+                           env=env, check=True, capture_output=True)
             records = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
             for rec in records:
                 del rec["step_time"]
@@ -501,9 +508,8 @@ class TestTrainCommand:
         pinned, free = train(tmp_path / "pinned", True), train(tmp_path / "free", False)
         assert pinned[:2] == free[:2]
         assert len(pinned[1]) == 4
-        assert (pinned[2]["nproc"], pinned[2]["optimizer_thread"]) == (1, False)
-        several = len(os.sched_getaffinity(0)) > 1
-        assert free[2]["optimizer_thread"] == several
+        assert (pinned[2]["nproc"], pinned[2]["optimizer_thread"]) == (1, True)
+        assert free[2]["optimizer_thread"]
 
     def test_divergence_exits_1_with_one_stderr_line(self, tmp_path, genome_file,
                                                      corpus_file, monkeypatch, capsys):
