@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import math
@@ -65,16 +67,44 @@ def _write_manifest(out_dir, command, config_path, seed, started, artifacts):
 def _environment():
     """The build a run ran on: float results differ across numpy and BLAS
     builds. ``nproc`` counts the CPUs this process may run on (all of the
-    machine's where the OS cannot say), and ``optimizer_thread`` tells
-    whether the process started the optimizer's stepper thread
-    (``training.Adafactor.sweep``)."""
+    machine's where the OS cannot say); ``blas_threads`` and ``blas_core``
+    are the thread count and kernel set of numpy's bundled OpenBLAS (None
+    where numpy bundles none); ``helper_thread`` tells whether the process
+    started its helper thread (``training.helper``)."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
+    openblas = _bundled_openblas()
+    core = _openblas_call(openblas, "scipy_openblas_get_corename64_", ctypes.c_char_p)
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"), "nproc": nproc,
-            "optimizer_thread": TR.Adafactor.stepper is not None}
+            "blas_threads": _openblas_call(openblas, "scipy_openblas_get_num_threads64_",
+                                           ctypes.c_int),
+            "blas_core": core.decode() if core is not None else None,
+            "helper_thread": TR._helper is not None}
+
+
+def _bundled_openblas():
+    """The OpenBLAS library a numpy wheel bundles (already loaded by numpy,
+    so this opens the same copy), or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _openblas_call(lib, symbol, restype):
+    """``symbol()`` of ``lib``, a function of no arguments, or None where
+    the library or the symbol is absent."""
+    fn = getattr(lib, symbol, None) if lib is not None else None
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], restype
+    return fn()
 
 
 def _load_corpus(path, valid_fraction):

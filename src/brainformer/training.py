@@ -172,18 +172,20 @@ class _Chunk:
             state[name] = {key: a[i, ...] for key, a in self.arrays.items() if key != "p"}
 
 
-class _Stepper:
-    """Runs the steps of big params that sweeps submit, in order and one at
-    a time under ``lock``, on a daemon thread while the sweep goes on.
-    After a step raises, the later ones are dropped; ``take_over`` returns
-    the error."""
+class _Helper:
+    """The process's second thread: a daemon that runs submitted jobs, each
+    a tuple ``(fn, *args)``, in order and one at a time under ``lock``,
+    while the thread that submitted them goes on. After a job raises, the
+    later ones are dropped; ``take_over`` returns the error. The optimizer's
+    sweep hands it big params to step, and ``evaluate_perplexity`` a share
+    of its forwards."""
 
     def __init__(self):
-        self.jobs = collections.deque()  # (optimizer, chunk, lr), in sweep order
+        self.jobs = collections.deque()  # (fn, *args), in submission order
         self.lock = threading.Lock()
         self.wake = queue.SimpleQueue()
         self.error = None
-        self.thread = threading.Thread(target=self._serve, name="adafactor-stepper",
+        self.thread = threading.Thread(target=self._serve, name="brainformer-helper",
                                        daemon=True)
         self.thread.start()
 
@@ -197,25 +199,41 @@ class _Stepper:
             self.run()
 
     def run(self):
-        """Step the queued jobs until none is left. Whoever holds the lock
+        """Run the queued jobs until none is left. Whoever holds the lock
         pops the next one, so no job is in flight once this returns."""
         while True:
             with self.lock:
                 if not self.jobs:
                     return
-                optimizer, chunk, lr = self.jobs.popleft()
+                job = self.jobs.popleft()
                 if self.error is None:
                     try:
-                        optimizer._update_chunk(chunk, [0], lr)
-                    except Exception as exc:  # raised again on the sweep's thread
+                        job[0](*job[1:])
+                    except Exception as exc:  # raised again on the submitter's thread
                         self.error = exc
 
     def take_over(self):
-        """Run what the thread has not started on the caller's thread, and
-        return (and forget) the first error a step raised, if any."""
+        """Run what the thread has not started on the caller's thread, wait
+        for the job in flight, and return (and forget) the first error a
+        job raised, if any. On one CPU this runs every job the thread did
+        not get to."""
         self.run()
         error, self.error = self.error, None
         return error
+
+
+_helper = None  # the one ``_Helper`` of the process, made by ``helper()``
+
+
+def helper():
+    """The process's one helper thread, started at the first call (the
+    first sweep with a big param or the first evaluation), never at
+    import: a thread per optimizer would outlive it, as a search builds
+    one per trial."""
+    global _helper
+    if _helper is None:
+        _helper = _Helper()
+    return _helper
 
 
 class Adafactor:
@@ -236,9 +254,6 @@ class Adafactor:
     EPS1 = 1e-30
     EPS2 = 1e-3
     CLIP = 1.0
-    # one per process, made by the first sweep with a big param: a thread
-    # per optimizer would outlive it (a search builds one per trial)
-    stepper = None
 
     def __init__(self, params, beta2=0.99):
         self.beta2 = beta2
@@ -259,28 +274,26 @@ class Adafactor:
     @contextlib.contextmanager
     def sweep(self, lr):
         """``with opt.sweep(lr) as on_leaf: loss.backward(on_leaf)`` is one
-        training step. ``on_leaf`` hands each big param (of at least
-        ``CHUNK_BYTES``) to ``Adafactor.stepper`` once the sweep reports it:
-        its gradient is final and no later backward op reads it, so the
-        stepper's thread steps it, as ``update`` would, while the sweep goes
-        on. When the sweep ends, the caller's thread steps in order what the
-        thread has not started and waits for the one in flight. It then
-        re-raises the first error of those steps (no big param after that
-        one was stepped, and ``update`` does not run), or calls
-        ``update(lr)`` for every other chunk, back to back: handed to the
-        thread too, the small ones made the search slower."""
-        if self._big and Adafactor.stepper is None:
-            Adafactor.stepper = _Stepper()
-        stepper = Adafactor.stepper if self._big else None
+        training step. ``on_leaf`` submits the step of each big param (of at
+        least ``CHUNK_BYTES``) to the process's ``helper()`` once the sweep
+        reports it: its gradient is final and no later backward op reads
+        it, so the helper thread steps it, as ``update`` would, while the
+        sweep goes on. When the sweep ends, the caller's thread steps in
+        order what the thread has not started and waits for the one in
+        flight. It then re-raises the first error of those steps (no big
+        param after that one was stepped, and ``update`` does not run), or
+        calls ``update(lr)`` for every other chunk, back to back: handed to
+        the thread too, the small ones made the search slower."""
+        worker = helper() if self._big else None
 
         def on_leaf(leaf):
             chunk = self._big.get(leaf)
             if chunk is not None and leaf.grad is not None:
-                stepper.submit((self, chunk, lr))
+                worker.submit((self._update_chunk, chunk, [0], lr))
         try:
             yield on_leaf
         finally:
-            error = stepper.take_over() if stepper else None
+            error = worker.take_over() if worker else None
         if error:
             raise error
         self.update(lr)
@@ -450,7 +463,7 @@ def train_steps(model, corpus, cfg, n_steps, state, trajectory_path=None):
     """Train ``n_steps`` steps (0 is a no-op run), advancing ``state``
     (moments, RNG, step) in place, so calls that share one state are one
     run, bitwise. Backward frees each step's graph as it sweeps, and inside
-    ``Adafactor.sweep`` the optimizer's stepper thread steps each big param
+    ``Adafactor.sweep`` the process's helper thread steps each big param
     once its gradient is final while the sweep goes on; after the sweep the
     rest of the chunks are stepped back to back. A non-finite gradient
     raises TrainingError after the sweep. Between steps the run holds its
@@ -541,22 +554,48 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
     a forward, which records no graph. Each window is its own sequence and
     its own routing group, so it gets the routing decisions it would get
     alone; only the rounding of batched matrix products can differ.
+
+    The caller's thread and the process's ``helper()`` thread each take
+    the next forward not yet taken until none is left; the caller then
+    takes over the helper's job (running it if the thread has not started
+    it) and raises the first error a forward met there. Each forward's
+    ``(nll * tokens, tokens)`` is summed in window order, so the result is
+    bitwise that of one thread scoring the forwards in turn. ``no_grad`` is
+    entered once, here, around both threads' forwards and the take-over:
+    its flag is global to the module, so a job must not enter it.
     """
     windows = list(corpus.windows(seq_len, split=split, max_tokens=max_tokens))
     if not windows:
         raise ValueError(f"no evaluation windows in {split} slice")
     n = windows[0][0].size
     per_forward = max(1, EVAL_BATCH_TOKENS // n)
-    total_nll = 0.0
-    total_tokens = 0
-    with T.no_grad():
-        for start in range(0, len(windows), per_forward):
-            chunk = windows[start:start + per_forward]
+    batches = [windows[s:s + per_forward] for s in range(0, len(windows), per_forward)]
+    scores = [None] * len(batches)
+    todo = enumerate(batches)  # each next() is one C call, so each forward goes to one thread
+
+    def score():
+        for i, chunk in todo:
             inputs = np.concatenate([w for w, _ in chunk])
             targets = np.concatenate([t for _, t in chunk])
             logits, _ = model.forward(inputs, seq_len=n, group_size=n)
-            total_nll += T.cross_entropy(logits, targets).item() * targets.size
-            total_tokens += targets.size
+            scores[i] = (T.cross_entropy(logits, targets).item() * targets.size, targets.size)
+
+    worker = helper()
+    with T.no_grad():
+        worker.submit((score,))
+        try:
+            score()
+        finally:
+            for _ in todo:  # after a raise here, the helper starts no further forward
+                pass
+            error = worker.take_over()
+    if error:
+        raise error
+    total_nll = 0.0
+    total_tokens = 0
+    for nll, tokens in scores:
+        total_nll += nll
+        total_tokens += tokens
     return math.exp(total_nll / total_tokens)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from brainformer import layers as L
 from brainformer import tensor as T
+from brainformer import training
 from brainformer.tensor import Tensor
 from brainformer.training import TrainingError
 
@@ -263,4 +264,27 @@ def perplexity_oracle(model, corpus, split="valid", seq_len=128, max_tokens=None
         total_tokens += len(targets)
     if total_tokens == 0:
         raise ValueError(f"no evaluation windows in {split} slice")
+    return math.exp(total_nll / total_tokens)
+
+
+def serial_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=None):
+    """``evaluate_perplexity`` on one thread: its stacked forwards of up to
+    ``EVAL_BATCH_TOKENS`` tokens (read at the call) scored in turn and
+    summed in window order. Its result is the bitwise reference for the
+    two-thread split."""
+    windows = list(corpus.windows(seq_len, split=split, max_tokens=max_tokens))
+    if not windows:
+        raise ValueError(f"no evaluation windows in {split} slice")
+    n = windows[0][0].size
+    per_forward = max(1, training.EVAL_BATCH_TOKENS // n)
+    total_nll = 0.0
+    total_tokens = 0
+    with T.no_grad():
+        for start in range(0, len(windows), per_forward):
+            chunk = windows[start:start + per_forward]
+            inputs = np.concatenate([w for w, _ in chunk])
+            targets = np.concatenate([t for _, t in chunk])
+            logits, _ = model.forward(inputs, seq_len=n, group_size=n)
+            total_nll += T.cross_entropy(logits, targets).item() * targets.size
+            total_tokens += targets.size
     return math.exp(total_nll / total_tokens)

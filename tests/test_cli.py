@@ -67,14 +67,16 @@ def check_environment(manifest):
     env = manifest["environment"]
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version", "nproc",
-                        "optimizer_thread"}
+                        "blas_threads", "blas_core", "helper_thread"}
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     assert (env["blas"], env["blas_version"]) == (blas["name"], blas["version"])
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     assert env["nproc"] == nproc
-    assert env["optimizer_thread"] in (True, False)
+    assert env["blas_threads"] is None or (type(env["blas_threads"]) is int and env["blas_threads"] >= 1)
+    assert env["blas_core"] is None or (isinstance(env["blas_core"], str) and env["blas_core"])
+    assert env["helper_thread"] in (True, False)
 
 
 class TestSearchCommand:
@@ -478,17 +480,21 @@ class TestTrainCommand:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="the OS cannot pin a process to one CPU")
-    def test_one_cpu_run_writes_the_same_bytes(self, tmp_path, corpus_file):
+    def test_one_cpu_run_writes_the_same_bytes(self, tmp_path):
         """``brainformer train`` on a genome whose expert matrices, embed and
         out reach ``CHUNK_BYTES``, pinned to one CPU, still steps those
-        params on the stepper thread: its checkpoint and its trajectory
-        (without ``step_time``) are those of a run that may use every CPU,
-        byte for byte. Both children run one BLAS thread. The pinned child
-        sets its own affinity before it imports the package, so no thread
-        of this process takes part in the fork."""
+        params on the helper thread and scores its 3 evaluation forwards
+        on the caller's and the helper's: its checkpoint, its report and
+        its trajectory (without ``step_time``) are those of a run that may
+        use every CPU, byte for byte. Both children run one BLAS thread.
+        The pinned child sets its own affinity before it imports the
+        package, so no thread of this process takes part in the fork."""
         genome = tmp_path / "wide.json"
         genome.write_text(json.dumps(toy_block(d=128, d_moe=256, d_ffn=256, h=4,
                                                d_head=32, n_experts=4).to_json_dict()))
+        corpus = tmp_path / "corpus.bin"  # 1200 validation bytes: 74 windows of 16
+        corpus.write_bytes(bytes(np.random.default_rng(0).integers(0, 256, 6000, dtype=np.uint8)))
+        config = self.train_cfg(tmp_path, max_steps=4, eval_tokens=4096)
         src = str(Path(TR.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         pin = "os.sched_setaffinity(0, {%d}); " % min(os.sched_getaffinity(0))
@@ -497,19 +503,21 @@ class TestTrainCommand:
             code = ("import os, sys; " + (pin if pinned else "")
                     + "from brainformer.cli import main; sys.exit(main(sys.argv[1:]))")
             subprocess.run([sys.executable, "-c", code, "train", "--genome", str(genome),
-                            "--corpus", corpus_file, "--out", str(out),
-                            "--config", self.train_cfg(tmp_path, max_steps=4)],
+                            "--corpus", str(corpus), "--out", str(out), "--config", config],
                            env=env, check=True, capture_output=True)
             records = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
             for rec in records:
                 del rec["step_time"]
             env_doc = json.loads((out / "manifest.json").read_text())["environment"]
-            return (out / "checkpoint.bin").read_bytes(), records, env_doc
+            return ((out / "checkpoint.bin").read_bytes(), records,
+                    (out / "train_report.json").read_bytes(), env_doc)
         pinned, free = train(tmp_path / "pinned", True), train(tmp_path / "free", False)
-        assert pinned[:2] == free[:2]
-        assert len(pinned[1]) == 4
-        assert (pinned[2]["nproc"], pinned[2]["optimizer_thread"]) == (1, True)
-        assert free[2]["optimizer_thread"]
+        assert pinned[:3] == free[:3]
+        assert len(pinned[1]) == 4 and b"valid_ppl" in pinned[2]
+        assert (pinned[3]["nproc"], pinned[3]["helper_thread"]) == (1, True)
+        assert free[3]["helper_thread"]
+        if pinned[3]["blas_threads"] is not None:  # numpy bundles OpenBLAS
+            assert pinned[3]["blas_threads"] == free[3]["blas_threads"] == 1
 
     def test_divergence_exits_1_with_one_stderr_line(self, tmp_path, genome_file,
                                                      corpus_file, monkeypatch, capsys):

@@ -24,10 +24,10 @@ from brainformer.training import (
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint, cut_trajectory, read_log,
 )
-from brainformer import training
+from brainformer import tensor, training
 from brainformer.tensor import Tensor
 
-from helpers import adafactor_oracle, adafactor_reference, perplexity_oracle
+from helpers import adafactor_oracle, adafactor_reference, perplexity_oracle, serial_perplexity
 
 
 def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
@@ -476,9 +476,9 @@ class TestChunkedUpdate:
         """On a model whose expert matrices, embed and out reach the real
         ``CHUNK_BYTES``, ``train_steps`` gives the params and moments of a
         plain ``backward()`` then ``update``, bitwise, over 5 steps, also with
-        the interpreter switching threads every microsecond. The stepper's
+        the interpreter switching threads every microsecond. The helper
         thread steps big params. After each call no param holds a gradient,
-        and the stepper has no job queued or in flight."""
+        and the helper has no job queued or in flight."""
         spec = ModelSpec(block=BlockSpec(**WIDE_BLOCK), n_blocks=1, vocab_size=BYTE_VOCAB,
                          max_seq_len=32)
         model, ref = LanguageModel(spec, seed=0), LanguageModel(spec, seed=0)
@@ -498,22 +498,22 @@ class TestChunkedUpdate:
         finally:
             sys.setswitchinterval(interval)
         assert len(state.optimizer._big) == 10  # 8 expert matrices, embed, out
-        assert Adafactor.stepper.thread in threads
+        assert training._helper.thread in threads
 
     @staticmethod
     def train_against_plain_update(model, ref, steps):
         """Train ``model`` one ``train_steps`` call a step and ``ref`` by a
         plain ``backward()`` then ``update``, checking after each step that
         params and moments are bitwise equal, that no param holds a gradient
-        and that the stepper is idle. Returns ``model``'s state."""
+        and that the helper thread is idle. Returns ``model``'s state."""
         cfg = TrainConfig(batch_size=2, seq_len=32, warmup_constant_steps=2)
         corpus = ByteCorpus(TEXT)
         state, ref_state = fresh(model, cfg), fresh(ref, cfg)
         for step in range(1, steps + 1):
             train_steps(model, corpus, cfg, 1, state)
             assert all(p.grad is None for p in model.params.values())
-            if Adafactor.stepper is not None:
-                assert not Adafactor.stepper.jobs and not Adafactor.stepper.lock.locked()
+            if training._helper is not None:
+                assert not training._helper.jobs and not training._helper.lock.locked()
             inputs, targets = corpus.sample_batch(ref_state.rng, cfg.batch_size, cfg.seq_len)
             lm_loss(ref, inputs, targets, aux_coeff=cfg.aux_coeff,
                     seq_len=cfg.seq_len)[0].backward()
@@ -565,7 +565,7 @@ class TestChunkedUpdate:
     def test_nonfinite_in_the_stepper_raises_on_the_caller(self, monkeypatch):
         """On a model whose expert matrices, embed and out reach the real
         ``CHUNK_BYTES``, a NaN put into a middle expert matrix's gradient,
-        met on the stepper's thread, raises from
+        met on the helper thread, raises from
         ``train_steps`` on the caller's thread, naming it, with its chunk
         unchanged. The big params reported before it are stepped, those
         after it (``embed`` among them) are not, and ``update`` does not
@@ -573,7 +573,7 @@ class TestChunkedUpdate:
         the thread would fail the test."""
         bad = "layer1.expert1.w_out"
         met_on = []  # the thread that stepped ``bad``'s poisoned gradient
-        real_update_chunk, real_take_over = Adafactor._update_chunk, training._Stepper.take_over
+        real_update_chunk, real_take_over = Adafactor._update_chunk, training._Helper.take_over
 
         def update_chunk(self, chunk, live, lr):
             if bad in chunk.names and np.isnan(chunk.members[0].grad).any():
@@ -586,14 +586,14 @@ class TestChunkedUpdate:
                 time.sleep(0.001)
             return real_take_over(self)
         monkeypatch.setattr(Adafactor, "_update_chunk", update_chunk)
-        monkeypatch.setattr(training._Stepper, "take_over", take_over)
+        monkeypatch.setattr(training._Helper, "take_over", take_over)
         spec = ModelSpec(block=BlockSpec(**WIDE_BLOCK), n_blocks=1, vocab_size=BYTE_VOCAB,
                          max_seq_len=32)
         changed, stepped, updates = self.poison_in_sweep(
             monkeypatch, LanguageModel(spec, seed=0), bad)
         assert changed == stepped and "out" in stepped and "embed" not in stepped
         assert updates == []
-        assert met_on == [Adafactor.stepper.thread]
+        assert met_on == [training._helper.thread]
 
     def test_nonfinite_in_a_stacked_chunk_raises_from_update(self, monkeypatch):
         """A NaN put into the gradient of a chunk that stacks several
@@ -775,6 +775,69 @@ class TestEvaluate:
         want = perplexity_oracle(model, corpus, seq_len=seq_len, max_tokens=max_tokens)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert abs(math.log(want / BYTE_VOCAB)) > 1e-3  # not the uniform model
+
+    @pytest.mark.parametrize("g", ["top2", "expert_choice"])
+    @pytest.mark.parametrize("batch_tokens, n_forwards", [(640, 1), (512, 2), (128, 5), (16, 40)])
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_two_threads_match_the_serial_loop(self, g, batch_tokens, n_forwards,
+                                               switch_interval, monkeypatch):
+        """With ``EVAL_BATCH_TOKENS`` set so that 40 windows of 16 tokens
+        make 1, 2, 5 or 40 forwards, scoring them on the caller's and the
+        helper thread gives the serial loop's perplexity bitwise, also with
+        the interpreter switching threads every microsecond. Each forward
+        runs once; afterwards the helper has no job queued or in flight and
+        ops record graphs again."""
+        model, corpus = self._model(g), tiny_corpus(n=6500)
+        monkeypatch.setattr(training, "EVAL_BATCH_TOKENS", batch_tokens)
+        want = serial_perplexity(model, corpus, seq_len=16)
+        runs = []  # the thread of each forward
+        real_forward = LanguageModel.forward
+
+        def forward(self, *args, **kwargs):
+            runs.append(threading.current_thread())
+            return real_forward(self, *args, **kwargs)
+        monkeypatch.setattr(LanguageModel, "forward", forward)
+        interval = sys.getswitchinterval()
+        try:
+            if switch_interval is not None:
+                sys.setswitchinterval(switch_interval)
+            got = evaluate_perplexity(model, corpus, seq_len=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert len(runs) == n_forwards
+        assert tensor._grad_enabled is True
+        assert not training._helper.jobs and not training._helper.lock.locked()
+        assert set(runs) <= {threading.current_thread(), training._helper.thread}
+
+    def test_a_forward_raising_on_the_helper_raises_on_the_caller(self, monkeypatch):
+        """Of 5 forwards, one the helper thread takes raises (the caller's
+        first forward waits until the helper has taken one): the error
+        raises from ``evaluate_perplexity`` on the caller's thread. The
+        helper is then idle with no error kept, ops record graphs again,
+        and a later evaluation gives the serial loop's result. Warnings are
+        errors here, so an exception left unhandled in the thread would
+        fail the test."""
+        model, corpus = self._model("top2"), tiny_corpus(n=6500)
+        monkeypatch.setattr(training, "EVAL_BATCH_TOKENS", 128)
+        helper = training.helper()
+        failed = threading.Event()
+        real_forward = LanguageModel.forward
+
+        def forward(self, *args, **kwargs):
+            if threading.current_thread() is helper.thread:
+                failed.set()
+                raise RuntimeError("forward failed on the helper")
+            assert failed.wait(60)
+            return real_forward(self, *args, **kwargs)
+        monkeypatch.setattr(LanguageModel, "forward", forward)
+        with pytest.raises(RuntimeError, match="on the helper"):
+            evaluate_perplexity(model, corpus, seq_len=16)
+        assert not helper.jobs and not helper.lock.locked() and helper.error is None
+        assert tensor._grad_enabled is True
+        monkeypatch.setattr(LanguageModel, "forward", real_forward)
+        assert evaluate_perplexity(model, corpus, seq_len=16) == \
+            serial_perplexity(model, corpus, seq_len=16)
 
     def test_leaves_params_as_they_were(self):
         model, corpus = self._model("top2"), tiny_corpus()
