@@ -26,6 +26,7 @@ import scipy
 
 from . import model as M
 from . import search as S
+from . import threads
 from . import training as TR
 from .layers import ConfigError, positive_int, real_number
 
@@ -70,7 +71,7 @@ def _environment():
     machine's where the OS cannot say); ``blas_threads`` and ``blas_core``
     are the thread count and kernel set of numpy's bundled OpenBLAS (None
     where numpy bundles none); ``helper_thread`` tells whether the process
-    started its helper thread (``training.helper``)."""
+    started its helper thread (``threads.helper``)."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
@@ -82,7 +83,7 @@ def _environment():
             "blas_threads": _openblas_call(openblas, "scipy_openblas_get_num_threads64_",
                                            ctypes.c_int),
             "blas_core": core.decode() if core is not None else None,
-            "helper_thread": TR._helper is not None}
+            "helper_thread": threads._helper is not None}
 
 
 def _bundled_openblas():

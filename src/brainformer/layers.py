@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
+from . import threads
 from .tensor import Tensor
 
 ACT_RELU = "relu"
@@ -342,16 +343,133 @@ def load_balance_aux_loss(scores):
     return T._make(loss, (scores,), backward)
 
 
+def _each(fn, items):
+    """Call ``fn(item)`` for each item in turn, on this thread."""
+    for item in items:
+        fn(item)
+
+
+def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
+    """An MoE layer's experts as one autodiff node over ``x``, every active
+    expert's weights and the gate ``scores``, the last parent, so a sweep
+    visits the graph around it in the order the per-expert graph gave.
+
+    Expert e (of ``cfg.n_experts``, params ``{prefix}expert{e}.*``) runs its
+    FFN over the rows ``x[expert_tokens[e]]``, each output row is weighted
+    by its gate score ``scores[token, e]``, and the weighted rows are
+    summed into zero rows in expert order, repeated rows summed. Experts
+    with no token take no part.
+
+    The node runs, bit for bit, the float operations of the graph it
+    replaced (a ``take_rows``, ``ffn_forward`` and a weighted scatter per
+    expert). Each expert's forward and its backward (the weighted output
+    gradient ``g[idx] * w``, the gate term, the weight gradients and the
+    input-row gradient) read no other expert's, so they fill per-expert
+    buffers; the sums that cross experts run here, in the old sweep's
+    order: the combine in expert order, the gate terms by one
+    ``np.add.at`` per expert, and the input rows scatter-added into
+    ``x.grad`` from expert 0 up.
+
+    When the node records a graph and the expert matrices are big (of at
+    least ``threads.CHUNK_BYTES``), the caller's thread and the process's
+    helper thread share that per-expert work (``_Helper.share``); run on
+    the helper itself, the node works alone. The helper's share calls only
+    array helpers of ``tensor``, never an op or a function of this module.
+    """
+    n = x.shape[0]
+    act, act_grad = T._ACTIVATIONS["relu" if cfg.activation in (ACT_RELU, ACT_GATED_RELU)
+                                   else "gelu"]
+    gated = cfg.activation in GATED_ACTIVATIONS
+    names = ("w_in", "w_gate", "w_out") if gated else ("w_in", "w_out")
+    active = [(e, idx) for e, idx in enumerate(expert_tokens) if idx.size]
+    weights = [[params[f"{prefix}expert{e}.{name}"] for name in names] for e, _ in active]
+    parents = [x] + [w for ws in weights for w in ws] + [scores]
+    record = T._grad_enabled and any(p.requires_grad for p in parents)
+    run = _each
+    if record and weights and weights[0][0].data.nbytes >= threads.CHUNK_BYTES:
+        run = threads.helper().share
+    weighted = [None] * len(active)  # each expert's output rows times their gate scores
+    saved = [None] * len(active)  # what each expert's backward reads
+
+    def forward(i):
+        e, idx = active[i]
+        w_in, w_out = weights[i][0], weights[i][-1]
+        xe = x.data[idx]
+        u = T._product(xe, w_in.data)
+        v = T._product(xe, weights[i][1].data) if gated else None
+        a, act_saved = act(u)
+        h = a * v if gated else a
+        y = T._product(h, w_out.data)
+        w = scores.data[idx, e][:, None]
+        weighted[i] = y * w
+        if record:
+            saved[i] = (xe, u, act_saved, a, v, h, y, w)
+
+    run(forward, range(len(active)))
+    out = np.zeros((n, cfg.model_dim))
+    for (_, idx), rows in zip(active, weighted):
+        T._scatter_add_rows(out, idx, rows)
+    del weighted
+
+    def backward(g):
+        grads = [None] * len(active)  # (gate term, input-row gradient, weight gradients)
+
+        def expert_backward(i):
+            _, idx = active[i]
+            xe, u, act_saved, a, v, h, y, w = saved[i]
+            w_in, w_out = weights[i][0], weights[i][-1]
+            w_gate = weights[i][1] if gated else None
+            rows = g[idx]
+            gate_term = (rows * y).sum(axis=1) if scores.requires_grad else None
+            gy = rows * w
+            gw = {}
+            if w_out.requires_grad:
+                gw[w_out] = h.T @ gy
+            need_u = x.requires_grad or w_in.requires_grad
+            need_v = gated and (x.requires_grad or w_gate.requires_grad)
+            gx = None
+            if need_u or need_v:
+                gh = gy @ w_out.data.T
+                if need_u:
+                    du = act_grad(gh * v if gated else gh, u, act_saved)
+                    if x.requires_grad:
+                        gx = du @ w_in.data.T
+                    if w_in.requires_grad:
+                        gw[w_in] = xe.T @ du
+                if need_v:
+                    dv = gh * a
+                    if x.requires_grad:
+                        gx += dv @ w_gate.data.T
+                    if w_gate.requires_grad:
+                        gw[w_gate] = xe.T @ dv
+            grads[i] = (gate_term, gx, gw)
+
+        run(expert_backward, range(len(active)))
+        if scores.requires_grad:
+            for (e, idx), (gate_term, _, _) in zip(active, grads):
+                np.add.at(T._grad_of(scores), (idx, e), gate_term)
+        for ws, (_, _, gw) in zip(weights, grads):
+            for w in ws:
+                if w in gw:
+                    T._accum(w, gw[w])
+        if x.requires_grad:
+            gx_all = T._grad_of(x)
+            for (_, idx), (_, gx, _) in zip(active, grads):
+                T._scatter_add_rows(gx_all, idx, gx)
+
+    return T._make(out, parents, backward)
+
+
 def moe_forward(x, cfg, params, prefix="", group_size=None):
-    """Sparsely gated FFN: gate, route, dispatch, weighted combine.
+    """Sparsely gated FFN: gate, route, then the experts node
+    (``moe_experts``), which dispatches, runs the experts and combines.
 
     Tokens are routed in routing groups (GShard): each run of
     ``group_size`` rows, by default the whole batch, is routed on its own
     with capacity ``cfg.capacity(group_size)``, so a group's decision does
     not depend on the other groups. The groups' decisions are joined into
     one ``RoutingDecision`` over the batch, and each expert runs once over
-    its tokens from all groups; one ``tensor.combine_rows`` node weights
-    and sums the experts' outputs.
+    its tokens from all groups.
 
     Returns (output, aux_loss, decision); aux_loss is the load-balance
     penalty over the whole batch for top-2 gating and exactly 0 for expert
@@ -376,7 +494,5 @@ def moe_forward(x, cfg, params, prefix="", group_size=None):
     decision = RoutingDecision(
         np.concatenate([d.tokens + i * g for i, d in enumerate(groups)]),
         np.concatenate([d.experts for d in groups]), scores.data)
-    triples = [(ffn_forward(T.take_rows(x, toks), cfg.expert, params,
-                            prefix=f"{prefix}expert{exp}."), toks, exp)
-               for exp, toks in enumerate(decision.expert_tokens(cfg.n_experts)) if toks.size]
-    return T.combine_rows(triples, scores, n), aux, decision
+    out = moe_experts(x, cfg, params, decision.expert_tokens(cfg.n_experts), scores, prefix)
+    return out, aux, decision

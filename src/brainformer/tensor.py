@@ -1,10 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Deliberately small: N-D arrays, a 2-D matmul, a full sum, a last-axis
-softmax, a row gather for expert dispatch and one node for the MoE combine
-(``combine_rows``). Everything is float64 so finite-difference gradient
-checks are meaningful. Causal attention and the MoE load-balance loss are
-one node each, in ``layers``.
+softmax and a row gather. Everything is float64 so finite-difference
+gradient checks are meaningful. Causal attention, an MoE layer's experts
+and the MoE load-balance loss are one node each, in ``layers``.
 
 Writing an op: build the output with ``_make(data, parents, backward)``,
 where ``backward(g)`` receives the gradient of the output and accumulates
@@ -27,8 +26,7 @@ when the op has just computed it (``_accum(t, g)``), and later ones are
 added in place, so no tensor's ``.grad`` may share memory with another
 array. A gradient that can alias the output's (``add`` passes ``g``
 through) is handed over as a copy (``_accum(t, g, fresh=False)``).
-``take_rows`` and the gate gradient of ``combine_rows`` scatter-add
-straight into the parent's ``.grad``.
+``take_rows`` scatter-adds straight into the parent's ``.grad``.
 
 Inside ``with no_grad():`` every op computes its output only: ``_make``
 records no parents and no backward closure, so no graph keeps an
@@ -312,27 +310,52 @@ def layer_norm(x, gain, bias, eps=1e-6):
     return _make(y, (x, gain, bias), backward)
 
 
-def relu(x):
+def _relu(x):
+    """ReLU on an array: (output, mask), the mask its gradient reuses."""
+    mask = x > 0
+    return x * mask, mask
+
+
+def _relu_grad(g, x, mask):
+    return g * mask
+
+
+def _gelu(x):
+    """Exact erf-form GeLU on an array: (output, phi), with phi = 0.5 * (1 +
+    erf(x / sqrt(2))) the normal CDF its gradient reuses."""
+    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * phi, phi
+
+
+def _gelu_grad(g, x, phi):
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (phi + x * pdf)
+
+
+# activation -> (forward on an array, giving (output, saved), and the
+# gradient g -> g * act'(x) from (g, x, saved)); the ops below and the MoE
+# experts node both run these
+_ACTIVATIONS = {"relu": (_relu, _relu_grad), "gelu": (_gelu, _gelu_grad)}
+
+
+def _activation(x, name):
     x = _coerce(x)
-    mask = x.data > 0
+    forward, grad = _ACTIVATIONS[name]
+    y, saved = forward(x.data)
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, grad(g, x.data, saved))
 
-    return _make(x.data * mask, (x,), backward)
+    return _make(y, (x,), backward)
+
+
+def relu(x):
+    return _activation(x, "relu")
 
 
 def gelu(x):
     """Exact erf-form GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x = _coerce(x)
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    y = x.data * phi
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        _accum(x, g * (phi + x.data * pdf))
-
-    return _make(y, (x,), backward)
+    return _activation(x, "gelu")
 
 
 def cross_entropy(logits, targets):
@@ -368,29 +391,3 @@ def take_rows(x, idx):
         _scatter_add_rows(_grad_of(x), idx, g)
 
     return _make(x.data[idx], (x,), backward)
-
-
-def combine_rows(triples, gate, n_rows):
-    """The MoE combine into ``n_rows`` zero rows: for each ``(values, idx,
-    e)`` of a non-empty list, in order, out[idx] += values * w, with w =
-    gate[idx, e] as a ``[k, 1]`` column, repeated rows summed. Its backward
-    runs the float operations of a gather, a product and a scatter per
-    triple: ``values`` gets g[idx] * w and the gate (the last parent, so a
-    sweep visits the values' subgraphs in their order) gets
-    (g[idx] * values).sum(axis=1) scatter-added at (idx, e)."""
-    gate = _coerce(gate)
-    triples = [(_coerce(v), np.asarray(idx, dtype=np.int64), e) for v, idx, e in triples]
-    weights = [gate.data[idx, e][:, None] for _, idx, e in triples]
-    data = np.zeros((n_rows,) + triples[0][0].data.shape[1:], dtype=np.float64)
-    for (values, idx, _), w in zip(triples, weights):
-        _scatter_add_rows(data, idx, values.data * w)
-
-    def backward(g):
-        for (values, idx, e), w in zip(triples, weights):
-            rows = g[idx]
-            if values.requires_grad:
-                _accum(values, rows * w)
-            if gate.requires_grad:
-                np.add.at(_grad_of(gate), (idx, e), (rows * values.data).sum(axis=1))
-
-    return _make(data, [values for values, _, _ in triples] + [gate], backward)

@@ -6,14 +6,11 @@ A search budget becomes a step count in ``search.run_trial`` alone.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import copy
 import json
 import math
 import os
-import queue
-import threading
 import time
 import zipfile
 from dataclasses import dataclass, field, fields, replace
@@ -23,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .layers import ConfigError, positive_int, real_number
 from .model import lm_loss
+from .threads import CHUNK_BYTES, helper
 
 BYTE_VOCAB = 258  # 256 byte values + 2 reserved specials
 
@@ -143,13 +141,6 @@ class ByteCorpus:
 # Adafactor (first-moment decay 0, fixed second-moment decay)
 # ---------------------------------------------------------------------------
 
-# Most bytes of params one optimizer chunk stacks. Stacking runs each numpy
-# pass once for many small params, but a stack past the 2 MB per-core L2
-# cache ran slower than one pass per param (as stacked expert weights did);
-# at 256 KB the wide model's expert matrices are one-member chunks.
-CHUNK_BYTES = 256 * 1024
-
-
 class _Chunk:
     """Same-shape params stepped together. Their values and moments are
     ``arrays`` stacked along a new first axis (``"p"``, ``"r"``/``"c"`` or
@@ -170,70 +161,6 @@ class _Chunk:
         for i, (name, p) in enumerate(zip(names, self.members)):
             p.data = self.arrays["p"][i, ...]  # [i] of a 1-D stack would be a copy
             state[name] = {key: a[i, ...] for key, a in self.arrays.items() if key != "p"}
-
-
-class _Helper:
-    """The process's second thread: a daemon that runs submitted jobs, each
-    a tuple ``(fn, *args)``, in order and one at a time under ``lock``,
-    while the thread that submitted them goes on. After a job raises, the
-    later ones are dropped; ``take_over`` returns the error. The optimizer's
-    sweep hands it big params to step, and ``evaluate_perplexity`` a share
-    of its forwards."""
-
-    def __init__(self):
-        self.jobs = collections.deque()  # (fn, *args), in submission order
-        self.lock = threading.Lock()
-        self.wake = queue.SimpleQueue()
-        self.error = None
-        self.thread = threading.Thread(target=self._serve, name="brainformer-helper",
-                                       daemon=True)
-        self.thread.start()
-
-    def submit(self, job):
-        self.jobs.append(job)
-        self.wake.put(None)
-
-    def _serve(self):
-        while True:
-            self.wake.get()
-            self.run()
-
-    def run(self):
-        """Run the queued jobs until none is left. Whoever holds the lock
-        pops the next one, so no job is in flight once this returns."""
-        while True:
-            with self.lock:
-                if not self.jobs:
-                    return
-                job = self.jobs.popleft()
-                if self.error is None:
-                    try:
-                        job[0](*job[1:])
-                    except Exception as exc:  # raised again on the submitter's thread
-                        self.error = exc
-
-    def take_over(self):
-        """Run what the thread has not started on the caller's thread, wait
-        for the job in flight, and return (and forget) the first error a
-        job raised, if any. On one CPU this runs every job the thread did
-        not get to."""
-        self.run()
-        error, self.error = self.error, None
-        return error
-
-
-_helper = None  # the one ``_Helper`` of the process, made by ``helper()``
-
-
-def helper():
-    """The process's one helper thread, started at the first call (the
-    first sweep with a big param or the first evaluation), never at
-    import: a thread per optimizer would outlive it, as a search builds
-    one per trial."""
-    global _helper
-    if _helper is None:
-        _helper = _Helper()
-    return _helper
 
 
 class Adafactor:
@@ -555,14 +482,13 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
     its own routing group, so it gets the routing decisions it would get
     alone; only the rounding of batched matrix products can differ.
 
-    The caller's thread and the process's ``helper()`` thread each take
-    the next forward not yet taken until none is left; the caller then
-    takes over the helper's job (running it if the thread has not started
-    it) and raises the first error a forward met there. Each forward's
-    ``(nll * tokens, tokens)`` is summed in window order, so the result is
-    bitwise that of one thread scoring the forwards in turn. ``no_grad`` is
-    entered once, here, around both threads' forwards and the take-over:
-    its flag is global to the module, so a job must not enter it.
+    The caller's thread and the process's ``helper()`` thread share the
+    forwards (``_Helper.share``), and the first error a forward met on
+    either thread raises here. Each forward's ``(nll * tokens, tokens)`` is
+    summed in window order, so the result is bitwise that of one thread
+    scoring the forwards in turn. ``no_grad`` is entered once, here, around
+    both threads' forwards: its flag is global to the module, so a job must
+    not enter it.
     """
     windows = list(corpus.windows(seq_len, split=split, max_tokens=max_tokens))
     if not windows:
@@ -571,26 +497,15 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
     per_forward = max(1, EVAL_BATCH_TOKENS // n)
     batches = [windows[s:s + per_forward] for s in range(0, len(windows), per_forward)]
     scores = [None] * len(batches)
-    todo = enumerate(batches)  # each next() is one C call, so each forward goes to one thread
 
-    def score():
-        for i, chunk in todo:
-            inputs = np.concatenate([w for w, _ in chunk])
-            targets = np.concatenate([t for _, t in chunk])
-            logits, _ = model.forward(inputs, seq_len=n, group_size=n)
-            scores[i] = (T.cross_entropy(logits, targets).item() * targets.size, targets.size)
+    def score(i):
+        inputs = np.concatenate([w for w, _ in batches[i]])
+        targets = np.concatenate([t for _, t in batches[i]])
+        logits, _ = model.forward(inputs, seq_len=n, group_size=n)
+        scores[i] = (T.cross_entropy(logits, targets).item() * targets.size, targets.size)
 
-    worker = helper()
     with T.no_grad():
-        worker.submit((score,))
-        try:
-            score()
-        finally:
-            for _ in todo:  # after a raise here, the helper starts no further forward
-                pass
-            error = worker.take_over()
-    if error:
-        raise error
+        helper().share(score, range(len(batches)))
     total_nll = 0.0
     total_tokens = 0
     for nll, tokens in scores:

@@ -252,6 +252,42 @@ def moe_oracle(x, cfg, params, prefix=""):
     return out, aux
 
 
+def combine_rows(triples, gate, n_rows):
+    """The MoE combine node the experts node replaced, as it was in
+    ``tensor``: for each ``(values, idx, e)`` of a non-empty list, in
+    order, out[idx] += values * w, with w = gate[idx, e] as a ``[k, 1]``
+    column, repeated rows summed. Its backward gives ``values`` g[idx] * w
+    and scatter-adds (g[idx] * values).sum(axis=1) into the gate (the last
+    parent) at (idx, e), one ``np.add.at`` per triple."""
+    gate = T._coerce(gate)
+    triples = [(T._coerce(v), np.asarray(idx, dtype=np.int64), e) for v, idx, e in triples]
+    weights = [gate.data[idx, e][:, None] for _, idx, e in triples]
+    data = np.zeros((n_rows,) + triples[0][0].data.shape[1:], dtype=np.float64)
+    for (values, idx, _), w in zip(triples, weights):
+        T._scatter_add_rows(data, idx, values.data * w)
+
+    def backward(g):
+        for (values, idx, e), w in zip(triples, weights):
+            rows = g[idx]
+            if values.requires_grad:
+                T._accum(values, rows * w)
+            if gate.requires_grad:
+                np.add.at(T._grad_of(gate), (idx, e), (rows * values.data).sum(axis=1))
+
+    return T._make(data, [values for values, _, _ in triples] + [gate], backward)
+
+
+def experts_graph(x, cfg, params, expert_tokens, scores, prefix=""):
+    """``layers.moe_experts`` as the graph of ops it replaced, its bitwise
+    oracle: per expert with a token, a ``take_rows`` of its rows and an
+    ``ffn_forward``, all joined by one ``combine_rows`` node. Patched in
+    for ``moe_experts``, it gives ``moe_forward`` its old graph."""
+    triples = [(L.ffn_forward(T.take_rows(x, toks), cfg.expert, params,
+                              prefix=f"{prefix}expert{e}."), toks, e)
+               for e, toks in enumerate(expert_tokens) if toks.size]
+    return combine_rows(triples, scores, x.shape[0])
+
+
 def perplexity_oracle(model, corpus, split="valid", seq_len=128, max_tokens=None):
     """``evaluate_perplexity`` as first written: one forward (with its
     autodiff graph) per window, each window routed as its own batch."""

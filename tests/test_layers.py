@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +7,12 @@ from hypothesis.extra.numpy import arrays
 
 from brainformer import layers as L
 from brainformer import tensor as T
+from brainformer import threads
 from brainformer.tensor import Tensor
 
 from helpers import (
     finite_difference_check, brute_force_top2, expert_choice_oracle,
-    softmax_oracle, attention_oracle, moe_oracle, top_k_indices,
+    softmax_oracle, attention_oracle, moe_oracle, top_k_indices, experts_graph,
 )
 
 
@@ -561,3 +564,155 @@ class TestMoeForward:
                 dec = L.route_expert_choice(scores, k)
                 assert np.array_equal(np.bincount(dec.experts, minlength=n_experts),
                                       np.full(n_experts, k))
+
+
+NODE = L.moe_experts  # the node itself, whatever a test patches into ``layers``
+
+
+class TestMoeExperts:
+    """``moe_experts``, the one node over an MoE layer's experts, against
+    the per-expert graph it replaced (``helpers.experts_graph``), bit for
+    bit: the output and the gradients of ``x``, ``wg`` and every expert
+    weight, with the experts' work on the caller's thread alone and shared
+    with the helper thread (``CHUNK_BYTES`` lowered so that the expert
+    matrices are big)."""
+
+    @staticmethod
+    def case(gating, activation, seed=25):
+        """6 experts over 30 tokens whose first feature is 3; under top-2,
+        experts 4 and 5 score so low on it that they get no token."""
+        cfg = moe_cfg(model_dim=8, expert_hidden_dim=12, n_experts=6, gating=gating,
+                      capacity_factor=2, activation=activation)
+        rng = np.random.default_rng(seed)
+        params = L.init_moe_params(cfg, rng)
+        x = rng.normal(size=(30, 8))
+        x[:, 0] = 3.0
+        if gating == L.GATE_TOP2:
+            params["wg"].data[0, 4:] -= 10.0
+        return cfg, params, x, rng.normal(size=(30, 8))
+
+    @staticmethod
+    def run(monkeypatch, experts, cfg, params, x, w):
+        """moe_forward with ``experts`` as its experts node, then backward
+        from sum(out * w) + aux: (output, gradients by name, decision)."""
+        monkeypatch.setattr(L, "moe_experts", experts)
+        tensors = dict(params, x=x)
+        for t in tensors.values():
+            t.grad = None
+        out, aux, decision = L.moe_forward(x, cfg, params)
+        T.add(T.tsum(T.mul(out, w)), aux).backward()
+        return out.data, {k: t.grad for k, t in tensors.items()}, decision
+
+    @staticmethod
+    def assert_same_grads(got, want):
+        for name, grad in want.items():
+            if grad is None:
+                assert got[name] is None, name
+            else:
+                assert got[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("activation", L.ACTIVATIONS)
+    @pytest.mark.parametrize("gating", L.GATINGS)
+    def test_matches_the_per_expert_graph_bitwise(self, gating, activation, x_grad, share,
+                                                  monkeypatch):
+        cfg, params, x_data, w = self.case(gating, activation)
+        x = Tensor(x_data, requires_grad=x_grad)
+        if share:
+            monkeypatch.setattr(threads, "CHUNK_BYTES", params["expert0.w_in"].data.nbytes)
+        shares = []
+        real_share = threads._Helper.share
+
+        def spy(self, fn, items):
+            shares.append(len(items))
+            return real_share(self, fn, items)
+        monkeypatch.setattr(threads._Helper, "share", spy)
+        want_out, want, decision = self.run(monkeypatch, experts_graph, cfg, params, x, w)
+        assert shares == []
+        got_out, got, again = self.run(monkeypatch, NODE, cfg, params, x, w)
+        assert again.assignments == decision.assignments
+        loads = np.bincount(decision.experts, minlength=cfg.n_experts)
+        busy = int((loads > 0).sum())
+        assert shares == ([busy, busy] if share else [])  # forward, backward
+        if gating == L.GATE_TOP2:
+            assert not loads[4:].any()  # idle experts
+        assert np.bincount(decision.tokens).max() >= 2  # a token taken twice
+        np.testing.assert_array_equal(got_out, want_out)
+        assert (got["x"] is None) == (not x_grad)
+        self.assert_same_grads(got, want)
+
+    def test_no_graph_no_share(self, monkeypatch):
+        """Under ``no_grad`` the node records nothing and works alone, with
+        big expert matrices too, and gives the graph's output bitwise."""
+        cfg, params, x_data, _ = self.case(L.GATE_TOP2, L.ACT_GATED_GELU)
+        monkeypatch.setattr(threads, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(threads._Helper, "share", None)  # a call would raise
+        x = Tensor(x_data, requires_grad=True)
+        with T.no_grad():
+            out, _, _ = L.moe_forward(x, cfg, params)
+        assert out._backward is None and out._parents == ()
+        monkeypatch.setattr(L, "moe_experts", experts_graph)
+        with T.no_grad():
+            want, _, _ = L.moe_forward(x, cfg, params)
+        np.testing.assert_array_equal(out.data, want.data)
+
+    def test_on_the_helper_the_node_runs_alone(self, monkeypatch):
+        """A node that records a graph on the helper thread itself (as a
+        job of the helper's) runs every expert there, forward and backward,
+        and gives what it gives on the caller's thread, bitwise."""
+        cfg, params, x_data, w = self.case(L.GATE_TOP2, L.ACT_GATED_GELU)
+        monkeypatch.setattr(threads, "CHUNK_BYTES", 1)
+        x = Tensor(x_data, requires_grad=True)
+        want_out, want, _ = self.run(monkeypatch, NODE, cfg, params, x, w)
+        ran_on = set()
+        real_product = T._product
+
+        def product(a, b):
+            ran_on.add(threading.current_thread())
+            return real_product(a, b)
+        monkeypatch.setattr(T, "_product", product)
+        helper, got, done = threads.helper(), [], threading.Event()
+
+        def job():
+            got.append(self.run(monkeypatch, NODE, cfg, params, x, w))
+            done.set()
+        helper.submit((job,))
+        assert done.wait(60) and helper.take_over() is None
+        assert ran_on == {helper.thread}
+        np.testing.assert_array_equal(got[0][0], want_out)
+        self.assert_same_grads(got[0][1], want)
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_an_error_on_the_helper_raises_on_the_caller(self, where, monkeypatch):
+        """An expert's forward or backward raising on the helper thread
+        (the caller's first expert waits until the helper has taken one)
+        raises from the node on the caller's thread. The helper is then
+        idle with no error kept, and the node works again."""
+        cfg, params, x_data, w = self.case(L.GATE_EXPERT_CHOICE, L.ACT_GATED_RELU)
+        monkeypatch.setattr(threads, "CHUNK_BYTES", 1)
+        x = Tensor(x_data, requires_grad=True)
+        want_out, want, _ = self.run(monkeypatch, NODE, cfg, params, x, w)
+        helper = threads.helper()
+        failed = threading.Event()
+        real_act = T._ACTIVATIONS["relu"]
+
+        def on_helper_raise(fn):
+            def wrapped(*args):
+                if threading.current_thread() is helper.thread:
+                    failed.set()
+                    raise RuntimeError(f"{where} failed on the helper")
+                assert failed.wait(60)
+                return fn(*args)
+            return wrapped
+        act = ((on_helper_raise(real_act[0]), real_act[1]) if where == "forward"
+               else (real_act[0], on_helper_raise(real_act[1])))
+        monkeypatch.setitem(T._ACTIVATIONS, "relu", act)
+        with pytest.raises(RuntimeError, match=f"{where} failed on the helper"):
+            self.run(monkeypatch, NODE, cfg, params, x, w)
+        assert not helper.jobs and not helper.lock.locked() and helper.error is None
+        assert T._grad_enabled is True
+        monkeypatch.setitem(T._ACTIVATIONS, "relu", real_act)
+        got_out, got, _ = self.run(monkeypatch, NODE, cfg, params, x, w)
+        np.testing.assert_array_equal(got_out, want_out)
+        self.assert_same_grads(got, want)

@@ -232,53 +232,67 @@ class TestBackward:
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0], requires_grad=True).backward()
 
+    @staticmethod
+    def _experts(n_experts, activation, rng, d=3):
+        cfg = L.MoeConfig(model_dim=d, expert_hidden_dim=4, n_experts=n_experts,
+                          gating=L.GATE_TOP2, capacity_factor=1, activation=activation)
+        params = L.init_moe_params(cfg, rng)
+        del params["wg"]  # the gate scores are given
+        return cfg, params
+
     def test_gather_scatter_gradients(self):
+        """The MoE experts node gathers each expert's rows and scatters its
+        weighted outputs back: x and the gate scores against central
+        differences, with a row an expert takes twice and an idle expert."""
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         gate = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
         idx = np.array([0, 2, 2, 4])
         w = rng.normal(size=(5, 3))
+        cfg, params = self._experts(2, "relu", rng)
 
         def loss_fn():
-            taken = T.take_rows(x, idx)
-            back = T.combine_rows([(taken, idx, 1)], gate, 5)
+            back = L.moe_experts(x, cfg, params, [idx[:0], idx], gate)
             return T.tsum(T.mul(back, w))
 
         worst, _ = finite_difference_check({"x": x, "gate": gate}, loss_fn)
         assert worst < 1e-7
+        assert params["expert0.w_in"].grad is None
 
-        # three triples whose indices overlap within and across triples
-        vals = {f"v{i}": Tensor(rng.normal(size=(m, 3)), requires_grad=True)
-                for i, m in enumerate((4, 2, 3))}
+        # three experts whose rows overlap within and across experts
+        cfg, params = self._experts(3, "gelu", rng)
         idxs = [np.array([0, 2, 2, 4]), np.array([2, 0]), np.array([4, 1, 2])]
 
         def combine():
-            return T.combine_rows(list(zip(vals.values(), idxs, (0, 1, 0))), gate, 5)
+            return L.moe_experts(x, cfg, params, idxs, gate3)
 
+        gate3 = Tensor(rng.normal(size=(5, 3)))
         expected = np.zeros((5, 3))
-        for v, i, e in zip(vals.values(), idxs, (0, 1, 0)):
-            np.add.at(expected, i, v.data * gate.data[i, e][:, None])
+        for e, i in enumerate(idxs):
+            p = {name: params[f"expert{e}.{name}"].data for name in ("w_in", "w_out")}
+            y = T.gelu(Tensor(x.data[i] @ p["w_in"])).data @ p["w_out"]
+            np.add.at(expected, i, y * gate3.data[i, e][:, None])
         np.testing.assert_array_equal(combine().data, expected)
-        worst, _ = finite_difference_check(vals, lambda: T.tsum(T.mul(combine(), w)))
+        worst, _ = finite_difference_check(dict(params, x=x), lambda: T.tsum(T.mul(combine(), w)))
         assert worst < 1e-7
 
     @pytest.mark.parametrize("gate_grad", [True, False])
-    def test_combine_rows_gradients(self, gate_grad):
-        """Values and gate against central differences, with rows repeated
-        across triples and a gate column shared by two of them; a gate
-        that does not require gradients gets none."""
+    def test_experts_node_gradients(self, gate_grad):
+        """Expert weights, x and gate scores against central differences,
+        gated experts with rows repeated across experts; gate scores that
+        do not require gradients get none."""
         rng = np.random.default_rng(24)
-        vals = {f"v{i}": Tensor(rng.normal(size=(m, 4)), requires_grad=True)
-                for i, m in enumerate((3, 2, 3))}
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         gate = Tensor(rng.normal(size=(6, 3)), requires_grad=gate_grad)
         idxs = [np.array([0, 3, 5]), np.array([3, 1]), np.array([5, 0, 3])]
         w = rng.normal(size=(6, 4))
+        cfg, params = self._experts(3, "gated_gelu", rng, d=4)
 
         def loss_fn():
-            out = T.combine_rows(list(zip(vals.values(), idxs, (2, 0, 2))), gate, 6)
+            out = L.moe_experts(x, cfg, params, idxs, gate)
             return T.tsum(T.mul(out, w))
 
-        checked = dict(vals, gate=gate) if gate_grad else vals
+        checked = dict(params, x=x, gate=gate) if gate_grad else dict(params, x=x)
         worst, name = finite_difference_check(checked, loss_fn)
         assert worst < 1e-6, name
         if not gate_grad:
@@ -401,8 +415,12 @@ class TestNoGrad:
         cfg = L.AttentionConfig(model_dim=3, n_heads=2, head_dim=2)
         h = L.attention_forward(h, cfg, L.init_attention_params(cfg, np.random.default_rng(13)),
                                 seq_len=2)
-        rows = T.take_rows(T.gelu(h), np.array([0, 2, 2]))
-        back = T.combine_rows([(T.relu(rows), np.array([1, 0, 3]), 2)], T.softmax(h), 4)
+        moe = L.MoeConfig(model_dim=3, expert_hidden_dim=2, n_experts=3, gating=L.GATE_TOP2,
+                          capacity_factor=1, activation="gated_gelu")
+        rows = T.take_rows(T.gelu(h), np.array([0, 2, 2, 1]))
+        back = L.moe_experts(rows, moe, L.init_moe_params(moe, np.random.default_rng(15)),
+                             [np.array([1, 0, 3]), np.array([], dtype=np.int64),
+                              np.array([2, 2])], T.softmax(h))
         return T.add(T.tsum(T.mul(back, back)), T.cross_entropy(back, np.array([0, 1, 2, 0])))
 
     def _inputs(self):

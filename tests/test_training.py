@@ -24,7 +24,7 @@ from brainformer.training import (
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint, cut_trajectory, read_log,
 )
-from brainformer import tensor, training
+from brainformer import tensor, threads, training
 from brainformer.tensor import Tensor
 
 from helpers import adafactor_oracle, adafactor_reference, perplexity_oracle, serial_perplexity
@@ -482,12 +482,12 @@ class TestChunkedUpdate:
         spec = ModelSpec(block=BlockSpec(**WIDE_BLOCK), n_blocks=1, vocab_size=BYTE_VOCAB,
                          max_seq_len=32)
         model, ref = LanguageModel(spec, seed=0), LanguageModel(spec, seed=0)
-        threads = set()  # the threads that stepped a big param
+        stepped_on = set()  # the threads that stepped a big param
         real_update_chunk = Adafactor._update_chunk
 
         def update_chunk(self, chunk, live, lr):
             if chunk.members[0] in self._big:
-                threads.add(threading.current_thread())
+                stepped_on.add(threading.current_thread())
             real_update_chunk(self, chunk, live, lr)
         monkeypatch.setattr(Adafactor, "_update_chunk", update_chunk)
         interval = sys.getswitchinterval()
@@ -498,7 +498,7 @@ class TestChunkedUpdate:
         finally:
             sys.setswitchinterval(interval)
         assert len(state.optimizer._big) == 10  # 8 expert matrices, embed, out
-        assert training._helper.thread in threads
+        assert threads._helper.thread in stepped_on
 
     @staticmethod
     def train_against_plain_update(model, ref, steps):
@@ -512,8 +512,8 @@ class TestChunkedUpdate:
         for step in range(1, steps + 1):
             train_steps(model, corpus, cfg, 1, state)
             assert all(p.grad is None for p in model.params.values())
-            if training._helper is not None:
-                assert not training._helper.jobs and not training._helper.lock.locked()
+            if threads._helper is not None:
+                assert not threads._helper.jobs and not threads._helper.lock.locked()
             inputs, targets = corpus.sample_batch(ref_state.rng, cfg.batch_size, cfg.seq_len)
             lm_loss(ref, inputs, targets, aux_coeff=cfg.aux_coeff,
                     seq_len=cfg.seq_len)[0].backward()
@@ -573,7 +573,7 @@ class TestChunkedUpdate:
         the thread would fail the test."""
         bad = "layer1.expert1.w_out"
         met_on = []  # the thread that stepped ``bad``'s poisoned gradient
-        real_update_chunk, real_take_over = Adafactor._update_chunk, training._Helper.take_over
+        real_update_chunk, real_take_over = Adafactor._update_chunk, threads._Helper.take_over
 
         def update_chunk(self, chunk, live, lr):
             if bad in chunk.names and np.isnan(chunk.members[0].grad).any():
@@ -586,14 +586,48 @@ class TestChunkedUpdate:
                 time.sleep(0.001)
             return real_take_over(self)
         monkeypatch.setattr(Adafactor, "_update_chunk", update_chunk)
-        monkeypatch.setattr(training._Helper, "take_over", take_over)
+        monkeypatch.setattr(threads._Helper, "take_over", take_over)
         spec = ModelSpec(block=BlockSpec(**WIDE_BLOCK), n_blocks=1, vocab_size=BYTE_VOCAB,
                          max_seq_len=32)
         changed, stepped, updates = self.poison_in_sweep(
             monkeypatch, LanguageModel(spec, seed=0), bad)
         assert changed == stepped and "out" in stepped and "embed" not in stepped
         assert updates == []
-        assert met_on == [training._helper.thread]
+        assert met_on == [threads._helper.thread]
+
+    def test_nonfinite_before_an_experts_node_does_not_hang_it(self, monkeypatch):
+        """On a model with two MoE layers whose expert matrices reach the
+        real ``CHUNK_BYTES``, a NaN put into an expert matrix of the last
+        MoE layer (swept first) is met on the helper thread before the
+        first MoE layer's experts node hands the helper its share. That
+        share never starts: the node's experts run on the caller's thread,
+        and ``train_steps`` raises after the sweep, naming the param, with
+        the big params reported after it not stepped."""
+        bad = "layer3.expert1.w_in"
+        spec = ModelSpec(block=BlockSpec(**dict(WIDE_BLOCK, layers=("attn", "moe", "attn", "moe"))),
+                         n_blocks=1, vocab_size=BYTE_VOCAB, max_seq_len=32)
+        model = LanguageModel(spec, seed=0)
+        ran_on = set()  # the threads that ran an expert after the NaN was met
+        real_share = threads._Helper.share
+
+        def share(self, fn, items):
+            grad = model.params[bad].grad
+            if grad is None or not np.isnan(grad).any():
+                return real_share(self, fn, items)
+            deadline = time.monotonic() + 60
+            while self.error is None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert isinstance(self.error, TrainingError)
+
+            def traced(item):
+                ran_on.add(threading.current_thread())
+                fn(item)
+            return real_share(self, traced, items)
+        monkeypatch.setattr(threads._Helper, "share", share)
+        changed, stepped, updates = self.poison_in_sweep(monkeypatch, model, bad)
+        assert ran_on == {threading.current_thread()}
+        assert "out" in stepped and "layer1.expert0.w_in" not in changed
+        assert updates == []
 
     def test_nonfinite_in_a_stacked_chunk_raises_from_update(self, monkeypatch):
         """A NaN put into the gradient of a chunk that stacks several
@@ -807,8 +841,8 @@ class TestEvaluate:
         assert got == want
         assert len(runs) == n_forwards
         assert tensor._grad_enabled is True
-        assert not training._helper.jobs and not training._helper.lock.locked()
-        assert set(runs) <= {threading.current_thread(), training._helper.thread}
+        assert not threads._helper.jobs and not threads._helper.lock.locked()
+        assert set(runs) <= {threading.current_thread(), threads._helper.thread}
 
     def test_a_forward_raising_on_the_helper_raises_on_the_caller(self, monkeypatch):
         """Of 5 forwards, one the helper thread takes raises (the caller's
@@ -820,7 +854,7 @@ class TestEvaluate:
         fail the test."""
         model, corpus = self._model("top2"), tiny_corpus(n=6500)
         monkeypatch.setattr(training, "EVAL_BATCH_TOKENS", 128)
-        helper = training.helper()
+        helper = threads.helper()
         failed = threading.Event()
         real_forward = LanguageModel.forward
 
@@ -838,6 +872,25 @@ class TestEvaluate:
         monkeypatch.setattr(LanguageModel, "forward", real_forward)
         assert evaluate_perplexity(model, corpus, seq_len=16) == \
             serial_perplexity(model, corpus, seq_len=16)
+
+    def test_experts_nodes_in_the_forwards_work_alone(self, monkeypatch):
+        """With every expert matrix big (``CHUNK_BYTES`` at 1), the experts
+        node of each forward, on either thread, records no graph and shares
+        nothing: the evaluation's own split is the one ``share`` call, and
+        the result is the serial loop's, bitwise."""
+        model, corpus = self._model("top2"), tiny_corpus(n=6500)
+        monkeypatch.setattr(threads, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(training, "EVAL_BATCH_TOKENS", 128)
+        want = serial_perplexity(model, corpus, seq_len=16)
+        calls = []
+        real_share = threads._Helper.share
+
+        def share(self, fn, items):
+            calls.append(threading.current_thread())
+            return real_share(self, fn, items)
+        monkeypatch.setattr(threads._Helper, "share", share)
+        assert evaluate_perplexity(model, corpus, seq_len=16) == want
+        assert calls == [threading.current_thread()]
 
     def test_leaves_params_as_they_were(self):
         model, corpus = self._model("top2"), tiny_corpus()
