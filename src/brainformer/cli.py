@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
 import ctypes
 import dataclasses
@@ -69,9 +70,10 @@ def _environment():
     """The build a run ran on: float results differ across numpy and BLAS
     builds. ``nproc`` counts the CPUs this process may run on (all of the
     machine's where the OS cannot say); ``blas_threads`` and ``blas_core``
-    are the thread count and kernel set of numpy's bundled OpenBLAS (None
-    where numpy bundles none); ``helper_thread`` tells whether the process
-    started its helper thread (``threads.helper``)."""
+    are the thread count the run used (``_one_blas_thread``) and the
+    kernel set of numpy's bundled OpenBLAS (None where numpy bundles
+    none); ``helper_thread`` tells whether the process started its
+    helper thread (``threads.helper``)."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
@@ -98,14 +100,34 @@ def _bundled_openblas():
     return None
 
 
-def _openblas_call(lib, symbol, restype):
-    """``symbol()`` of ``lib``, a function of no arguments, or None where
-    the library or the symbol is absent."""
+def _openblas_call(lib, symbol, restype, *args):
+    """``symbol(*args)`` of ``lib``, a function of int arguments, or None
+    where the library or the symbol is absent."""
     fn = getattr(lib, symbol, None) if lib is not None else None
     if fn is None:
         return None
-    fn.argtypes, fn.restype = [], restype
-    return fn()
+    fn.argtypes, fn.restype = [ctypes.c_int] * len(args), restype
+    return fn(*args)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS at one thread inside the block, and at the
+    count it had before once the block ends. The program runs its own
+    second thread (``threads.helper``); beside it, OpenBLAS's second thread
+    made the wide model's training step and evaluation slower on two
+    cores, and the count moves result bits. A library without the setter
+    is left as it is."""
+    openblas, setter = _bundled_openblas(), "scipy_openblas_set_num_threads64_"
+    before = _openblas_call(openblas, "scipy_openblas_get_num_threads64_", ctypes.c_int)
+    pinned = before is not None and hasattr(openblas, setter)
+    if pinned:
+        _openblas_call(openblas, setter, None, 1)
+    try:
+        yield
+    finally:
+        if pinned:
+            _openblas_call(openblas, setter, None, before)
 
 
 def _load_corpus(path, valid_fraction):
@@ -477,15 +499,17 @@ def build_parser():
 
 
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TR.TrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    """Run one command at one BLAS thread (``_one_blas_thread``)."""
+    with _one_blas_thread():
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except TR.TrainingError as exc:
+            print(f"training error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

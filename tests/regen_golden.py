@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from brainformer.cli import main
+from brainformer.cli import _one_blas_thread, main
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
@@ -32,7 +32,8 @@ CONFIGS = HERE.parent / "configs"
 # The relative loss gap allowed on another build. Under OPENBLAS_CORETYPE
 # SandyBridge, Haswell or Prescott, and with one BLAS thread instead of two,
 # these runs' losses differed from the SkylakeX kernels' by at most 9.1e-16
-# relative (2-core x86_64 VM, numpy 2.4.6, OpenBLAS 0.3.31).
+# relative (2-core x86_64 VM, numpy 2.4.6, OpenBLAS 0.3.31, before ``main``
+# set one BLAS thread itself).
 TOLERANCE = 1e-12
 
 # The search-proxy baseline block (top-2) and an expert-choice block.
@@ -77,14 +78,17 @@ def _openblas(symbol, restype):
 
 def fingerprint():
     """What decides the bits of a float run: the numpy version, the BLAS
-    library, its version and kernel family, and its thread count (one and
-    two OpenBLAS threads round some products differently). The kernel
-    family is the one OpenBLAS picked for this CPU, or ``OPENBLAS_CORETYPE``."""
+    library, its version and kernel family, and the thread count the runs
+    use, the one ``main`` sets (one and two OpenBLAS threads round some
+    products differently). The kernel family is the one OpenBLAS picked
+    for this CPU, or ``OPENBLAS_CORETYPE``."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     core = _openblas("get_corename", ctypes.c_char_p)
+    with _one_blas_thread():
+        threads = _openblas("get_num_threads", ctypes.c_int)
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"), "blas_core": core.decode() if core else None,
-            "blas_threads": _openblas("get_num_threads", ctypes.c_int)}
+            "blas_threads": threads}
 
 
 def corpus_bytes(n_bytes=24 * 1024):

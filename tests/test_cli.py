@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import platform
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brainformer import cli
 from brainformer.cli import main, _build_runner, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 from brainformer.model import BlockSpec, ModelSpec, LanguageModel
 from brainformer.search import SearchSpace, TrialRecord, record_to_line, STOP_COMPLETED
@@ -477,6 +479,28 @@ class TestTrainCommand:
         assert set(manifest["artifacts"]) == {"checkpoint.bin", "train_report.json",
                                               "trajectory.jsonl"}
         check_environment(manifest)
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    def test_runs_at_one_blas_thread_and_restores_the_count(self, bundled, tmp_path,
+                                                             genome_file, corpus_file,
+                                                             monkeypatch):
+        """``main`` runs a command at one thread of numpy's bundled OpenBLAS,
+        as the manifest records, and leaves the count as it found it. With
+        no bundled OpenBLAS found, the run goes on as it is and the manifest
+        records no count."""
+        lib = cli._bundled_openblas()
+
+        def count():
+            return cli._openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int)
+        before = count()
+        if not bundled:
+            monkeypatch.setattr(cli, "_bundled_openblas", lambda: None)
+        out = tmp_path / "run"
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path), "--out", str(out)]) == EXIT_OK
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["blas_threads"] == (1 if bundled and before is not None else None)
+        assert count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="the OS cannot pin a process to one CPU")
