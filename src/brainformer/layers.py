@@ -417,6 +417,7 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
         def expert_backward(i):
             _, idx = active[i]
             xe, u, act_saved, a, v, h, y, w = saved[i]
+            saved[i] = None  # each expert's activations go once it is done
             w_in, w_out = weights[i][0], weights[i][-1]
             w_gate = weights[i][1] if gated else None
             rows = g[idx]

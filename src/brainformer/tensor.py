@@ -322,14 +322,27 @@ def _relu_grad(g, x, mask):
 
 def _gelu(x):
     """Exact erf-form GeLU on an array: (output, phi), with phi = 0.5 * (1 +
-    erf(x / sqrt(2))) the normal CDF its gradient reuses."""
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    erf(x / sqrt(2))) the normal CDF its gradient reuses. In one buffer:
+    each product and sum has the operands of the written formula, and IEEE
+    products and sums do not depend on operand order, so the bits are its."""
+    phi = np.multiply(x, _INV_SQRT2)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     return x * phi, phi
 
 
 def _gelu_grad(g, x, phi):
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return g * (phi + x * pdf)
+    """g * (phi + x * pdf(x)), pdf(x) = exp((-0.5 * x) * x) / sqrt(2 pi), in
+    one buffer (the same bits, as in ``_gelu``)."""
+    d = np.multiply(x, -0.5)
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += phi
+    d *= g
+    return d
 
 
 # activation -> (forward on an array, giving (output, saved), and the

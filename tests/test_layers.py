@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -611,12 +612,15 @@ class TestMoeExperts:
             else:
                 assert got[name].tobytes() == grad.tobytes(), name
 
-    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("share, switch_interval", [(False, None), (True, None),
+                                                        (True, 1e-6)])
     @pytest.mark.parametrize("x_grad", [True, False])
     @pytest.mark.parametrize("activation", L.ACTIVATIONS)
     @pytest.mark.parametrize("gating", L.GATINGS)
     def test_matches_the_per_expert_graph_bitwise(self, gating, activation, x_grad, share,
-                                                  monkeypatch):
+                                                  switch_interval, monkeypatch):
+        """Shared also with the interpreter switching threads every
+        microsecond."""
         cfg, params, x_data, w = self.case(gating, activation)
         x = Tensor(x_data, requires_grad=x_grad)
         if share:
@@ -630,7 +634,13 @@ class TestMoeExperts:
         monkeypatch.setattr(threads._Helper, "share", spy)
         want_out, want, decision = self.run(monkeypatch, experts_graph, cfg, params, x, w)
         assert shares == []
-        got_out, got, again = self.run(monkeypatch, NODE, cfg, params, x, w)
+        interval = sys.getswitchinterval()
+        try:
+            if switch_interval is not None:
+                sys.setswitchinterval(switch_interval)
+            got_out, got, again = self.run(monkeypatch, NODE, cfg, params, x, w)
+        finally:
+            sys.setswitchinterval(interval)
         assert again.assignments == decision.assignments
         loads = np.bincount(decision.experts, minlength=cfg.n_experts)
         busy = int((loads > 0).sum())

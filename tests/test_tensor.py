@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from brainformer import layers as L
 from brainformer import tensor as T
@@ -138,6 +139,20 @@ class TestActivations:
             {"x": x}, lambda: T.tsum(T.mul(T.gelu(x), np.arange(1.0, 9.0))))
         assert worst < 1e-6
 
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+    def test_gelu_is_the_written_formula_bitwise(self, scale):
+        """GeLU's forward and gradient, computed in one buffer each, give
+        the bits of 0.5 * (1 + erf(x / sqrt(2))) and g * (phi + x * pdf),
+        pdf = exp(-0.5 * x * x) / sqrt(2 pi), as written."""
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(16, 33)) * scale, requires_grad=True)
+        g = rng.normal(size=x.shape)
+        phi = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / np.sqrt(2.0 * np.pi))
+        T.tsum(T.mul(T.gelu(x), g)).backward()
+        assert T.gelu(x).data.tobytes() == (x.data * phi).tobytes()
+        assert x.grad.tobytes() == (g * (phi + x.data * pdf)).tobytes()
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
