@@ -350,33 +350,26 @@ def _each(fn, items):
 
 
 def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
-    """An MoE layer's experts as one autodiff node over ``x``, every active
-    expert's weights and the gate ``scores``, the last parent, so a sweep
-    visits the graph around it in the order the per-expert graph gave.
+    """An MoE layer's dispatch, experts and combine as one autodiff node
+    over ``x``, every active expert's weights and the gate ``scores``, the
+    last parent, so a sweep visits the graph around it in the order the
+    per-expert graph gave. Expert e (params ``{prefix}expert{e}.*``) runs
+    its FFN over the rows ``x[expert_tokens[e]]``, and its output rows,
+    weighted by ``scores[token, e]``, are summed into zero rows in expert
+    order. Experts with no token take no part.
 
-    Expert e (of ``cfg.n_experts``, params ``{prefix}expert{e}.*``) runs its
-    FFN over the rows ``x[expert_tokens[e]]``, each output row is weighted
-    by its gate score ``scores[token, e]``, and the weighted rows are
-    summed into zero rows in expert order, repeated rows summed. Experts
-    with no token take no part.
-
-    The node runs, bit for bit, the float operations of the graph it
-    replaced (a ``take_rows``, ``ffn_forward`` and a weighted scatter per
-    expert). Each expert's forward and its backward (the weighted output
-    gradient ``g[idx] * w``, the gate term, the weight gradients and the
-    input-row gradient) read no other expert's, so they fill per-expert
-    buffers; the sums that cross experts run here, in the old sweep's
-    order: the combine in expert order, the gate terms by one
-    ``np.add.at`` per expert, and the input rows scatter-added into
-    ``x.grad`` from expert 0 up.
-
-    When the node records a graph and the expert matrices are big (of at
-    least ``threads.CHUNK_BYTES``), the caller's thread and the process's
-    helper thread share that per-expert work (``_Helper.share``); run on
-    the helper itself, the node works alone. The helper's share calls only
-    array helpers of ``tensor``, never an op or a function of this module.
+    The node runs the float operations of the graph it replaced (per
+    expert a ``take_rows``, ``ffn_forward`` and a weighted scatter), bit
+    for bit. Each expert's forward and backward read no other expert's, so
+    they fill per-expert buffers; the sums that cross experts run here, in
+    the old sweep's order: the combine, the gate terms by one ``np.add.at``
+    per expert and the input rows scatter-added into ``x.grad``, each from
+    expert 0 up. When the node records a graph and the expert matrices
+    are big (at least ``threads.CHUNK_BYTES``), the caller's thread and the
+    helper thread share that per-expert work (``_Helper.share``), which
+    calls only array helpers of ``tensor``, never an op or a function of
+    this module.
     """
-    n = x.shape[0]
     act, act_grad = T._ACTIVATIONS["relu" if cfg.activation in (ACT_RELU, ACT_GATED_RELU)
                                    else "gelu"]
     gated = cfg.activation in GATED_ACTIVATIONS
@@ -393,20 +386,20 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
 
     def forward(i):
         e, idx = active[i]
-        w_in, w_out = weights[i][0], weights[i][-1]
+        w_in, w_out = weights[i][0].data, weights[i][-1].data
         xe = x.data[idx]
-        u = T._product(xe, w_in.data)
+        u = T._product(xe, w_in)
         v = T._product(xe, weights[i][1].data) if gated else None
         a, act_saved = act(u)
         h = a * v if gated else a
-        y = T._product(h, w_out.data)
+        y = T._product(h, w_out)
         w = scores.data[idx, e][:, None]
         weighted[i] = y * w
         if record:
             saved[i] = (xe, u, act_saved, a, v, h, y, w)
 
     run(forward, range(len(active)))
-    out = np.zeros((n, cfg.model_dim))
+    out = np.zeros((x.shape[0], cfg.model_dim))
     for (_, idx), rows in zip(active, weighted):
         T._scatter_add_rows(out, idx, rows)
     del weighted
@@ -418,45 +411,28 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
             _, idx = active[i]
             xe, u, act_saved, a, v, h, y, w = saved[i]
             saved[i] = None  # each expert's activations go once it is done
-            w_in, w_out = weights[i][0], weights[i][-1]
-            w_gate = weights[i][1] if gated else None
+            w_in, w_out = weights[i][0].data, weights[i][-1].data
             rows = g[idx]
-            gate_term = (rows * y).sum(axis=1) if scores.requires_grad else None
             gy = rows * w
-            gw = {}
-            if w_out.requires_grad:
-                gw[w_out] = h.T @ gy
-            need_u = x.requires_grad or w_in.requires_grad
-            need_v = gated and (x.requires_grad or w_gate.requires_grad)
-            gx = None
-            if need_u or need_v:
-                gh = gy @ w_out.data.T
-                if need_u:
-                    du = act_grad(gh * v if gated else gh, u, act_saved)
-                    if x.requires_grad:
-                        gx = du @ w_in.data.T
-                    if w_in.requires_grad:
-                        gw[w_in] = xe.T @ du
-                if need_v:
-                    dv = gh * a
-                    if x.requires_grad:
-                        gx += dv @ w_gate.data.T
-                    if w_gate.requires_grad:
-                        gw[w_gate] = xe.T @ dv
-            grads[i] = (gate_term, gx, gw)
+            gh = gy @ w_out.T
+            du = act_grad(gh * v if gated else gh, u, act_saved)
+            gx = du @ w_in.T
+            gw = [xe.T @ du]
+            if gated:
+                dv = gh * a
+                gx += dv @ weights[i][1].data.T
+                gw.append(xe.T @ dv)
+            gw.append(h.T @ gy)
+            grads[i] = ((rows * y).sum(axis=1), gx, gw)
 
         run(expert_backward, range(len(active)))
-        if scores.requires_grad:
-            for (e, idx), (gate_term, _, _) in zip(active, grads):
+        for (e, idx), ws, (gate_term, gx, gw) in zip(active, weights, grads):
+            if scores.requires_grad:
                 np.add.at(T._grad_of(scores), (idx, e), gate_term)
-        for ws, (_, _, gw) in zip(weights, grads):
-            for w in ws:
-                if w in gw:
-                    T._accum(w, gw[w])
-        if x.requires_grad:
-            gx_all = T._grad_of(x)
-            for (_, idx), (_, gx, _) in zip(active, grads):
-                T._scatter_add_rows(gx_all, idx, gx)
+            for w, grad in zip(ws, gw):
+                T._accum(w, grad)
+            if x.requires_grad:
+                T._scatter_add_rows(T._grad_of(x), idx, gx)
 
     return T._make(out, parents, backward)
 
