@@ -265,14 +265,55 @@ def attention_forward(x, cfg, params, seq_len=None, prefix=""):
                    backward)
 
 
+def _ffn_weights(cfg, params, prefix):
+    """An FFN's weight Tensors in ``_ffn``'s order."""
+    gated = cfg.activation in GATED_ACTIVATIONS
+    return [params[prefix + n] for n in ("w_in", "w_gate", "w_out") if gated or n != "w_gate"]
+
+
+def _ffn(x, cfg, weights, record):
+    """An FFN on arrays, the one copy of its arithmetic, for the dense node
+    and each expert: act(x @ w_in), times x @ w_gate when gated, @ w_out;
+    ``weights`` are the arrays of ``_ffn_weights``. Returns (y, grad):
+    grad(gy) lists the gradients of x and of each weight, by the op graph's
+    float operations, in its order. Without ``record`` grad is None: what
+    only it reads goes, and the gate multiplies in place, before the down
+    product."""
+    act, act_grad = T._ACTIVATIONS[cfg.activation.removeprefix("gated_")]
+    w_in, *w_gate, w_out = weights
+    u = T._product(x, w_in)
+    v = T._product(x, w_gate[0]) if w_gate else None
+    a, act_saved = act(u)
+    if not record:
+        del u, act_saved
+        return T._product(a if v is None else np.multiply(a, v, out=a), w_out), None
+    h = a if v is None else a * v
+
+    def grad(gy):
+        gh = gy @ w_out.T
+        du = act_grad(gh if v is None else gh * v, u, act_saved)
+        grads = [du @ w_in.T, x.T @ du]  # x's, then each weight's
+        if v is not None:
+            dv = gh * a
+            grads[0] += dv @ w_gate[0].T
+            grads.append(x.T @ dv)
+        return grads + [h.T @ gy]
+
+    return T._product(h, w_out), grad
+
+
 def ffn_forward(x, cfg, params, prefix=""):
-    """Dense FFN: project up, activate, project down. A gated activation
-    multiplies act(x @ w_in) by a second stream, x @ w_gate."""
-    act = T.relu if cfg.activation in (ACT_RELU, ACT_GATED_RELU) else T.gelu
-    u = T.matmul(x, params[prefix + "w_in"])
-    v = T.matmul(x, params[prefix + "w_gate"]) if cfg.activation in GATED_ACTIVATIONS else None
-    h = act(u) if v is None else T.mul(act(u), v)
-    return T.matmul(h, params[prefix + "w_out"])
+    """Dense FFN as one autodiff node over ``x`` and its weights, by
+    ``_ffn``: project up, activate (times x @ w_gate when gated), down."""
+    parents = [x] + _ffn_weights(cfg, params, prefix)
+    record = T._grad_enabled and any(p.requires_grad for p in parents)
+    y, grad = _ffn(x.data, cfg, [w.data for w in parents[1:]], record)
+
+    def backward(g):
+        for t, dt in zip(parents, grad(g)):
+            T._accum(t, dt)
+
+    return T._make(y, parents, backward)
 
 
 def gate_scores(x, wg):
@@ -359,23 +400,19 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
     order. Experts with no token take no part.
 
     The node runs the float operations of the graph it replaced (per
-    expert a ``take_rows``, ``ffn_forward`` and a weighted scatter), bit
-    for bit. Each expert's forward and backward read no other expert's, so
-    they fill per-expert buffers; the sums that cross experts run here, in
-    the old sweep's order: the combine, the gate terms by one ``np.add.at``
-    per expert and the input rows scatter-added into ``x.grad``, each from
-    expert 0 up. When the node records a graph and the expert matrices
-    are big (at least ``threads.CHUNK_BYTES``), the caller's thread and the
-    helper thread share that per-expert work (``_Helper.share``), which
-    calls only array helpers of ``tensor``, never an op or a function of
-    this module.
+    expert a ``take_rows``, the FFN by ``_ffn`` and a weighted scatter),
+    bit for bit. Each expert's forward and backward read no other
+    expert's, so they fill per-expert buffers; the sums that cross experts
+    run here, in the old sweep's order: the combine, the gate terms by one
+    ``np.add.at`` per expert and the input rows scatter-added into
+    ``x.grad``, each from expert 0 up. When the node records a graph and
+    the expert matrices are big (at least ``threads.CHUNK_BYTES``), the
+    caller's thread and the helper thread share that per-expert work
+    (``_Helper.share``), which calls only ``_ffn`` and array helpers of
+    ``tensor``, never an op or a function ``perfbench/tracer.py`` wraps.
     """
-    act, act_grad = T._ACTIVATIONS["relu" if cfg.activation in (ACT_RELU, ACT_GATED_RELU)
-                                   else "gelu"]
-    gated = cfg.activation in GATED_ACTIVATIONS
-    names = ("w_in", "w_gate", "w_out") if gated else ("w_in", "w_out")
     active = [(e, idx) for e, idx in enumerate(expert_tokens) if idx.size]
-    weights = [[params[f"{prefix}expert{e}.{name}"] for name in names] for e, _ in active]
+    weights = [_ffn_weights(cfg.expert, params, f"{prefix}expert{e}.") for e, _ in active]
     parents = [x] + [w for ws in weights for w in ws] + [scores]
     record = T._grad_enabled and any(p.requires_grad for p in parents)
     run = _each
@@ -386,17 +423,11 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
 
     def forward(i):
         e, idx = active[i]
-        w_in, w_out = weights[i][0].data, weights[i][-1].data
-        xe = x.data[idx]
-        u = T._product(xe, w_in)
-        v = T._product(xe, weights[i][1].data) if gated else None
-        a, act_saved = act(u)
-        h = a * v if gated else a
-        y = T._product(h, w_out)
+        y, grad = _ffn(x.data[idx], cfg.expert, [w.data for w in weights[i]], record)
         w = scores.data[idx, e][:, None]
         weighted[i] = y * w
         if record:
-            saved[i] = (xe, u, act_saved, a, v, h, y, w)
+            saved[i] = (y, w, grad)
 
     run(forward, range(len(active)))
     out = np.zeros((x.shape[0], cfg.model_dim))
@@ -405,32 +436,21 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
     del weighted
 
     def backward(g):
-        grads = [None] * len(active)  # (gate term, input-row gradient, weight gradients)
+        grads = [None] * len(active)  # (gate term, input-row gradient, *weight gradients)
 
         def expert_backward(i):
             _, idx = active[i]
-            xe, u, act_saved, a, v, h, y, w = saved[i]
+            y, w, grad = saved[i]
             saved[i] = None  # each expert's activations go once it is done
-            w_in, w_out = weights[i][0].data, weights[i][-1].data
             rows = g[idx]
-            gy = rows * w
-            gh = gy @ w_out.T
-            du = act_grad(gh * v if gated else gh, u, act_saved)
-            gx = du @ w_in.T
-            gw = [xe.T @ du]
-            if gated:
-                dv = gh * a
-                gx += dv @ weights[i][1].data.T
-                gw.append(xe.T @ dv)
-            gw.append(h.T @ gy)
-            grads[i] = ((rows * y).sum(axis=1), gx, gw)
+            grads[i] = ((rows * y).sum(axis=1), *grad(rows * w))
 
         run(expert_backward, range(len(active)))
-        for (e, idx), ws, (gate_term, gx, gw) in zip(active, weights, grads):
+        for (e, idx), ws, (gate_term, gx, *gw) in zip(active, weights, grads):
             if scores.requires_grad:
                 np.add.at(T._grad_of(scores), (idx, e), gate_term)
-            for w, grad in zip(ws, gw):
-                T._accum(w, grad)
+            for w, dw in zip(ws, gw):
+                T._accum(w, dw)
             if x.requires_grad:
                 T._scatter_add_rows(T._grad_of(x), idx, gx)
 

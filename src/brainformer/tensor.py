@@ -2,8 +2,9 @@
 
 Deliberately small: N-D arrays, a 2-D matmul, a full sum, a last-axis
 softmax and a row gather. Everything is float64 so finite-difference
-gradient checks are meaningful. Causal attention, an MoE layer's experts
-and the MoE load-balance loss are one node each, in ``layers``.
+gradient checks are meaningful. Causal attention, the dense FFN, an MoE
+layer's experts (both with ReLU or GeLU from ``_ACTIVATIONS``) and the
+MoE load-balance loss are one node each, in ``layers``.
 
 Writing an op: build the output with ``_make(data, parents, backward)``,
 where ``backward(g)`` receives the gradient of the output and accumulates
@@ -196,7 +197,8 @@ def _scatter_add_rows(dst, idx, values):
 
 def _product(a, b):
     """``a @ b`` on arrays. Every product a forward pass runs goes through
-    here (``matmul`` and the attention node), so one wrapper sees them all."""
+    here (``matmul``, the attention, FFN and experts nodes), so one wrapper
+    sees them all."""
     return a @ b
 
 
@@ -346,29 +348,8 @@ def _gelu_grad(g, x, phi):
 
 
 # activation -> (forward on an array, giving (output, saved), and the
-# gradient g -> g * act'(x) from (g, x, saved)); the ops below and the MoE
-# experts node both run these
+# gradient g -> g * act'(x) from (g, x, saved)), run by ``layers._ffn``
 _ACTIVATIONS = {"relu": (_relu, _relu_grad), "gelu": (_gelu, _gelu_grad)}
-
-
-def _activation(x, name):
-    x = _coerce(x)
-    forward, grad = _ACTIVATIONS[name]
-    y, saved = forward(x.data)
-
-    def backward(g):
-        _accum(x, grad(g, x.data, saved))
-
-    return _make(y, (x,), backward)
-
-
-def relu(x):
-    return _activation(x, "relu")
-
-
-def gelu(x):
-    """Exact erf-form GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    return _activation(x, "gelu")
 
 
 def cross_entropy(logits, targets):

@@ -85,12 +85,9 @@ class _Helper:
         here, after the caller's items, and the helper keeps no error; after
         one on the caller's thread, the helper starts no further item. Called
         on the helper's own thread, or after a queued job raised, the caller
-        calls ``fn`` on every item itself."""
+        calls ``fn`` on every item itself: the part waits behind the job
+        running there and is then removed, or the helper drops it unrun."""
         todo = iter(items)
-        if threading.current_thread() is self.thread:
-            for item in todo:
-                fn(item)
-            return
         claim = threading.Lock()  # held while the helper's part runs
         failed = []
 

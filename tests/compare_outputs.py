@@ -14,13 +14,15 @@ and a training's ``checkpoint.bin``, ``train_report.json`` and
 ``trajectory.jsonl`` without its wall-clock ``step_time``; both runs must
 exit 0 with an empty stderr. It prints one table row per output and exits
 1 on any difference. The exit row also shows each run's peak RSS
-(``ru_maxrss`` of that child, from ``os.wait4``); memory is reported, not
-compared. pytest does not collect it.
+(``ru_maxrss`` of that child, from ``os.wait4``) and each tree's line total
+of ``brainformer/*.py``; memory and lines are reported, not compared.
+pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -49,6 +51,15 @@ def run_cli(src, argv, out_dir, cwd, blas_threads):
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, err.decode(errors="replace"), usage.ru_maxrss / 1024
+
+
+def source_lines(src):
+    """The line total of the program's modules in the tree at ``src``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "brainformer", "*.py")):
+        with open(path, "rb") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def read_output(path):
@@ -82,12 +93,13 @@ def compare(workload, seed, seconds, old_src, new_src, blas_threads):
     with tempfile.TemporaryDirectory() as case:
         argv, _ = write_inputs(workload, seed, seconds, os.path.join(case, "in"))
         outs = {side: os.path.join(case, side) for side in ("old", "new")}
+        srcs = {"old": old_src, "new": new_src}
         runs = {side: run_cli(src, argv, outs[side], case, blas_threads)
-                for side, src in (("old", old_src), ("new", new_src))}
+                for side, src in srcs.items()}
         rows = [("exit 0, empty stderr",
                  all(code == 0 and not err for code, err, _ in runs.values()),
                  "; ".join(f"{side}: exit {code}, stderr {err.strip()[-200:]!r}, "
-                           f"peak RSS {rss:.1f} MB"
+                           f"peak RSS {rss:.1f} MB, {source_lines(srcs[side])} source lines"
                            for side, (code, err, rss) in runs.items()))]
         for name in OUTPUTS[workload.kind]:
             old, new = (read_output(os.path.join(outs[side], name)) for side in outs)

@@ -212,6 +212,40 @@ def layer_norm_reference(x, gain, bias, g, eps=1e-6):
     return y, inv_sigma * (gy - m1 - xhat * m2), (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
+def activation(x, name):
+    """The activation ``name`` of ``tensor._ACTIVATIONS`` as a graph op,
+    as ``tensor`` had it before the FFN became one node."""
+    x = T._coerce(x)
+    forward, grad = T._ACTIVATIONS[name]
+    y, saved = forward(x.data)
+
+    def backward(g):
+        T._accum(x, grad(g, x.data, saved))
+
+    return T._make(y, (x,), backward)
+
+
+def relu(x):
+    return activation(x, "relu")
+
+
+def gelu(x):
+    """Exact erf-form GeLU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    return activation(x, "gelu")
+
+
+def ffn_graph(x, cfg, params, prefix=""):
+    """The dense FFN as the graph of ops it was before it became one node,
+    the bitwise oracle of ``layers.ffn_forward`` and of each expert of
+    ``layers.moe_experts``: ``matmul``s, the activation op and, when
+    gated, the ``mul`` by the second stream."""
+    act = relu if cfg.activation in (L.ACT_RELU, L.ACT_GATED_RELU) else gelu
+    u = T.matmul(x, params[prefix + "w_in"])
+    v = T.matmul(x, params[prefix + "w_gate"]) if cfg.activation in L.GATED_ACTIVATIONS else None
+    h = act(u) if v is None else T.mul(act(u), v)
+    return T.matmul(h, params[prefix + "w_out"])
+
+
 def moe_oracle(x, cfg, params, prefix=""):
     """The sparse MoE layer as first written, from generic ops only:
     routed by the loop oracles above, each expert's gate column picked by a
@@ -239,7 +273,7 @@ def moe_oracle(x, cfg, params, prefix=""):
             continue
         toks = np.array(group, dtype=np.int64)
         xe = T.take_rows(x, toks)
-        ye = L.ffn_forward(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
+        ye = ffn_graph(xe, expert_cfg, params, prefix=f"{prefix}expert{exp}.")
         one_hot = np.zeros((cfg.n_experts, 1))
         one_hot[exp, 0] = 1.0
         w = T.take_rows(T.matmul(scores, Tensor(one_hot)), toks)
@@ -280,10 +314,10 @@ def combine_rows(triples, gate, n_rows):
 def experts_graph(x, cfg, params, expert_tokens, scores, prefix=""):
     """``layers.moe_experts`` as the graph of ops it replaced, its bitwise
     oracle: per expert with a token, a ``take_rows`` of its rows and an
-    ``ffn_forward``, all joined by one ``combine_rows`` node. Patched in
-    for ``moe_experts``, it gives ``moe_forward`` its old graph."""
-    triples = [(L.ffn_forward(T.take_rows(x, toks), cfg.expert, params,
-                              prefix=f"{prefix}expert{e}."), toks, e)
+    ``ffn_graph``, all joined by one ``combine_rows`` node. Patched in for
+    ``moe_experts``, it gives ``moe_forward`` its old graph."""
+    triples = [(ffn_graph(T.take_rows(x, toks), cfg.expert, params,
+                          prefix=f"{prefix}expert{e}."), toks, e)
                for e, toks in enumerate(expert_tokens) if toks.size]
     return combine_rows(triples, scores, x.shape[0])
 

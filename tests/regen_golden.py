@@ -10,20 +10,15 @@ other change must leave the file passing as it is.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import glob
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from brainformer.cli import _one_blas_thread, main
+from brainformer.cli import _environment, _one_blas_thread, main
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
@@ -62,33 +57,17 @@ PROXY_SEARCH = {
 GENOMES = ("brainformer1_like.json", "desk_top2.json", "glam_0p1b_32e.json")
 
 
-def _openblas(symbol, restype):
-    """``scipy_openblas_<symbol>64_()`` (or ``openblas_<symbol>()``) of the
-    OpenBLAS numpy bundles; None when it bundles none."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                       "numpy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in (f"scipy_openblas_{symbol}64_", f"openblas_{symbol}"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], restype
-                return fn()
-    return None
-
-
 def fingerprint():
     """What decides the bits of a float run: the numpy version, the BLAS
     library, its version and kernel family, and the thread count the runs
     use, the one ``main`` sets (one and two OpenBLAS threads round some
-    products differently). The kernel family is the one OpenBLAS picked
-    for this CPU, or ``OPENBLAS_CORETYPE``."""
-    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    core = _openblas("get_corename", ctypes.c_char_p)
+    products differently): those keys of the build that ``manifest.json``
+    records, read at that thread count. The kernel family is the one
+    OpenBLAS picked for this CPU, or ``OPENBLAS_CORETYPE``."""
     with _one_blas_thread():
-        threads = _openblas("get_num_threads", ctypes.c_int)
-    return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "blas_core": core.decode() if core else None,
-            "blas_threads": threads}
+        env = _environment()
+    return {key: env[key] for key in ("numpy", "blas", "blas_version", "blas_core",
+                                      "blas_threads")}
 
 
 def corpus_bytes(n_bytes=24 * 1024):

@@ -14,6 +14,7 @@ from brainformer.tensor import Tensor
 from helpers import (
     finite_difference_check, brute_force_top2, expert_choice_oracle,
     softmax_oracle, attention_oracle, moe_oracle, top_k_indices, experts_graph,
+    ffn_graph, gelu,
 )
 
 
@@ -180,12 +181,12 @@ class TestFfn:
         u = x @ params["w_in"].data
         if act in L.GATED_ACTIVATIONS:
             v = x @ params["w_gate"].data
-            base = np.maximum(u, 0) if act == "gated_relu" else T.gelu(Tensor(u)).data
+            base = np.maximum(u, 0) if act == "gated_relu" else gelu(Tensor(u)).data
             h = base * v
         elif act == "relu":
             h = np.maximum(u, 0)
         else:
-            h = T.gelu(Tensor(u)).data
+            h = gelu(Tensor(u)).data
         np.testing.assert_allclose(out, h @ params["w_out"].data, atol=1e-12)
 
     @pytest.mark.parametrize("act", L.ACTIVATIONS)
@@ -199,6 +200,58 @@ class TestFfn:
             dict(params, x=x),
             lambda: T.tsum(T.mul(L.ffn_forward(x, cfg, params), w)))
         assert worst < 1e-4
+
+
+class TestFfnNode:
+    """The dense ``ffn_forward``, one node over ``x`` and its weights,
+    against the op graph it replaced (``helpers.ffn_graph``), bit for bit."""
+
+    @staticmethod
+    def case(act, x_grad):
+        cfg = L.FfnConfig(6, 10, act)
+        rng = np.random.default_rng(26)
+        params = L.init_ffn_params(cfg, rng)
+        return cfg, params, Tensor(rng.normal(size=(7, 6)), requires_grad=x_grad), \
+            rng.normal(size=(7, 6))
+
+    @pytest.mark.parametrize("act", L.ACTIVATIONS)
+    def test_one_graph_node(self, act):
+        cfg, params, x, _ = self.case(act, True)
+        out = L.ffn_forward(x, cfg, params)
+        assert out._backward is not None
+        assert list(out._parents) == [x] + [params[k] for k in ("w_in", "w_gate", "w_out")
+                                            if k in params]
+        assert all(p._backward is None for p in out._parents)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("act", L.ACTIVATIONS)
+    def test_matches_the_op_graph_bitwise(self, act, x_grad):
+        cfg, params, x, w = self.case(act, x_grad)
+        tensors = dict(params, x=x)
+
+        def run(ffn):
+            for t in tensors.values():
+                t.grad = None
+            out = ffn(x, cfg, params)
+            T.tsum(T.mul(out, w)).backward()
+            return out.data, {k: t.grad for k, t in tensors.items()}
+
+        want_out, want = run(ffn_graph)
+        got_out, got = run(L.ffn_forward)
+        assert got_out.tobytes() == want_out.tobytes()
+        assert (got["x"] is None) == (not x_grad)
+        for name, grad in want.items():
+            if grad is not None:
+                assert got[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("act", L.ACTIVATIONS)
+    def test_no_grad_records_nothing(self, act):
+        cfg, params, x, _ = self.case(act, True)
+        with T.no_grad():
+            out = L.ffn_forward(x, cfg, params)
+            want = ffn_graph(x, cfg, params)
+        assert out._parents == () and out._backward is None
+        assert out.data.tobytes() == want.data.tobytes()
 
 
 class TestGateScores:
@@ -666,6 +719,22 @@ class TestMoeExperts:
         with T.no_grad():
             want, _, _ = L.moe_forward(x, cfg, params)
         np.testing.assert_array_equal(out.data, want.data)
+
+    @pytest.mark.parametrize("activation", L.ACTIVATIONS)
+    def test_the_oracles_run_no_ffn_kernel(self, activation, monkeypatch):
+        """``experts_graph`` and ``moe_oracle`` build each expert's FFN from
+        ``helpers.ffn_graph``, so neither runs the kernel it checks."""
+        cfg, params, x_data, w = self.case(L.GATE_TOP2, activation)
+        x = Tensor(x_data, requires_grad=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle ran the FFN kernel")
+        for name in ("_ffn", "ffn_forward"):
+            monkeypatch.setattr(L, name, refuse)
+        self.run(monkeypatch, experts_graph, cfg, params, x, w)
+        out, aux = moe_oracle(x, cfg, params)
+        T.add(T.tsum(T.mul(out, w)), aux).backward()
+        assert params["expert0.w_in"].grad is not None
 
     def test_on_the_helper_the_node_runs_alone(self, monkeypatch):
         """A node that records a graph on the helper thread itself (as a

@@ -11,7 +11,7 @@ from brainformer import tensor as T
 from brainformer.tensor import Tensor
 
 from helpers import (
-    finite_difference_check, layer_norm_reference, softmax_oracle, top_k_indices,
+    finite_difference_check, gelu, layer_norm_reference, softmax_oracle, top_k_indices,
 )
 
 
@@ -120,23 +120,27 @@ class TestLayerNorm:
 
 
 class TestActivations:
+    """The ReLU and GeLU array math of ``tensor._ACTIVATIONS``, which the
+    FFN kernel runs; the gradient check runs it as a graph op
+    (``helpers.gelu``)."""
+
     def test_relu_values(self):
-        out = T.relu(Tensor([-1.0, 2.0]))
-        assert out.data.tolist() == [0.0, 2.0]
+        out, _ = T._ACTIVATIONS["relu"][0](np.array([-1.0, 2.0]))
+        assert out.tolist() == [0.0, 2.0]
 
     def test_gelu_against_high_precision(self):
         import mpmath
         mpmath.mp.dps = 50
         x = 1.0
         expected = float(0.5 * x * (1 + mpmath.erf(x / mpmath.sqrt(2))))
-        out = T.gelu(Tensor([x]))
-        assert abs(out.data[0] - expected) < 1e-14
+        out, _ = T._ACTIVATIONS["gelu"][0](np.array([x]))
+        assert abs(out[0] - expected) < 1e-14
 
     def test_gelu_gradient(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=8), requires_grad=True)
         worst, _ = finite_difference_check(
-            {"x": x}, lambda: T.tsum(T.mul(T.gelu(x), np.arange(1.0, 9.0))))
+            {"x": x}, lambda: T.tsum(T.mul(gelu(x), np.arange(1.0, 9.0))))
         assert worst < 1e-6
 
 
@@ -146,13 +150,14 @@ class TestActivations:
         the bits of 0.5 * (1 + erf(x / sqrt(2))) and g * (phi + x * pdf),
         pdf = exp(-0.5 * x * x) / sqrt(2 pi), as written."""
         rng = np.random.default_rng(16)
-        x = Tensor(rng.normal(size=(16, 33)) * scale, requires_grad=True)
+        x = rng.normal(size=(16, 33)) * scale
         g = rng.normal(size=x.shape)
-        phi = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
-        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / np.sqrt(2.0 * np.pi))
-        T.tsum(T.mul(T.gelu(x), g)).backward()
-        assert T.gelu(x).data.tobytes() == (x.data * phi).tobytes()
-        assert x.grad.tobytes() == (g * (phi + x.data * pdf)).tobytes()
+        phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        forward, grad = T._ACTIVATIONS["gelu"]
+        out, saved = forward(x)
+        assert out.tobytes() == (x * phi).tobytes()
+        assert grad(g, x, saved).tobytes() == (g * (phi + x * pdf)).tobytes()
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -218,7 +223,7 @@ class TestBackward:
         elif case == "add_self":
             nodes = [T.add(a, a)]
         else:  # one tensor feeding two ops
-            y1, y2 = T.mul(a, b), T.gelu(a)
+            y1, y2 = T.mul(a, b), gelu(a)
             nodes = [y1, y2, T.add(y1, y2)]
         top = nodes[-1]
         weighted = T.mul(top, np.linspace(-1.0, 2.0, top.size).reshape(top.shape))
@@ -285,7 +290,7 @@ class TestBackward:
         expected = np.zeros((5, 3))
         for e, i in enumerate(idxs):
             p = {name: params[f"expert{e}.{name}"].data for name in ("w_in", "w_out")}
-            y = T.gelu(Tensor(x.data[i] @ p["w_in"])).data @ p["w_out"]
+            y = gelu(Tensor(x.data[i] @ p["w_in"])).data @ p["w_out"]
             np.add.at(expected, i, y * gate3.data[i, e][:, None])
         np.testing.assert_array_equal(combine().data, expected)
         worst, _ = finite_difference_check(dict(params, x=x), lambda: T.tsum(T.mul(combine(), w)))
@@ -322,7 +327,7 @@ class TestGraphConsumption:
     @staticmethod
     def _graph(x, w):
         h = T.matmul(x, w)
-        return h, T.tsum(T.mul(T.softmax(T.gelu(h)), h))
+        return h, T.tsum(T.mul(T.softmax(gelu(h)), h))
 
     def _inputs(self):
         rng = np.random.default_rng(14)
@@ -390,7 +395,7 @@ class TestLeafCallback:
     def _graph(x, w, b, c):
         # x is used twice by one mul and once by an add; w feeds two matmuls
         h = T.add(T.matmul(T.mul(x, x), w), T.matmul(T.add(x, c), w))
-        return T.tsum(T.gelu(T.add(h, b)))
+        return T.tsum(gelu(T.add(h, b)))
 
     def test_each_leaf_once_with_its_final_gradient(self):
         leaves = self._leaves()
@@ -432,7 +437,7 @@ class TestNoGrad:
                                 seq_len=2)
         moe = L.MoeConfig(model_dim=3, expert_hidden_dim=2, n_experts=3, gating=L.GATE_TOP2,
                           capacity_factor=1, activation="gated_gelu")
-        rows = T.take_rows(T.gelu(h), np.array([0, 2, 2, 1]))
+        rows = T.take_rows(gelu(h), np.array([0, 2, 2, 1]))
         back = L.moe_experts(rows, moe, L.init_moe_params(moe, np.random.default_rng(15)),
                              [np.array([1, 0, 3]), np.array([], dtype=np.int64),
                               np.array([2, 2])], T.softmax(h))
