@@ -209,11 +209,11 @@ def attention_forward(x, cfg, params, seq_len=None, prefix=""):
     segment's projections are the same per-segment products a loop over
     segments would compute, and no segment reads another's rows.
 
-    The hand-written backward repeats, bit for bit, the float arithmetic of
-    the op graph this node replaces (matmuls, head reshapes and permutes,
-    scale, mask, softmax): a weight gradient is the per-segment products
-    summed over the segment axis, dK is (Q^T dS)^T, the x gradient sums the
-    q, k and v terms in that order, and every product's gradient operand is
+    Its gradient repeats, bit for bit, the float arithmetic of the op graph
+    this node replaces (matmuls, head reshapes and permutes, scale, mask,
+    softmax): a weight gradient is the per-segment products summed over the
+    segment axis, dK is (Q^T dS)^T, the x gradient sums the q, k and v
+    terms in that order, and every product's gradient operand is
     C-contiguous, as the graph's pass-through copies left it (BLAS can round
     a product over a strided operand differently).
     """
@@ -236,33 +236,23 @@ def attention_forward(x, cfg, params, seq_len=None, prefix=""):
     p = T._product(q, k.swapaxes(-1, -2))  # becomes softmax(scale * q k^T + mask)
     p *= scale
     p += _causal_mask(s)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    merged = merge_heads(T._product(p, v))
+    merged = merge_heads(T._product(T._softmax(p), v))
 
-    def backward(g):
+    def grad(g):
         gb = g.reshape(b, s, d)
-        if wo.requires_grad:
-            T._accum(wo, (merged.swapaxes(-1, -2) @ gb).sum(axis=0))
+        dwo = (merged.swapaxes(-1, -2) @ gb).sum(axis=0)
         dheads = np.ascontiguousarray(split_heads(gb @ wo.data.T))
-        ds = dheads @ v.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
+        ds = T._softmax_grad(dheads @ v.swapaxes(-1, -2), p)
         ds *= scale  # the gradient of q k^T
         dq, dk, dv = (np.ascontiguousarray(merge_heads(a)) for a in (
             ds @ k, (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), p.swapaxes(-1, -2) @ dheads))
-        for w, dproj in ((wq, dq), (wk, dk), (wv, dv)):
-            if w.requires_grad:
-                T._accum(w, (xs.swapaxes(-1, -2) @ dproj).sum(axis=0))
-        if x.requires_grad:
-            dx = dq @ wq.data.T
-            dx += dk @ wk.data.T
-            dx += dv @ wv.data.T
-            T._accum(x, dx.reshape(n, d))
+        dx = dq @ wq.data.T
+        dx += dk @ wk.data.T
+        dx += dv @ wv.data.T
+        return (dx.reshape(n, d), *((xs.swapaxes(-1, -2) @ dproj).sum(axis=0)
+                                    for dproj in (dq, dk, dv)), dwo)
 
-    return T._make(T._product(merged, wo.data).reshape(n, d), (x, wq, wk, wv, wo),
-                   backward)
+    return T._node(T._product(merged, wo.data).reshape(n, d), (x, wq, wk, wv, wo), grad)
 
 
 def _ffn_weights(cfg, params, prefix):
@@ -306,14 +296,8 @@ def ffn_forward(x, cfg, params, prefix=""):
     """Dense FFN as one autodiff node over ``x`` and its weights, by
     ``_ffn``: project up, activate (times x @ w_gate when gated), down."""
     parents = [x] + _ffn_weights(cfg, params, prefix)
-    record = T._grad_enabled and any(p.requires_grad for p in parents)
-    y, grad = _ffn(x.data, cfg, [w.data for w in parents[1:]], record)
-
-    def backward(g):
-        for t, dt in zip(parents, grad(g)):
-            T._accum(t, dt)
-
-    return T._make(y, parents, backward)
+    y, grad = _ffn(x.data, cfg, [w.data for w in parents[1:]], T._recording(parents))
+    return T._node(y, parents, grad)
 
 
 def gate_scores(x, wg):
@@ -377,11 +361,9 @@ def load_balance_aux_loss(scores):
     inv_n = 1.0 / n
     loss = ((scores.data.sum(axis=0) * inv_n) * frac).sum() * n_experts
 
-    def backward(g):
-        grad = ((g * n_experts) * frac) * inv_n  # the same for every token
-        T._accum(scores, np.broadcast_to(grad, scores.shape).copy())
-
-    return T._make(loss, (scores,), backward)
+    # each token's gradient row is the same
+    return T._node(loss, (scores,), lambda g: (
+        np.broadcast_to(((g * n_experts) * frac) * inv_n, scores.shape).copy(),))
 
 
 def _each(fn, items):
@@ -414,7 +396,7 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
     active = [(e, idx) for e, idx in enumerate(expert_tokens) if idx.size]
     weights = [_ffn_weights(cfg.expert, params, f"{prefix}expert{e}.") for e, _ in active]
     parents = [x] + [w for ws in weights for w in ws] + [scores]
-    record = T._grad_enabled and any(p.requires_grad for p in parents)
+    record = T._recording(parents)
     run = _each
     if record and weights and weights[0][0].data.nbytes >= threads.CHUNK_BYTES:
         run = threads.helper().share

@@ -1,16 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: N-D arrays, a 2-D matmul, a full sum, a last-axis
-softmax and a row gather. Everything is float64 so finite-difference
-gradient checks are meaningful. Causal attention, the dense FFN, an MoE
-layer's experts (both with ReLU or GeLU from ``_ACTIVATIONS``) and the
-MoE load-balance loss are one node each, in ``layers``.
+Deliberately small: N-D arrays, a 2-D matmul, a last-axis softmax and a
+row gather. Everything is float64 so finite-difference gradient checks
+are meaningful. Causal attention, the dense FFN, an MoE layer's experts
+(both with ReLU or GeLU from ``_ACTIVATIONS``) and the MoE load-balance
+loss are one node each, in ``layers``.
 
-Writing an op: build the output with ``_make(data, parents, backward)``,
-where ``backward(g)`` receives the gradient of the output and accumulates
-into the parents with ``_accum``. A backward closure may capture its
-parents and plain arrays, but never the output tensor itself, so a graph
-has no reference cycles and needs no help from the cyclic garbage
+Writing an op: return ``_node(data, parents, grad)``, where ``grad(g)``
+takes the gradient of the output and returns one gradient per parent, in
+parent order; ``_node`` adds each into its parent. ``grad`` may capture
+its parents and plain arrays, but never the output tensor itself, so a
+graph has no reference cycles and needs no help from the cyclic garbage
 collector.
 
 ``backward`` consumes the graph it sweeps: once a node's backward has run,
@@ -22,16 +22,18 @@ graphs; a second ``backward`` that reaches a consumed node raises. The
 sweep can report each leaf as soon as its gradient is final, so an
 optimizer can apply it before the sweep ends.
 
-Gradient ownership: a parent's first gradient becomes its ``.grad`` as is
-when the op has just computed it (``_accum(t, g)``), and later ones are
-added in place, so no tensor's ``.grad`` may share memory with another
-array. A gradient that can alias the output's (``add`` passes ``g``
-through) is handed over as a copy (``_accum(t, g, fresh=False)``).
-``take_rows`` scatter-adds straight into the parent's ``.grad``.
+Gradient ownership, kept by ``_node`` alone: each gradient ``grad``
+returns is a fresh array or ``g`` itself. A parent's first gradient
+becomes its ``.grad`` as is when fresh and as a copy when it is ``g``
+(``add`` passes ``g`` through), and later ones are added in place, so no
+tensor's ``.grad`` shares memory with another array. Two ops keep their
+own backward, which scatter-adds straight into a parent's ``.grad``:
+``take_rows``, and ``layers.moe_experts``, whose sums across experts run
+in expert order.
 
-Inside ``with no_grad():`` every op computes its output only: ``_make``
-records no parents and no backward closure, so no graph keeps an
-intermediate alive once the code that made it drops it.
+Inside ``with no_grad():`` every op computes its output only: it records
+no parents and no backward closure, so no graph keeps an intermediate
+alive once the code that made it drops it.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def _consumed(g):
     raise RuntimeError("backward() through a graph an earlier backward() consumed")
 
 
-_grad_enabled = True  # cleared by no_grad(); read by _make only
+_grad_enabled = True  # cleared by no_grad(); read by _recording only
 
 
 @contextlib.contextmanager
@@ -159,13 +161,30 @@ def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents):
+    """True when an op over ``parents`` records a node: gradients are
+    enabled and some parent requires one."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+def _node(data, parents, grad):
+    """The output of an op over ``parents``: ``grad(g)`` returns one
+    gradient per parent, each added into its parent in parent order; one
+    that is ``g`` itself is copied before a parent keeps it."""
+    def backward(g):
+        for p, dp in zip(parents, grad(g)):
+            _accum(p, dp, fresh=dp is not g)
+
+    return _make(data, parents, backward)
 
 
 def _accum(t, g, fresh=True):
@@ -203,7 +222,10 @@ def _product(a, b):
 
 
 def _unbroadcast(g, shape):
-    """Sum gradient g down to the given (broadcast-source) shape."""
+    """Sum gradient g down to the given (broadcast-source) shape; g itself
+    when that sums nothing."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, dim in enumerate(shape):
@@ -214,26 +236,14 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _coerce(a), _coerce(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape), fresh=False)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape), fresh=False)
-
-    return _make(a.data + b.data, (a, b), backward)
+    return _node(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
+    return _node(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b):
@@ -242,38 +252,31 @@ def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul expects 2-D operands with matching inner dims, "
                          f"got {a.shape} @ {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _make(_product(a.data, b.data), (a, b), backward)
+    return _node(_product(a.data, b.data), (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def tsum(a):
-    """The sum of every entry, as a 0-d tensor."""
-    a = _coerce(a)
+def _softmax(a):
+    """Numerically stabilized softmax over the last axis of array a, in
+    a's buffer: shift by the row max, exponentiate, divide by the row sum."""
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
 
-    def backward(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    return _make(a.data.sum(), (a,), backward)
+def _softmax_grad(g, y):
+    """The gradient through a last-axis softmax with output y of the output
+    gradient g, (g - sum(g * y)) * y, in g's buffer."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
 
 
 def softmax(x):
     """Numerically stabilized softmax; each last-axis slice sums to 1."""
     x = _coerce(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot))
-
-    return _make(y, (x,), backward)
+    y = _softmax(x.data.copy())
+    return _node(y, (x,), lambda g: (_softmax_grad(g.copy(), y),))
 
 
 def layer_norm(x, gain, bias, eps=1e-6):
@@ -296,10 +299,10 @@ def layer_norm(x, gain, bias, eps=1e-6):
     np.multiply(xhat, gain.data, out=y)
     y += bias.data
 
-    def backward(g):
+    def grad(g):
         gy = g * gain.data
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape), fresh=False)
+        dgain = _unbroadcast(g * xhat, gain.data.shape)
+        dbias = _unbroadcast(g, bias.data.shape)
         m1 = np.add.reduce(gy, axis=-1, keepdims=True) / h
         t = gy * xhat
         m2 = np.add.reduce(t, axis=-1, keepdims=True) / h
@@ -307,9 +310,9 @@ def layer_norm(x, gain, bias, eps=1e-6):
         np.subtract(gy, m1, out=gy)
         gy -= np.multiply(xhat, m2, out=t)
         gy *= inv_sigma
-        _accum(x, gy)
+        return gy, dgain, dbias
 
-    return _make(y, (x, gain, bias), backward)
+    return _node(y, (x, gain, bias), grad)
 
 
 def _relu(x):
@@ -367,13 +370,13 @@ def cross_entropy(logits, targets):
     picked = logits.data[np.arange(n), targets]
     loss = (lse - picked).mean()
 
-    def backward(g):
-        probs = np.exp(z)
-        probs /= probs.sum(axis=1, keepdims=True)
+    def grad(g):
+        probs = _softmax(logits.data.copy())
         probs[np.arange(n), targets] -= 1.0
-        _accum(logits, probs * (float(g) / n))
+        probs *= float(g) / n
+        return (probs,)
 
-    return _make(np.float64(loss), (logits,), backward)
+    return _node(np.float64(loss), (logits,), grad)
 
 
 def take_rows(x, idx):

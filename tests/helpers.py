@@ -218,11 +218,14 @@ def activation(x, name):
     x = T._coerce(x)
     forward, grad = T._ACTIVATIONS[name]
     y, saved = forward(x.data)
+    return T._node(y, (x,), lambda g: (grad(g, x.data, saved),))
 
-    def backward(g):
-        T._accum(x, grad(g, x.data, saved))
 
-    return T._make(y, (x,), backward)
+def tsum(a):
+    """The sum of every entry, as a 0-d tensor: the op that turns a test's
+    weighted output into a scalar loss."""
+    a = T._coerce(a)
+    return T._node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def relu(x):

@@ -35,7 +35,7 @@ from brainformer.training import (
     ByteCorpus, TrainConfig, TrainState, train_steps, evaluate_perplexity,
 )
 
-from helpers import finite_difference_check, brute_force_top2
+from helpers import finite_difference_check, brute_force_top2, tsum
 
 ACTIVATIONS = ("relu", "gelu", "gated_relu", "gated_gelu")
 GATINGS = ("top2", "expert_choice")
@@ -78,20 +78,20 @@ def test_criterion_01_gradient_suite():
     x = Tensor(rng.normal(size=(5, 8)))
     w = rng.normal(size=(5, 8))
     worst, _ = finite_difference_check(
-        ap, lambda: T.tsum(T.mul(attention_forward(x, acfg, ap), w)), rng=rng)
+        ap, lambda: tsum(T.mul(attention_forward(x, acfg, ap), w)), rng=rng)
     worst_overall = max(worst_overall, worst)
     for a in ACTIVATIONS:
         fcfg = FfnConfig(model_dim=8, hidden_dim=12, activation=a)
         fp = init_ffn_params(fcfg, np.random.default_rng(2))
         worst, _ = finite_difference_check(
-            fp, lambda: T.tsum(T.mul(ffn_forward(x, fcfg, fp), w)), rng=rng)
+            fp, lambda: tsum(T.mul(ffn_forward(x, fcfg, fp), w)), rng=rng)
         worst_overall = max(worst_overall, worst)
     for g in GATINGS:
         mcfg = MoeConfig(model_dim=8, expert_hidden_dim=12, n_experts=2,
                          gating=g, capacity_factor=2, activation="gelu")
         mp = init_moe_params(mcfg, np.random.default_rng(3))
         worst, _ = finite_difference_check(
-            mp, lambda: T.tsum(T.mul(moe_forward(x, mcfg, mp)[0], w)), rng=rng)
+            mp, lambda: tsum(T.mul(moe_forward(x, mcfg, mp)[0], w)), rng=rng)
         worst_overall = max(worst_overall, worst)
 
     # full blocks through the LM head

@@ -14,7 +14,7 @@ from brainformer.tensor import Tensor
 from helpers import (
     finite_difference_check, brute_force_top2, expert_choice_oracle,
     softmax_oracle, attention_oracle, moe_oracle, top_k_indices, experts_graph,
-    ffn_graph, gelu,
+    ffn_graph, gelu, tsum,
 )
 
 
@@ -84,7 +84,7 @@ class TestAttention:
         everything = dict(params, x=x)
         worst, _ = finite_difference_check(
             everything,
-            lambda: T.tsum(T.mul(L.attention_forward(x, cfg, params), w)))
+            lambda: tsum(T.mul(L.attention_forward(x, cfg, params), w)))
         assert worst < 1e-4
 
     def test_gradient_over_segments_and_heads(self):
@@ -97,7 +97,7 @@ class TestAttention:
         w = rng.normal(size=(12, 6))
         worst, name = finite_difference_check(
             dict(params, x=x),
-            lambda: T.tsum(T.mul(L.attention_forward(x, cfg, params, seq_len=4), w)))
+            lambda: tsum(T.mul(L.attention_forward(x, cfg, params, seq_len=4), w)))
         assert worst < 1e-6, name
 
     def test_frozen_input_gets_no_gradient(self):
@@ -105,7 +105,7 @@ class TestAttention:
         rng = np.random.default_rng(5)
         params = L.init_attention_params(cfg, rng)
         x = Tensor(rng.normal(size=(8, 6)))
-        T.tsum(L.attention_forward(x, cfg, params, seq_len=4)).backward()
+        tsum(L.attention_forward(x, cfg, params, seq_len=4)).backward()
         assert x.grad is None
         for p in params.values():
             assert p.grad is not None and p.grad.shape == p.shape
@@ -198,7 +198,7 @@ class TestFfn:
         w = rng.normal(size=(2, 3))
         worst, _ = finite_difference_check(
             dict(params, x=x),
-            lambda: T.tsum(T.mul(L.ffn_forward(x, cfg, params), w)))
+            lambda: tsum(T.mul(L.ffn_forward(x, cfg, params), w)))
         assert worst < 1e-4
 
 
@@ -233,7 +233,7 @@ class TestFfnNode:
             for t in tensors.values():
                 t.grad = None
             out = ffn(x, cfg, params)
-            T.tsum(T.mul(out, w)).backward()
+            tsum(T.mul(out, w)).backward()
             return out.data, {k: t.grad for k, t in tensors.items()}
 
         want_out, want = run(ffn_graph)
@@ -510,7 +510,7 @@ class TestMoeForward:
 
         def loss_fn():
             out, aux, _ = L.moe_forward(x, cfg, params)
-            return T.add(T.tsum(T.mul(out, w)), aux)
+            return T.add(tsum(T.mul(out, w)), aux)
 
         worst, worst_name = finite_difference_check(dict(params, x=x), loss_fn)
         assert worst < 1e-4, worst_name
@@ -535,7 +535,7 @@ class TestMoeForward:
             for t in tensors.values():
                 t.grad = None
             out, aux = forward(x, cfg, params)[:2]
-            T.add(T.tsum(T.mul(out, w)), aux).backward()
+            T.add(tsum(T.mul(out, w)), aux).backward()
             return out.data, aux.data, {k: t.grad for k, t in tensors.items()}
 
         out, aux, grads = run(L.moe_forward)
@@ -654,7 +654,7 @@ class TestMoeExperts:
         for t in tensors.values():
             t.grad = None
         out, aux, decision = L.moe_forward(x, cfg, params)
-        T.add(T.tsum(T.mul(out, w)), aux).backward()
+        T.add(tsum(T.mul(out, w)), aux).backward()
         return out.data, {k: t.grad for k, t in tensors.items()}, decision
 
     @staticmethod
@@ -733,7 +733,7 @@ class TestMoeExperts:
             monkeypatch.setattr(L, name, refuse)
         self.run(monkeypatch, experts_graph, cfg, params, x, w)
         out, aux = moe_oracle(x, cfg, params)
-        T.add(T.tsum(T.mul(out, w)), aux).backward()
+        T.add(tsum(T.mul(out, w)), aux).backward()
         assert params["expert0.w_in"].grad is not None
 
     def test_on_the_helper_the_node_runs_alone(self, monkeypatch):

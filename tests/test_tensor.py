@@ -12,7 +12,26 @@ from brainformer.tensor import Tensor
 
 from helpers import (
     finite_difference_check, gelu, layer_norm_reference, softmax_oracle, top_k_indices,
+    tsum,
 )
+
+ATTENTION = L.AttentionConfig(model_dim=6, n_heads=2, head_dim=2)
+GATED_FFN = L.FfnConfig(model_dim=6, hidden_dim=5, activation="gated_gelu")
+
+# op -> (its output from its parents, the parents' shapes), for every op
+# with more than one parent built on ``tensor._node``
+NODE_OPS = {
+    "add": (T.add, [(3, 4), (4,)]),
+    "mul": (T.mul, [(3, 4), (3, 4)]),
+    "matmul": (T.matmul, [(3, 4), (4, 2)]),
+    "layer_norm": (T.layer_norm, [(3, 4), (4,), (4,)]),
+    "attention": (lambda x, *ws: L.attention_forward(
+        x, ATTENTION, dict(zip(("wq", "wk", "wv", "wo"), ws))),
+        [(4, 6), (6, 4), (6, 4), (6, 4), (4, 6)]),
+    "ffn": (lambda x, *ws: L.ffn_forward(
+        x, GATED_FFN, dict(zip(("w_in", "w_gate", "w_out"), ws))),
+        [(4, 6), (6, 5), (6, 5), (5, 6)]),
+}
 
 
 class TestMatmul:
@@ -36,7 +55,7 @@ class TestMatmul:
         w = rng.normal(size=(3, 2))  # fixed weights make the loss scalar
 
         def loss_fn():
-            return T.tsum(T.mul(T.matmul(a, b), w))
+            return tsum(T.mul(T.matmul(a, b), w))
 
         worst, _ = finite_difference_check({"a": a, "b": b}, loss_fn)
         assert worst < 1e-6
@@ -73,7 +92,7 @@ class TestSoftmax:
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = rng.normal(size=(3, 5))
         worst, _ = finite_difference_check(
-            {"x": x}, lambda: T.tsum(T.mul(T.softmax(x), w)))
+            {"x": x}, lambda: tsum(T.mul(T.softmax(x), w)))
         assert worst < 1e-5
 
 
@@ -100,7 +119,7 @@ class TestLayerNorm:
         w = rng.normal(size=(4, 6))
         worst, _ = finite_difference_check(
             {"x": x, "g": g, "b": b},
-            lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)))
+            lambda: tsum(T.mul(T.layer_norm(x, g, b), w)))
         assert worst < 1e-5
 
     @pytest.mark.parametrize("shape", [(64, 64), (64, 32), (512, 128)])
@@ -113,7 +132,7 @@ class TestLayerNorm:
         b = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
         up = rng.normal(size=shape)
         y = T.layer_norm(x, g, b)
-        T.tsum(T.mul(y, up)).backward()
+        tsum(T.mul(y, up)).backward()
         want = layer_norm_reference(x.data, g.data, b.data, up)
         for got, ref in zip((y.data, x.grad, g.grad, b.grad), want):
             assert got.tobytes() == ref.tobytes()
@@ -140,7 +159,7 @@ class TestActivations:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=8), requires_grad=True)
         worst, _ = finite_difference_check(
-            {"x": x}, lambda: T.tsum(T.mul(gelu(x), np.arange(1.0, 9.0))))
+            {"x": x}, lambda: tsum(T.mul(gelu(x), np.arange(1.0, 9.0))))
         assert worst < 1e-6
 
 
@@ -199,42 +218,50 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.tsum(x).backward()
+        tsum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        T.tsum(T.mul(x, x)).backward()
+        tsum(T.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_fanout_accumulates_both_branches(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         a = T.mul(x, 3.0)
         b = T.mul(x, 5.0)
-        T.tsum(T.add(a, b)).backward()
+        tsum(T.add(a, b)).backward()
         np.testing.assert_allclose(x.grad, [8.0, 8.0])
 
     @staticmethod
     def _fan_in_graph(case, a, b):
         """A graph where one upstream gradient reaches two parents; returns
         the loss and every tensor in the graph."""
-        if case == "add_leaves":
+        if case in ("add_leaves", "add_bias_row"):  # a's gradient is g itself
             nodes = [T.add(a, b)]
         elif case == "add_self":
             nodes = [T.add(a, a)]
+        elif case == "layer_norm_1d":  # the bias gradient is g itself
+            y = T.mul(a, b)
+            nodes = [y, T.layer_norm(y, a, b)]
+        elif case == "mul_constant":  # the constant 2.5 requires no gradient
+            y = T.add(a, b)
+            nodes = [y, T.mul(y, 2.5)]
         else:  # one tensor feeding two ops
             y1, y2 = T.mul(a, b), gelu(a)
             nodes = [y1, y2, T.add(y1, y2)]
         top = nodes[-1]
         weighted = T.mul(top, np.linspace(-1.0, 2.0, top.size).reshape(top.shape))
-        loss = T.tsum(weighted)
+        loss = tsum(weighted)
         return loss, [a, b, *nodes, weighted, loss]
 
-    @pytest.mark.parametrize("case", ["add_leaves", "add_self", "fan_out"])
+    @pytest.mark.parametrize("case", ["add_leaves", "add_self", "fan_out", "layer_norm_1d",
+                                      "add_bias_row", "mul_constant"])
     def test_gradients_own_their_memory(self, case):
         rng = np.random.default_rng(9)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        shapes = {"layer_norm_1d": [(4,), (4,)], "add_bias_row": [(3, 4), (4,)]}
+        a, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in shapes.get(case, [(3, 4), (3, 4)]))
         worst, _ = finite_difference_check(
             {"a": a, "b": b}, lambda: self._fan_in_graph(case, a, b)[0])
         assert worst < 1e-7
@@ -247,6 +274,19 @@ class TestBackward:
         for i, gi in enumerate(grads):
             for gj in grads[i + 1:]:
                 assert not np.shares_memory(gi, gj)
+
+    @pytest.mark.parametrize("op", sorted(NODE_OPS))
+    def test_no_gradient_for_a_parent_that_requires_none(self, op):
+        """With one parent requiring a gradient at a time, only that parent
+        gets one: every other parent's ``.grad`` stays None."""
+        fn, shapes = NODE_OPS[op]
+        rng = np.random.default_rng(12)
+        for i in range(len(shapes)):
+            parents = [Tensor(rng.normal(size=shape), requires_grad=j == i)
+                       for j, shape in enumerate(shapes)]
+            out = fn(*parents)
+            tsum(T.mul(out, rng.normal(size=out.shape))).backward()
+            assert [p.grad is not None for p in parents] == [j == i for j in range(len(shapes))]
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -273,7 +313,7 @@ class TestBackward:
 
         def loss_fn():
             back = L.moe_experts(x, cfg, params, [idx[:0], idx], gate)
-            return T.tsum(T.mul(back, w))
+            return tsum(T.mul(back, w))
 
         worst, _ = finite_difference_check({"x": x, "gate": gate}, loss_fn)
         assert worst < 1e-7
@@ -293,7 +333,7 @@ class TestBackward:
             y = gelu(Tensor(x.data[i] @ p["w_in"])).data @ p["w_out"]
             np.add.at(expected, i, y * gate3.data[i, e][:, None])
         np.testing.assert_array_equal(combine().data, expected)
-        worst, _ = finite_difference_check(dict(params, x=x), lambda: T.tsum(T.mul(combine(), w)))
+        worst, _ = finite_difference_check(dict(params, x=x), lambda: tsum(T.mul(combine(), w)))
         assert worst < 1e-7
 
     @pytest.mark.parametrize("gate_grad", [True, False])
@@ -310,7 +350,7 @@ class TestBackward:
 
         def loss_fn():
             out = L.moe_experts(x, cfg, params, idxs, gate)
-            return T.tsum(T.mul(out, w))
+            return tsum(T.mul(out, w))
 
         checked = dict(params, x=x, gate=gate) if gate_grad else dict(params, x=x)
         worst, name = finite_difference_check(checked, loss_fn)
@@ -327,7 +367,7 @@ class TestGraphConsumption:
     @staticmethod
     def _graph(x, w):
         h = T.matmul(x, w)
-        return h, T.tsum(T.mul(T.softmax(gelu(h)), h))
+        return h, tsum(T.mul(T.softmax(gelu(h)), h))
 
     def _inputs(self):
         rng = np.random.default_rng(14)
@@ -358,7 +398,7 @@ class TestGraphConsumption:
         h, loss = self._graph(x, w)
         loss.backward()
         want = {"x": x.grad.copy(), "w": w.grad.copy()}
-        again = T.tsum(T.mul(h, T.matmul(x, w)))
+        again = tsum(T.mul(h, T.matmul(x, w)))
         with pytest.raises(RuntimeError, match="consumed"):
             again.backward()
         np.testing.assert_array_equal(x.grad, want["x"])  # nothing touched
@@ -395,7 +435,7 @@ class TestLeafCallback:
     def _graph(x, w, b, c):
         # x is used twice by one mul and once by an add; w feeds two matmuls
         h = T.add(T.matmul(T.mul(x, x), w), T.matmul(T.add(x, c), w))
-        return T.tsum(gelu(T.add(h, b)))
+        return tsum(gelu(T.add(h, b)))
 
     def test_each_leaf_once_with_its_final_gradient(self):
         leaves = self._leaves()
@@ -420,7 +460,7 @@ class TestLeafCallback:
         with pytest.raises(RuntimeError, match="consumed"):
             loss.backward(reported.append)
         x, w, _, _ = leaves
-        again = T.tsum(T.mul(loss, T.tsum(T.matmul(x, w))))
+        again = tsum(T.mul(loss, tsum(T.matmul(x, w))))
         with pytest.raises(RuntimeError, match="consumed"):
             again.backward(reported.append)
         assert reported == []
@@ -441,7 +481,7 @@ class TestNoGrad:
         back = L.moe_experts(rows, moe, L.init_moe_params(moe, np.random.default_rng(15)),
                              [np.array([1, 0, 3]), np.array([], dtype=np.int64),
                               np.array([2, 2])], T.softmax(h))
-        return T.add(T.tsum(T.mul(back, back)), T.cross_entropy(back, np.array([0, 1, 2, 0])))
+        return T.add(tsum(T.mul(back, back)), T.cross_entropy(back, np.array([0, 1, 2, 0])))
 
     def _inputs(self):
         rng = np.random.default_rng(12)
