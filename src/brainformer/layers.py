@@ -385,11 +385,13 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
     expert a ``take_rows``, the FFN by ``_ffn`` and a weighted scatter),
     bit for bit. Each expert's forward and backward read no other
     expert's, so they fill per-expert buffers; the sums that cross experts
-    run here, in the old sweep's order: the combine, the gate terms by one
-    ``np.add.at`` per expert and the input rows scatter-added into
-    ``x.grad``, each from expert 0 up. When the node records a graph and
-    the expert matrices are big (at least ``threads.CHUNK_BYTES``), the
-    caller's thread and the helper thread share that per-expert work
+    run here, in the old sweep's order, each into a fresh zero array from
+    expert 0 up: the combine, and in ``grad`` the gate terms by one
+    ``np.add.at`` per expert and the input rows' gradients scatter-added.
+    ``grad`` returns them like every op's, for the sweep to add into each
+    parent's ``.grad``. When the node records a graph and the expert
+    matrices are big (at least ``threads.CHUNK_BYTES``), the caller's
+    thread and the helper thread share that per-expert work
     (``_Helper.share``), which calls only ``_ffn`` and array helpers of
     ``tensor``, never an op or a function ``perfbench/tracer.py`` wraps.
     """
@@ -405,11 +407,11 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
 
     def forward(i):
         e, idx = active[i]
-        y, grad = _ffn(x.data[idx], cfg.expert, [w.data for w in weights[i]], record)
+        y, ffn_grad = _ffn(x.data[idx], cfg.expert, [w.data for w in weights[i]], record)
         w = scores.data[idx, e][:, None]
         weighted[i] = y * w
         if record:
-            saved[i] = (y, w, grad)
+            saved[i] = (y, w, ffn_grad)
 
     run(forward, range(len(active)))
     out = np.zeros((x.shape[0], cfg.model_dim))
@@ -417,26 +419,25 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
         T._scatter_add_rows(out, idx, rows)
     del weighted
 
-    def backward(g):
+    def grad(g):
         grads = [None] * len(active)  # (gate term, input-row gradient, *weight gradients)
 
         def expert_backward(i):
             _, idx = active[i]
-            y, w, grad = saved[i]
+            y, w, ffn_grad = saved[i]
             saved[i] = None  # each expert's activations go once it is done
             rows = g[idx]
-            grads[i] = ((rows * y).sum(axis=1), *grad(rows * w))
+            grads[i] = ((rows * y).sum(axis=1), *ffn_grad(rows * w))
 
         run(expert_backward, range(len(active)))
-        for (e, idx), ws, (gate_term, gx, *gw) in zip(active, weights, grads):
-            if scores.requires_grad:
-                np.add.at(T._grad_of(scores), (idx, e), gate_term)
-            for w, dw in zip(ws, gw):
-                T._accum(w, dw)
-            if x.requires_grad:
-                T._scatter_add_rows(T._grad_of(x), idx, gx)
+        gx, gscores, gws = np.zeros_like(x.data), np.zeros_like(scores.data), []
+        for (e, idx), (gate_term, gx_rows, *gw) in zip(active, grads):
+            np.add.at(gscores, (idx, e), gate_term)
+            T._scatter_add_rows(gx, idx, gx_rows)
+            gws += gw
+        return [gx, *gws, gscores]
 
-    return T._make(out, parents, backward)
+    return T._node(out, parents, grad)
 
 
 def moe_forward(x, cfg, params, prefix="", group_size=None):

@@ -8,13 +8,13 @@ loss are one node each, in ``layers``.
 
 Writing an op: return ``_node(data, parents, grad)``, where ``grad(g)``
 takes the gradient of the output and returns one gradient per parent, in
-parent order; ``_node`` adds each into its parent. ``grad`` may capture
-its parents and plain arrays, but never the output tensor itself, so a
-graph has no reference cycles and needs no help from the cyclic garbage
-collector.
+parent order; ``backward`` adds each into its parent. ``grad`` may
+capture its parents and plain arrays, but never the output tensor itself,
+so a graph has no reference cycles and needs no help from the cyclic
+garbage collector.
 
-``backward`` consumes the graph it sweeps: once a node's backward has run,
-the node drops its closure and its parent links, so each activation and
+``backward`` consumes the graph it sweeps: once a node's ``grad`` has run,
+the node drops it and its parent links, so each activation and
 intermediate gradient is freed by refcount as soon as the sweep has used
 it. A tensor the caller still holds keeps its data and ``.grad``. Leaves
 (parameters, inputs) are never consumed, so they can feed any number of
@@ -22,17 +22,16 @@ graphs; a second ``backward`` that reaches a consumed node raises. The
 sweep can report each leaf as soon as its gradient is final, so an
 optimizer can apply it before the sweep ends.
 
-Gradient ownership, kept by ``_node`` alone: each gradient ``grad``
-returns is a fresh array or ``g`` itself. A parent's first gradient
-becomes its ``.grad`` as is when fresh and as a copy when it is ``g``
-(``add`` passes ``g`` through), and later ones are added in place, so no
-tensor's ``.grad`` shares memory with another array. Two ops keep their
-own backward, which scatter-adds straight into a parent's ``.grad``:
-``take_rows``, and ``layers.moe_experts``, whose sums across experts run
-in expert order.
+Gradient ownership, one rule kept by ``Tensor.backward`` alone: each
+gradient ``grad`` returns is a fresh array or ``g`` itself. A parent's
+first gradient becomes its ``.grad`` as is when fresh and as a copy when
+it is ``g`` (``add`` passes ``g`` through), and later ones are added in
+place, so no tensor's ``.grad`` shares memory with another array. No op
+writes a ``.grad``: ``take_rows`` and ``layers.moe_experts`` scatter into
+fresh zero arrays and return them like every other op.
 
 Inside ``with no_grad():`` every op computes its output only: it records
-no parents and no backward closure, so no graph keeps an intermediate
+no parents and no ``grad``, so no graph keeps an intermediate
 alive once the code that made it drops it.
 """
 
@@ -86,24 +85,25 @@ class Tensor:
     def backward(self, on_leaf=None):
         """Reverse-mode sweep from a scalar loss, consuming its graph.
 
-        Visits each recorded op exactly once (reverse topological order)
-        and accumulates into ``grad`` of every requires_grad tensor. Each
-        op node drops its backward closure and parent links once its
-        backward has run, so the sweep frees the graph as it goes. A graph
-        that reaches a node an earlier sweep consumed raises RuntimeError
-        before any gradient is touched.
+        Visits each recorded op exactly once (reverse topological order),
+        calls its ``grad`` on its output's gradient and adds the gradients
+        it returns into the ``.grad`` of each requires_grad parent: the
+        one place a gradient is added. Each op node drops its ``grad`` and
+        parent links once it has run, so the sweep frees the graph as it
+        goes. A graph that reaches a node an earlier sweep consumed raises
+        RuntimeError before any gradient is touched.
 
         ``on_leaf``, if given, is called with each requires_grad leaf that
-        an op of the graph consumes, once the last such op's backward has
-        run, so the leaf's ``grad`` is final: a leaf consumed twice (as in
-        ``mul(x, x)``) is reported once, after both uses. The search for
-        the graph counts each leaf's consuming edges.
+        an op of the graph consumes, once the gradient of the last such
+        edge has been added, so the leaf's ``grad`` is final: a leaf
+        consumed twice (as in ``mul(x, x)``) is reported once, after both
+        uses. The search for the graph counts each leaf's consuming edges.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
         topo = []
         visited = set()
-        uses = {}  # requires_grad leaf -> consuming edges whose backward is to run
+        uses = {}  # requires_grad leaf -> consuming edges whose gradient is to come
         stack = [(self, False)]
         while stack:
             node, processed = stack.pop()
@@ -124,20 +124,26 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                parents = node._parents
-                node._backward, node._parents = _consumed, ()
-                for p in parents:
-                    left = uses.get(p)
-                    if left is not None:
-                        uses[p] = left - 1
-                        if left == 1 and on_leaf is not None:
-                            on_leaf(p)
+            grad = node._backward
+            if grad is None:
+                continue
+            g, parents = node.grad, node._parents
+            node._backward, node._parents = _consumed, ()
+            for p, dp in zip(parents, grad(g)):
+                if p.requires_grad:
+                    if p.grad is None:
+                        p.grad = dp if dp is not g else dp.copy()
+                    else:
+                        p.grad += dp
+                left = uses.get(p)
+                if left is not None:
+                    uses[p] = left - 1
+                    if left == 1 and on_leaf is not None:
+                        on_leaf(p)
 
 
 def _consumed(g):
-    """The backward of a node whose graph a sweep has already freed."""
+    """The ``grad`` of a node whose graph a sweep has already freed."""
     raise RuntimeError("backward() through a graph an earlier backward() consumed")
 
 
@@ -167,41 +173,15 @@ def _recording(parents):
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _make(data, parents, backward):
+def _node(data, parents, grad):
+    """The output of an op over ``parents``; when it records a node,
+    ``grad(g)`` is its backward, returning one gradient per parent."""
     out = Tensor(data)
     if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward
+        out._backward = grad
     return out
-
-
-def _node(data, parents, grad):
-    """The output of an op over ``parents``: ``grad(g)`` returns one
-    gradient per parent, each added into its parent in parent order; one
-    that is ``g`` itself is copied before a parent keeps it."""
-    def backward(g):
-        for p, dp in zip(parents, grad(g)):
-            _accum(p, dp, fresh=dp is not g)
-
-    return _make(data, parents, backward)
-
-
-def _accum(t, g, fresh=True):
-    """Add g into t.grad; a first g is kept as t.grad if fresh, else copied."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g if fresh else g.copy()
-    else:
-        t.grad += g
-
-
-def _grad_of(t):
-    """t.grad, allocated as zeros if this is its first gradient."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    return t.grad
 
 
 def _scatter_add_rows(dst, idx, values):
@@ -384,7 +364,9 @@ def take_rows(x, idx):
     x = _coerce(x)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def backward(g):
-        _scatter_add_rows(_grad_of(x), idx, g)
+    def grad(g):
+        gx = np.zeros_like(x.data)
+        _scatter_add_rows(gx, idx, g)
+        return (gx,)
 
-    return _make(x.data[idx], (x,), backward)
+    return _node(x.data[idx], (x,), grad)

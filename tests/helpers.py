@@ -293,9 +293,9 @@ def combine_rows(triples, gate, n_rows):
     """The MoE combine node the experts node replaced, as it was in
     ``tensor``: for each ``(values, idx, e)`` of a non-empty list, in
     order, out[idx] += values * w, with w = gate[idx, e] as a ``[k, 1]``
-    column, repeated rows summed. Its backward gives ``values`` g[idx] * w
-    and scatter-adds (g[idx] * values).sum(axis=1) into the gate (the last
-    parent) at (idx, e), one ``np.add.at`` per triple."""
+    column, repeated rows summed. Its gradient gives ``values`` g[idx] * w
+    and the gate (the last parent) the sum of (g[idx] * values).sum(axis=1)
+    at (idx, e), by one ``np.add.at`` per triple into one zero array."""
     gate = T._coerce(gate)
     triples = [(T._coerce(v), np.asarray(idx, dtype=np.int64), e) for v, idx, e in triples]
     weights = [gate.data[idx, e][:, None] for _, idx, e in triples]
@@ -303,15 +303,15 @@ def combine_rows(triples, gate, n_rows):
     for (values, idx, _), w in zip(triples, weights):
         T._scatter_add_rows(data, idx, values.data * w)
 
-    def backward(g):
+    def grad(g):
+        grads, ggate = [], np.zeros_like(gate.data)
         for (values, idx, e), w in zip(triples, weights):
             rows = g[idx]
-            if values.requires_grad:
-                T._accum(values, rows * w)
-            if gate.requires_grad:
-                np.add.at(T._grad_of(gate), (idx, e), (rows * values.data).sum(axis=1))
+            grads.append(rows * w)
+            np.add.at(ggate, (idx, e), (rows * values.data).sum(axis=1))
+        return grads + [ggate]
 
-    return T._make(data, [values for values, _, _ in triples] + [gate], backward)
+    return T._node(data, [values for values, _, _ in triples] + [gate], grad)
 
 
 def experts_graph(x, cfg, params, expert_tokens, scores, prefix=""):

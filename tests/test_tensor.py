@@ -17,6 +17,10 @@ from helpers import (
 
 ATTENTION = L.AttentionConfig(model_dim=6, n_heads=2, head_dim=2)
 GATED_FFN = L.FfnConfig(model_dim=6, hidden_dim=5, activation="gated_gelu")
+TWO_EXPERTS = L.MoeConfig(model_dim=3, expert_hidden_dim=4, n_experts=2, gating=L.GATE_TOP2,
+                          capacity_factor=2, activation="relu")
+# the rows each of TWO_EXPERTS takes: a row taken twice, a row both take
+EXPERT_ROWS = [np.array([0, 2, 2, 4]), np.array([1, 2])]
 
 # op -> (its output from its parents, the parents' shapes), for every op
 # with more than one parent built on ``tensor._node``
@@ -31,6 +35,10 @@ NODE_OPS = {
     "ffn": (lambda x, *ws: L.ffn_forward(
         x, GATED_FFN, dict(zip(("w_in", "w_gate", "w_out"), ws))),
         [(4, 6), (6, 5), (6, 5), (5, 6)]),
+    "moe_experts": (lambda x, w_in0, w_out0, w_in1, w_out1, scores: L.moe_experts(
+        x, TWO_EXPERTS, {"expert0.w_in": w_in0, "expert0.w_out": w_out0,
+                         "expert1.w_in": w_in1, "expert1.w_out": w_out1}, EXPERT_ROWS, scores),
+        [(5, 3), (3, 4), (4, 3), (3, 4), (4, 3), (5, 2)]),
 }
 
 
@@ -247,6 +255,10 @@ class TestBackward:
         elif case == "mul_constant":  # the constant 2.5 requires no gradient
             y = T.add(a, b)
             nodes = [y, T.mul(y, 2.5)]
+        elif case == "take_rows_twice":  # a gathered twice, rows repeated
+            y1, y2 = T.take_rows(a, [2, 0, 2]), T.take_rows(a, [1, 1, 0])
+            y3 = T.mul(y1, b)
+            nodes = [y1, y2, y3, T.add(y3, y2)]
         else:  # one tensor feeding two ops
             y1, y2 = T.mul(a, b), gelu(a)
             nodes = [y1, y2, T.add(y1, y2)]
@@ -256,7 +268,7 @@ class TestBackward:
         return loss, [a, b, *nodes, weighted, loss]
 
     @pytest.mark.parametrize("case", ["add_leaves", "add_self", "fan_out", "layer_norm_1d",
-                                      "add_bias_row", "mul_constant"])
+                                      "add_bias_row", "mul_constant", "take_rows_twice"])
     def test_gradients_own_their_memory(self, case):
         rng = np.random.default_rng(9)
         shapes = {"layer_norm_1d": [(4,), (4,)], "add_bias_row": [(3, 4), (4,)]}
@@ -437,20 +449,39 @@ class TestLeafCallback:
         h = T.add(T.matmul(T.mul(x, x), w), T.matmul(T.add(x, c), w))
         return tsum(gelu(T.add(h, b)))
 
-    def test_each_leaf_once_with_its_final_gradient(self):
-        leaves = self._leaves()
+    @staticmethod
+    def _gather_experts_graph(embed, w, wg, *expert_weights):
+        # take_rows gathers embed (row 2 twice); embed's rows feed the gate
+        # and the experts node, which also consumes every expert weight
+        x = T.take_rows(embed, [0, 2, 2, 5, 1])
+        scores = T.softmax(T.matmul(x, wg))
+        return tsum(T.mul(NODE_OPS["moe_experts"][0](x, *expert_weights, scores), w))
+
+    def _check_reports(self, leaves, graph):
+        """``graph(*leaves)``'s sweep reports each requires_grad leaf once,
+        holding the gradient a sweep without reports ends with."""
         reported = []
-        self._graph(*leaves).backward(
-            lambda leaf: reported.append((leaf, leaf.grad.copy())))
-        x, w, b, c = leaves  # each reported once; the input c never
-        assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, (x, w, b)))
-        assert c.grad is None
+        graph(*leaves).backward(lambda leaf: reported.append((leaf, leaf.grad.copy())))
+        wanted = [t for t in leaves if t.requires_grad]
+        assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, wanted))
+        assert all(t.grad is None for t in leaves if not t.requires_grad)
         plain = tuple(Tensor(t.data, requires_grad=t.requires_grad) for t in leaves)
-        self._graph(*plain).backward()
+        graph(*plain).backward()
         final = {id(t): p.grad for t, p in zip(leaves, plain)}
         for leaf, grad in reported:  # nothing was added after the report
             assert grad.tobytes() == final[id(leaf)].tobytes()
             assert leaf.grad.tobytes() == grad.tobytes()
+
+    def test_each_leaf_once_with_its_final_gradient(self):
+        self._check_reports(self._leaves(), self._graph)  # the input c never reported
+
+    def test_gathered_and_expert_leaves_once_with_their_final_gradients(self):
+        rng = np.random.default_rng(22)
+        embed = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3)))  # an input: never reported
+        # wg, then expert 0's and expert 1's w_in and w_out
+        params = L.init_moe_params(TWO_EXPERTS, rng)
+        self._check_reports((embed, w, *params.values()), self._gather_experts_graph)
 
     def test_consumed_graph_raises_before_any_report(self):
         leaves = self._leaves()
