@@ -266,9 +266,11 @@ def _ffn(x, cfg, weights, record):
     and each expert: act(x @ w_in), times x @ w_gate when gated, @ w_out;
     ``weights`` are the arrays of ``_ffn_weights``. Returns (y, grad):
     grad(gy) lists the gradients of x and of each weight, by the op graph's
-    float operations, in its order. Without ``record`` grad is None: what
-    only it reads goes, and the gate multiplies in place, before the down
-    product."""
+    float operations, in its order: the weights' as ``tensor.Product``s of
+    the same operands where rows * (d_in + d_out) < d_in * d_out (the
+    benchmarks' experts, not dense FFNs). Without ``record`` grad is None:
+    what only it reads goes, and the gate multiplies in place, before the
+    down product."""
     act, act_grad = T._ACTIVATIONS[cfg.activation.removeprefix("gated_")]
     w_in, *w_gate, w_out = weights
     u = T._product(x, w_in)
@@ -278,16 +280,17 @@ def _ffn(x, cfg, weights, record):
         del u, act_saved
         return T._product(a if v is None else np.multiply(a, v, out=a), w_out), None
     h = a if v is None else a * v
+    weight_grad = T.Product if x.shape[0] * sum(w_in.shape) < w_in.size else np.matmul
 
     def grad(gy):
         gh = gy @ w_out.T
         du = act_grad(gh if v is None else gh * v, u, act_saved)
-        grads = [du @ w_in.T, x.T @ du]  # x's, then each weight's
+        grads = [du @ w_in.T, weight_grad(x.T, du)]  # x's, then each weight's
         if v is not None:
             dv = gh * a
             grads[0] += dv @ w_gate[0].T
-            grads.append(x.T @ dv)
-        return grads + [h.T @ gy]
+            grads.append(weight_grad(x.T, dv))
+        return grads + [weight_grad(h.T, gy)]
 
     return T._product(h, w_out), grad
 
@@ -388,8 +391,8 @@ def moe_experts(x, cfg, params, expert_tokens, scores, prefix=""):
     run here, in the old sweep's order, each into a fresh zero array from
     expert 0 up: the combine, and in ``grad`` the gate terms by one
     ``np.add.at`` per expert and the input rows' gradients scatter-added.
-    ``grad`` returns them like every op's, for the sweep to add into each
-    parent's ``.grad``. When the node records a graph and the expert
+    ``grad`` returns them like every op's, each expert's weight gradients
+    as ``_ffn`` gives them. When the node records a graph and the expert
     matrices are big (at least ``threads.CHUNK_BYTES``), the caller's
     thread and the helper thread share that per-expert work
     (``_Helper.share``), which calls only ``_ffn`` and array helpers of

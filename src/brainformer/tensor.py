@@ -8,10 +8,10 @@ loss are one node each, in ``layers``.
 
 Writing an op: return ``_node(data, parents, grad)``, where ``grad(g)``
 takes the gradient of the output and returns one gradient per parent, in
-parent order; ``backward`` adds each into its parent. ``grad`` may
-capture its parents and plain arrays, but never the output tensor itself,
-so a graph has no reference cycles and needs no help from the cyclic
-garbage collector.
+parent order, each an array or a ``Product``; ``backward`` adds each into
+its parent. ``grad`` may capture its parents and plain arrays, but never
+the output tensor itself, so a graph has no reference cycles and needs no
+help from the cyclic garbage collector.
 
 ``backward`` consumes the graph it sweeps: once a node's ``grad`` has run,
 the node drops it and its parent links, so each activation and
@@ -23,12 +23,14 @@ sweep can report each leaf as soon as its gradient is final, so an
 optimizer can apply it before the sweep ends.
 
 Gradient ownership, one rule kept by ``Tensor.backward`` alone: each
-gradient ``grad`` returns is a fresh array or ``g`` itself. A parent's
-first gradient becomes its ``.grad`` as is when fresh and as a copy when
-it is ``g`` (``add`` passes ``g`` through), and later ones are added in
-place, so no tensor's ``.grad`` shares memory with another array. No op
-writes a ``.grad``: ``take_rows`` and ``layers.moe_experts`` scatter into
-fresh zero arrays and return them like every other op.
+gradient ``grad`` returns is a fresh array, ``g`` itself or a ``Product``
+of arrays nothing writes after it returns. A parent's first gradient
+becomes its ``.grad`` as is when fresh and as a copy when it is ``g``
+(``add`` passes ``g`` through), and later ones are added in place, so no
+``.grad`` shares memory with another array; a ``Product`` stays one only as
+the ``.grad`` of a leaf consumed once, in a sweep that reports leaves. No
+op writes a ``.grad``: ``take_rows`` and ``layers.moe_experts`` scatter
+into fresh zero arrays and return them like every other op.
 
 Inside ``with no_grad():`` every op computes its output only: it records
 no parents and no ``grad``, so no graph keeps an intermediate
@@ -93,11 +95,14 @@ class Tensor:
         goes. A graph that reaches a node an earlier sweep consumed raises
         RuntimeError before any gradient is touched.
 
-        ``on_leaf``, if given, is called with each requires_grad leaf that
-        an op of the graph consumes, once the gradient of the last such
-        edge has been added, so the leaf's ``grad`` is final: a leaf
-        consumed twice (as in ``mul(x, x)``) is reported once, after both
-        uses. The search for the graph counts each leaf's consuming edges.
+        ``on_leaf``, if given, is called with each requires_grad leaf that an
+        op of the graph consumes, once the gradient of the last such edge has
+        been added, so the leaf's ``grad`` is final: a leaf consumed twice (as
+        in ``mul(x, x)``) is reported once, after both uses. The graph search
+        counts each leaf's consuming edges. A gradient may be a ``Product``,
+        ``a @ b`` of arrays nothing writes after ``grad`` returns: with
+        ``on_leaf``, a leaf consumed once keeps it as its ``grad``; every
+        other is multiplied out at once.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
@@ -130,16 +135,28 @@ class Tensor:
             g, parents = node.grad, node._parents
             node._backward, node._parents = _consumed, ()
             for p, dp in zip(parents, grad(g)):
+                left = uses.get(p)
                 if p.requires_grad:
+                    if type(dp) is Product and (on_leaf is None or left != 1 or p.grad is not None):
+                        dp = dp.value()
                     if p.grad is None:
                         p.grad = dp if dp is not g else dp.copy()
                     else:
                         p.grad += dp
-                left = uses.get(p)
                 if left is not None:
                     uses[p] = left - 1
                     if left == 1 and on_leaf is not None:
                         on_leaf(p)
+
+
+class Product:
+    """A gradient ``a @ b`` held as its factors (see ``Tensor.backward``)."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def value(self, out=None):  # into ``out`` when given
+        return np.matmul(self.a, self.b, out=out)
 
 
 def _consumed(g):

@@ -203,14 +203,15 @@ class Adafactor:
         """``with opt.sweep(lr) as on_leaf: loss.backward(on_leaf)`` is one
         training step. ``on_leaf`` submits the step of each big param (of at
         least ``CHUNK_BYTES``) to the process's ``helper()`` once the sweep
-        reports it: its gradient is final and no later backward op reads
-        it, so the helper thread steps it, as ``update`` would, while the
-        sweep goes on. When the sweep ends, the caller's thread steps in
-        order what the thread has not started and waits for the one in
-        flight. It then re-raises the first error of those steps (no big
-        param after that one was stepped, and ``update`` does not run), or
-        calls ``update(lr)`` for every other chunk, back to back: handed to
-        the thread too, the small ones made the search slower."""
+        reports it: its gradient is final and no later backward op reads it,
+        so the helper thread steps it, as ``update`` would, while the sweep
+        goes on (a ``tensor.Product`` multiplied out there). When the sweep
+        ends, the caller steps in order what the thread has not started and
+        waits for the one in flight. It then re-raises the first error of
+        those steps (no big param after that one was stepped, and ``update``
+        does not run), or calls ``update(lr)`` for every other chunk, back
+        to back: handed to the thread too, the small ones made the search
+        slower."""
         worker = helper() if self._big else None
 
         def on_leaf(leaf):
@@ -228,11 +229,12 @@ class Adafactor:
     def update(self, lr):
         """One step on every parameter that has a gradient, one chunk at a
         time, bit for bit the arithmetic of a loop over the params. A chunk
-        stacks its members' gradients (one member's as a view), drops them
-        once its moments are updated, and subtracts the step from its
-        params in place. In training, ``sweep`` has already stepped the
-        big params (of at least ``CHUNK_BYTES``) and calls this for every
-        other chunk, one-member or stacked.
+        stacks its members' gradients (a lone array as a view, a
+        ``tensor.Product`` multiplied out), drops them once its moments are
+        updated, and subtracts the step from its params in place. In
+        training, ``sweep`` has already stepped the big params (of at least
+        ``CHUNK_BYTES``) and calls this for every other chunk, one-member or
+        stacked.
 
         The factored step is g * rsqrt(r / sum(r))[:, None] * rsqrt(c)[None, :],
         which equals g / sqrt(outer(r, c) / sum(r)) without building the
@@ -255,8 +257,16 @@ class Adafactor:
         members = [chunk.members[i] for i in live]
         whole = k == len(chunk.members)
         arrays = chunk.arrays if whole else {key: a[live] for key, a in chunk.arrays.items()}
-        G = members[0].grad[None] if k == 1 else np.stack([p.grad for p in members])
         P = arrays["p"]
+        if k == 1 and type(members[0].grad) is not T.Product:
+            G = members[0].grad[None]
+        else:
+            G = np.empty(P.shape)
+            for i, p in enumerate(members):
+                if type(p.grad) is T.Product:
+                    p.grad.value(G[i])
+                else:
+                    G[i, ...] = p.grad
         # one fresh buffer holds g * g, then the step u
         G2 = np.multiply(G, G, out=np.empty(G.shape))
         if chunk.factored:

@@ -13,9 +13,14 @@ Each repetition then times, per tree, one training step (``train_steps``
 of one step) and one ``no_grad`` evaluation forward of 512 validation
 tokens with its cross entropy; the tree that goes first alternates.
 
+After the timed loop, a separate pass trains one more step per tree under
+``tracemalloc``, so the timing is untouched, and takes the peak of the
+memory traced during that step (numpy's arrays included, on both threads).
+
 Prints each tree's median milliseconds, how often the new tree was
-faster, and whether every parameter of the two models is bitwise equal at
-the end; exits 1 only if one differs. Each tree's package starts its own
+faster, each tree's traced peak of one training step in MB, and whether
+every parameter of the two models is bitwise equal at the end; exits 1
+only if one differs. Each tree's package starts its own
 helper thread, so the process holds two. pytest does not collect it.
 """
 
@@ -27,6 +32,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
@@ -96,6 +102,17 @@ def timed(fn):
     return (time.perf_counter() - t0) * 1e3
 
 
+def traced_peak_mb(fn):
+    """The peak of the memory ``tracemalloc`` traces while ``fn`` runs, in MB:
+    what ``fn`` allocates, at most, alive at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description="interleaved in-process A/B of two "
                                              "source trees' step and forward")
@@ -126,6 +143,9 @@ def main(argv=None):
         faster = sum(n < o for o, n in zip(old, new))
         print(f"{label:<26} {m_old:>9.2f} {m_new:>9.2f} {m_new / m_old:>8.3f}  "
               f"{faster} of {args.reps}")
+    peaks = {tag: traced_peak_mb(lambda: sides[tag].train(1)) for tag in ("old", "new")}
+    print(f"{'traced peak of one step':<26} {peaks['old']:>6.1f} MB {peaks['new']:>6.1f} MB "
+          f"{peaks['new'] / peaks['old']:>8.3f}")
     old_params, new_params = (sides[tag].model.params for tag in ("old", "new"))
     differ = [name for name, p in old_params.items()
               if p.data.tobytes() != new_params[name].data.tobytes()]

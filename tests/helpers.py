@@ -56,6 +56,12 @@ def finite_difference_check(params, loss_fn, eps=1e-5, rng=None,
     return worst, worst_name
 
 
+def grad_value(grad):
+    """A ``.grad`` as an array: a deferred ``tensor.Product`` multiplied
+    out, an array as it is."""
+    return grad.value() if isinstance(grad, T.Product) else grad
+
+
 def softmax_oracle(row):
     """Scalar-math exp-normalize, independent of the tensor implementation."""
     m = max(row)

@@ -11,8 +11,8 @@ from brainformer import tensor as T
 from brainformer.tensor import Tensor
 
 from helpers import (
-    finite_difference_check, gelu, layer_norm_reference, softmax_oracle, top_k_indices,
-    tsum,
+    finite_difference_check, gelu, grad_value, layer_norm_reference, softmax_oracle,
+    top_k_indices, tsum,
 )
 
 ATTENTION = L.AttentionConfig(model_dim=6, n_heads=2, head_dim=2)
@@ -459,9 +459,11 @@ class TestLeafCallback:
 
     def _check_reports(self, leaves, graph):
         """``graph(*leaves)``'s sweep reports each requires_grad leaf once,
-        holding the gradient a sweep without reports ends with."""
+        holding the gradient a sweep without reports ends with (its value,
+        when it holds a deferred product)."""
         reported = []
-        graph(*leaves).backward(lambda leaf: reported.append((leaf, leaf.grad.copy())))
+        graph(*leaves).backward(
+            lambda leaf: reported.append((leaf, grad_value(leaf.grad).copy())))
         wanted = [t for t in leaves if t.requires_grad]
         assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, wanted))
         assert all(t.grad is None for t in leaves if not t.requires_grad)
@@ -470,7 +472,7 @@ class TestLeafCallback:
         final = {id(t): p.grad for t, p in zip(leaves, plain)}
         for leaf, grad in reported:  # nothing was added after the report
             assert grad.tobytes() == final[id(leaf)].tobytes()
-            assert leaf.grad.tobytes() == grad.tobytes()
+            assert grad_value(leaf.grad).tobytes() == grad.tobytes()
 
     def test_each_leaf_once_with_its_final_gradient(self):
         self._check_reports(self._leaves(), self._graph)  # the input c never reported
@@ -482,6 +484,30 @@ class TestLeafCallback:
         # wg, then expert 0's and expert 1's w_in and w_out
         params = L.init_moe_params(TWO_EXPERTS, rng)
         self._check_reports((embed, w, *params.values()), self._gather_experts_graph)
+
+    def test_deferred_expert_leaves_once_with_their_final_gradients(self):
+        """Experts of 2 and 3 rows, 8 wide and 8 hidden, whose weight
+        gradients are deferred products: each expert weight is reported
+        holding one, valued as a sweep without reports leaves it."""
+        cfg = L.MoeConfig(model_dim=8, expert_hidden_dim=8, n_experts=2, gating=L.GATE_TOP2,
+                          capacity_factor=2, activation="gated_gelu")
+        rng = np.random.default_rng(23)
+        embed = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+        params = L.init_moe_params(cfg, rng)
+
+        def graph(embed, *weights):
+            p = dict(zip(params, weights))
+            x = T.take_rows(embed, [0, 2, 2, 5, 1])
+            scores = T.softmax(T.matmul(x, p["wg"]))
+            return tsum(gelu(L.moe_experts(x, cfg, p, [np.array([0, 2, 3]), np.array([1, 2])],
+                                           scores)))
+        leaves = (embed, *params.values())
+        held = []
+        graph(*leaves).backward(lambda leaf: held.append(type(leaf.grad)))
+        assert held.count(T.Product) == 6  # w_in, w_gate and w_out of each expert
+        for leaf in leaves:
+            leaf.grad = None
+        self._check_reports(leaves, graph)
 
     def test_consumed_graph_raises_before_any_report(self):
         leaves = self._leaves()
@@ -495,6 +521,76 @@ class TestLeafCallback:
         with pytest.raises(RuntimeError, match="consumed"):
             again.backward(reported.append)
         assert reported == []
+
+
+def deferring_matmul(x, w):
+    """``T.matmul`` handing back the gradient of ``w`` as a ``T.Product`` of
+    the operands ``matmul`` multiplies, so its value has ``matmul``'s bits."""
+    return T._node(x.data @ w.data, (x, w), lambda g: (g @ w.data.T, T.Product(x.data.T, g)))
+
+
+class TestDeferredProduct:
+    """A ``Product`` an op hands back stays one only as the whole gradient
+    of a leaf consumed once, in a sweep that reports leaves; everywhere
+    else the sweep multiplies it out at once, to the eager product's bits."""
+
+    @staticmethod
+    def _once(mm, x, w):  # w consumed by one edge
+        return tsum(gelu(mm(x, w)))
+
+    @staticmethod
+    def _non_leaf(mm, x, w):  # the product is the gradient of w * w
+        return tsum(gelu(mm(x, T.mul(w, w))))
+
+    @staticmethod
+    def _twice(mm, x, w):  # w consumed by two edges
+        return tsum(T.mul(mm(x, w), gelu(mm(T.mul(x, x), w))))
+
+    @staticmethod
+    def _swept(graph, mm, on_leaf=None):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        graph(mm, x, w).backward(on_leaf)
+        return x, w
+
+    @pytest.mark.parametrize("graph", ["_once", "_non_leaf", "_twice"])
+    def test_multiplied_out_at_once_without_reports(self, graph):
+        x, w = self._swept(getattr(self, graph), deferring_matmul)
+        want_x, want_w = self._swept(getattr(self, graph), T.matmul)
+        assert type(w.grad) is np.ndarray
+        assert w.grad.tobytes() == want_w.grad.tobytes()
+        assert x.grad.tobytes() == want_x.grad.tobytes()
+
+    @pytest.mark.parametrize("graph", ["_non_leaf", "_twice"])
+    def test_multiplied_out_at_once_for_a_non_leaf_or_a_leaf_used_twice(self, graph):
+        """With reports too: a non-leaf's gradient, and a leaf's consumed
+        twice, whose values are added in graph order, as eager ones are."""
+        reported = []
+        _, w = self._swept(getattr(self, graph), deferring_matmul,
+                           lambda leaf: reported.append(type(leaf.grad)))
+        _, want = self._swept(getattr(self, graph), T.matmul)
+        assert reported == [np.ndarray, np.ndarray]
+        assert w.grad.tobytes() == want.grad.tobytes()
+
+    def test_kept_for_a_leaf_consumed_once(self):
+        reported = {}
+        x, w = self._swept(self._once, deferring_matmul,
+                           lambda leaf: reported.setdefault(id(leaf), leaf.grad))
+        _, want = self._swept(self._once, T.matmul)
+        assert type(reported[id(w)]) is T.Product and w.grad is reported[id(w)]
+        assert type(reported[id(x)]) is np.ndarray
+        assert w.grad.value().tobytes() == want.grad.tobytes()
+
+    def test_never_multiplied_out_for_a_parent_needing_no_gradient(self):
+        """Factors whose product would raise: the sweep never computes it."""
+        x, w = Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.ones((4, 5)))
+        unmultipliable = T.Product(np.ones((2, 3)), np.ones((2, 3)))
+        for on_leaf in (None, lambda leaf: None):
+            x.grad = None
+            tsum(T._node(x.data @ w.data, (x, w), lambda g: (
+                g @ w.data.T, unmultipliable))).backward(on_leaf)
+            assert x.grad is not None and w.grad is None
 
 
 class TestNoGrad:

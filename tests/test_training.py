@@ -24,10 +24,13 @@ from brainformer.training import (
     TrainState, lr_at, train_steps, evaluate_perplexity, measure_step_time,
     save_checkpoint, load_checkpoint, cut_trajectory, read_log,
 )
+from brainformer import layers as L
 from brainformer import tensor, threads, training
 from brainformer.tensor import Tensor
 
-from helpers import adafactor_oracle, adafactor_reference, perplexity_oracle, serial_perplexity
+from helpers import (
+    adafactor_oracle, adafactor_reference, grad_value, perplexity_oracle, serial_perplexity,
+)
 
 
 def tiny_model(vocab=BYTE_VOCAB, seq=32, n_experts=2, g="top2"):
@@ -576,7 +579,7 @@ class TestChunkedUpdate:
         real_update_chunk, real_take_over = Adafactor._update_chunk, threads._Helper.take_over
 
         def update_chunk(self, chunk, live, lr):
-            if bad in chunk.names and np.isnan(chunk.members[0].grad).any():
+            if bad in chunk.names and np.isnan(grad_value(chunk.members[0].grad)).any():
                 met_on.append(threading.current_thread())
             real_update_chunk(self, chunk, live, lr)
 
@@ -612,7 +615,7 @@ class TestChunkedUpdate:
 
         def share(self, fn, items):
             grad = model.params[bad].grad
-            if grad is None or not np.isnan(grad).any():
+            if grad is None or not np.isnan(grad_value(grad)).any():
                 return real_share(self, fn, items)
             deadline = time.monotonic() + 60
             while self.error is None and time.monotonic() < deadline:
@@ -670,8 +673,10 @@ class TestChunkedUpdate:
             with real_sweep(self, lr) as on_leaf:
                 def poisoned(leaf):
                     reported.append(names[leaf])
-                    if leaf is model.params[bad]:
-                        leaf.grad.reshape(-1)[0] = np.nan
+                    if leaf is model.params[bad]:  # its value, poisoned, stored back
+                        poisoned_grad = grad_value(leaf.grad)
+                        poisoned_grad.reshape(-1)[0] = np.nan
+                        leaf.grad = poisoned_grad
                     on_leaf(leaf)
                 yield poisoned
 
@@ -693,6 +698,83 @@ class TestChunkedUpdate:
         assert not set(big[cut:]) & changed
         assert state.step == 1
         return changed, set(big[:cut]), updates
+
+
+class TestDeferredGradients:
+    """A param whose gradient is a ``tensor.Product`` is stepped bitwise as
+    one holding its value; ``layers._ffn`` defers the weight gradients of
+    the benchmark models' experts and not of their dense FFNs."""
+
+    @staticmethod
+    def _product(rng, shape, rows):
+        # laid out as ``_ffn``'s are: x.T @ du
+        return tensor.Product(rng.normal(size=(rows, shape[0])).T, rng.normal(size=(rows, shape[1])))
+
+    @staticmethod
+    def _stepped(params, opt):
+        return {n: (p.data.tobytes(), [m.tobytes() for m in opt.state[n].values()])
+                for n, p in params.items()}
+
+    def test_big_param_stepped_on_the_helper(self):
+        rng = np.random.default_rng(41)
+        shape = (128, 256)  # CHUNK_BYTES: a one-member chunk, stepped in the sweep
+        data = rng.normal(size=shape)
+        products = [self._product(rng, shape, 32) for _ in range(2)]
+        results = []
+        for deferred in (True, False):
+            params = {"w": Tensor(data.copy(), requires_grad=True)}
+            opt = Adafactor(params)
+            assert params["w"] in opt._big
+            for product in products:
+                with opt.sweep(0.05) as on_leaf:
+                    params["w"].grad = product if deferred else product.value()
+                    on_leaf(params["w"])
+                    deadline = time.monotonic() + 60
+                    while params["w"].grad is not None and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    assert params["w"].grad is None  # the helper took it up
+            results.append(self._stepped(params, opt))
+        assert results[0] == results[1]
+
+    def test_stacked_chunk_stepped_by_update(self):
+        """Deferred and array members in one stacked chunk, then with one
+        member without a gradient, as a loop over the values steps them."""
+        rng = np.random.default_rng(42)
+        shape, names = (8, 16), ["w0", "w1", "w2", "w3"]
+        data = {n: rng.normal(size=shape) for n in names}
+        steps = [{n: self._product(rng, shape, 2) for n in names} for _ in range(2)]
+        deferred = [{"w0", "w2"}, {"w0", "w1"}]
+        steps[1].pop("w2")
+        results = []
+        for defer in (True, False):
+            params = {n: Tensor(data[n].copy(), requires_grad=True) for n in names}
+            opt = Adafactor(params)
+            assert [c.names for c in opt._chunks] == [names]
+            for grads, kept in zip(steps, deferred):
+                for n, product in grads.items():
+                    params[n].grad = product if defer and n in kept else product.value()
+                opt.update(0.05)
+            results.append(self._stepped(params, opt))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("block, tokens", [
+        # the benchmark's wide genome at batch 4 x 128
+        (dict(layers=("attn", "moe", "ffn", "moe"), d=128, d_moe=256, d_ffn=256, h=4, d_head=32,
+              g="top2", c=2, a="gated_gelu", n_experts=32), 512),
+        # the proxy search's baseline genome at batch 2 x 32
+        (dict(layers=("attn", "ffn", "attn", "moe"), d=64, d_moe=128, d_ffn=128, h=4, d_head=16,
+              g="top2", c=2, a="gelu", n_experts=4), 64),
+    ], ids=["wide", "proxy"])
+    def test_experts_defer_and_dense_ffns_do_not(self, block, tokens):
+        spec, rng = BlockSpec(**block), np.random.default_rng(43)
+        moe = spec.layer_config("moe")
+        for cfg, rows, defers in ((moe.expert, moe.capacity(tokens), True),
+                                  (spec.layer_config("ffn"), tokens, False)):
+            weights = [p.data for p in L._ffn_weights(cfg, L.init_ffn_params(cfg, rng), "")]
+            x = rng.normal(size=(rows, cfg.model_dim))
+            y, grad = L._ffn(x, cfg, weights, True)
+            kinds = [type(g) for g in grad(rng.normal(size=y.shape))]
+            assert kinds == [np.ndarray] + [tensor.Product if defers else np.ndarray] * len(weights)
 
 
 class TestBudget:
