@@ -19,6 +19,7 @@ import json
 import math
 import os
 import platform
+import random
 import sys
 import time
 
@@ -181,7 +182,7 @@ def _build_runner(cfg, seed, space):
     the baseline and every (g, c) of ``space`` through its MoE layers."""
     mode = cfg.get("mode", "surrogate")
     baseline_doc = cfg.get("baseline_genome")
-    baseline = M.BlockSpec.from_json_dict(baseline_doc) if baseline_doc else None
+    baseline = None if baseline_doc is None else M.BlockSpec.from_json_dict(baseline_doc)
     budget = cfg.get("budget", {})
     if len(budget) != 1 or not budget.keys() <= {"cost_units", "seconds"}:
         raise ConfigError(f"search config: budget needs exactly one of "
@@ -247,14 +248,16 @@ def cmd_search(args):
                               f"{least}, got {value!r}")
     try:
         space = S.SearchSpace.from_dict(cfg.get("space", {}))
+        if cfg["rounds"] > 0:  # every round mutates: probe once, off the search's RNG
+            rng = random.Random(0)
+            S.mutate(S.sample_candidate(space, rng).genome, space, rng)
     except ConfigError as exc:
         raise ConfigError(f"search config: {exc}")
     topk = cfg.get("topk", {})
     unknown = sorted(set(topk) - {"k", "factors", "stacks"})
     if unknown:
         raise ConfigError(f"search config: unknown topk fields: {unknown}")
-    topk_args = (topk.get("k", 2), topk.get("factors", [2, 4]), topk.get("stacks", [6, 8]))
-    S.check_topk(*topk_args)
+    S.finalize_topk(S.EvolutionState(), **topk)  # checks the settings before any trial
     runner = _build_runner(cfg, seed, space)
     _make_out_dir(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -264,7 +267,7 @@ def cmd_search(args):
     state = S.evolve(space, cfg["population"], cfg["rounds"], runner,
                      seed=seed, tournament_size=tournament_size,
                      ledger_path=ledger_path, resume=args.resume)
-    _write_json(os.path.join(args.out, "topk.json"), S.finalize_topk(state, *topk_args))
+    _write_json(os.path.join(args.out, "topk.json"), S.finalize_topk(state, **topk))
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trial_id", "reward", "step_time", "final_loss", "stop_reason"])

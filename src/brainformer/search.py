@@ -40,7 +40,7 @@ from .model import (
     SCALE_FACTORS, scale_model_dim,
 )
 from .training import (
-    TrainState, evaluate_perplexity, measure_step_time,
+    TrainConfig, TrainState, evaluate_perplexity, measure_step_time,
     read_log, train_steps, BYTE_VOCAB,
 )
 
@@ -169,12 +169,13 @@ def sample_candidate(space, rng, cand_id=0):
 
 
 def _mutable_items(space, genome):
+    """What a mutation may change: each domain of two or more distinct values."""
     items = [("field", f, space.domain(f)) for f in SEARCHED_FIELDS
-             if len(space.domain(f)) > 1]
-    if len(space.layer_kinds) > 1:
+             if len(set(space.domain(f))) > 1]
+    if len(set(space.layer_kinds)) > 1:
         for pos in range(len(genome.layers)):
             items.append(("layer", pos, space.layer_kinds))
-    if len(space.k_choices) > 1:
+    if len(set(space.k_choices)) > 1:
         items.append(("k", None, space.k_choices))
     return items
 
@@ -326,62 +327,6 @@ def run_trial(genome, trial_id, parent_id, baseline, budget, step_time,
     return rec
 
 
-class SurrogateRunner:
-    """Deterministic analytic stand-in for proxy training.
-
-    Per-step cost is the analytic FLOP estimate (or an injected cost
-    function); the loss trajectory is a closed-form power-law curve whose
-    floor and decay depend only on the genome. Runs the same trial
-    protocol as real training, which makes search tests fast and
-    machine-independent.
-    """
-
-    def __init__(self, budget_cost_units, baseline_genome=None,
-                 batch_size=8, seq_len=128, cost_fn=None):
-        self.budget = float(budget_cost_units)
-        self.batch_size = batch_size
-        self.seq_len = seq_len
-        self.cost_fn = cost_fn or self._default_cost
-        self.baseline_genome = baseline_genome or glam_baseline_block()
-        self.baseline = None
-
-    def _default_cost(self, genome):
-        return float(step_cost_units(proxy_model_spec(genome, max_seq_len=self.seq_len),
-                                     self.batch_size, self.seq_len))
-
-    def loss_curve(self, genome, step):
-        """Analytic validation-loss curve; lower floor for bigger models,
-        faster decay for models activating a larger share of their weights."""
-        spec = proxy_model_spec(genome, max_seq_len=self.seq_len)
-        counts = count_params(spec)
-        floor = 1.0 + 14.0 / math.log(counts.n_params_no_embed + 3)
-        decay = 0.22 + 0.12 * counts.n_act_params_no_embed / counts.n_params_no_embed
-        return floor + 4.0 * (step + 1.0) ** -decay
-
-    def baseline_record(self):
-        if self.baseline is None:
-            self.baseline = self._evaluate(self.baseline_genome, trial_id=-1,
-                                           parent_id=None, baseline=None)
-            self.baseline.stop_reason = STOP_BASELINE
-        return self.baseline
-
-    def evaluate(self, candidate):
-        return self._evaluate(candidate.genome, candidate.id, candidate.parent_id,
-                              baseline=self.baseline_record())
-
-    def _evaluate(self, genome, trial_id, parent_id, baseline):
-        cost = self.cost_fn(genome)
-
-        def curve(step):
-            return self.loss_curve(genome, step)
-
-        def finish(steps):
-            points = sorted({max(1, steps * i // 10) for i in range(1, 11)})
-            return curve(steps), [[s, curve(s)] for s in points]
-        return run_trial(genome, trial_id, parent_id, baseline, self.budget,
-                         cost, cost, lambda n: (n, [], False), curve, finish)
-
-
 class ProxyTrainingRunner:
     """Real proxy training: stack the block three times, train under the
     fixed budget, prune at the 25% checkpoint, reward the negative final
@@ -389,7 +334,8 @@ class ProxyTrainingRunner:
     carries on the first's optimizer moments and batch RNG. ``seed``
     initialises every proxy model; trial i (the baseline: 0) draws its
     batches, step-time measurement included, from ``seed + i``, never
-    from ``train_cfg.seed``."""
+    from ``train_cfg.seed``. The baseline trains once, on first use; a
+    subclass overrides only ``_trial``, how one trial trains and scores."""
 
     def __init__(self, corpus, train_cfg, budget_cost_units=None,
                  budget_seconds=None, baseline_genome=None, seed=0):
@@ -403,6 +349,11 @@ class ProxyTrainingRunner:
         self.seed = seed
         self.baseline = None
 
+    def step_cost(self, genome):
+        """The analytic cost units of one training step of ``genome``'s proxy."""
+        return float(step_cost_units(proxy_model_spec(genome, self.cfg.seq_len),
+                                     self.cfg.batch_size, self.cfg.seq_len))
+
     def baseline_record(self):
         if self.baseline is None:
             self.baseline = self._evaluate(self.baseline_genome, -1, None, None)
@@ -414,9 +365,13 @@ class ProxyTrainingRunner:
                               self.baseline_record())
 
     def _evaluate(self, genome, trial_id, parent_id, baseline):
-        spec = proxy_model_spec(genome, max_seq_len=self.cfg.seq_len)
-        model = LanguageModel(spec, seed=self.seed)
-        cost = float(step_cost_units(spec, self.cfg.batch_size, self.cfg.seq_len))
+        return run_trial(genome, trial_id, parent_id, baseline, self.budget,
+                         *self._trial(genome, trial_id))
+
+    def _trial(self, genome, trial_id):
+        """``run_trial``'s step time, cost per step, train, quality, finish."""
+        model = LanguageModel(proxy_model_spec(genome, self.cfg.seq_len), seed=self.seed)
+        cost = self.step_cost(genome)
         cfg = replace(self.cfg, seed=self.seed + max(trial_id, 0))
         step_time = measure_step_time(model, self.corpus, cfg) \
             if self.wallclock else cost
@@ -432,9 +387,45 @@ class ProxyTrainingRunner:
             return evaluate_perplexity(model, self.corpus, split=split,
                                        seq_len=self.cfg.seq_len,
                                        max_tokens=self.cfg.eval_tokens)
-        return run_trial(genome, trial_id, parent_id, baseline, self.budget,
-                         step_time, cost, train, quality,
-                         lambda step: (math.log(quality(step)), []))
+        return (step_time, cost, train, quality,
+                lambda step: (math.log(quality(step)), []))
+
+
+class SurrogateRunner(ProxyTrainingRunner):
+    """Deterministic analytic stand-in for proxy training.
+
+    Per-step cost is the analytic FLOP estimate (or an injected cost
+    function); the loss trajectory is a closed-form power-law curve whose
+    floor and decay depend only on the genome. Only ``_trial`` differs
+    from real training, so the trial protocol and the baseline are the
+    same, which makes search tests fast and machine-independent.
+    """
+
+    def __init__(self, budget_cost_units, baseline_genome=None,
+                 batch_size=8, seq_len=128, cost_fn=None):
+        super().__init__(None, TrainConfig(batch_size=batch_size, seq_len=seq_len),
+                         budget_cost_units=float(budget_cost_units),
+                         baseline_genome=baseline_genome)
+        self.cost_fn = cost_fn or self.step_cost
+
+    def loss_curve(self, genome, step):
+        """Analytic validation-loss curve; lower floor for bigger models,
+        faster decay for models activating a larger share of their weights."""
+        counts = count_params(proxy_model_spec(genome, self.cfg.seq_len))
+        floor = 1.0 + 14.0 / math.log(counts.n_params_no_embed + 3)
+        decay = 0.22 + 0.12 * counts.n_act_params_no_embed / counts.n_params_no_embed
+        return floor + 4.0 * (step + 1.0) ** -decay
+
+    def _trial(self, genome, trial_id):
+        cost = self.cost_fn(genome)
+
+        def curve(step):
+            return self.loss_curve(genome, step)
+
+        def finish(steps):
+            points = sorted({max(1, steps * i // 10) for i in range(1, 11)})
+            return curve(steps), [[s, curve(s)] for s in points]
+        return cost, cost, lambda n: (n, [], False), curve, finish
 
 
 def _thin(records, keep=10):
@@ -544,7 +535,7 @@ def check_topk(k, factors, stacks):
                           f"stacks={stacks!r}")
 
 
-def finalize_topk(state, k, factors=(2, 4), stacks=(6, 8)):
+def finalize_topk(state, k=2, factors=(2, 4), stacks=(6, 8)):
     """Scale-and-stack the k best completed trials into full model specs.
 
     Ties in reward break toward the earlier trial id. If fewer than k

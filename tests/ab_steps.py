@@ -13,12 +13,16 @@ Each repetition then times, per tree, one training step (``train_steps``
 of one step) and one ``no_grad`` evaluation forward of 512 validation
 tokens with its cross entropy; the tree that goes first alternates.
 
-After the timed loop, a separate pass trains one more step per tree under
-``tracemalloc``, so the timing is untouched, and takes the peak of the
-memory traced during that step (numpy's arrays included, on both threads).
+After the timed loop, a separate pass trains ``TRACED_STEPS`` more steps
+per tree under ``tracemalloc``, so the timing is untouched, alternating
+the trees, and takes the peak of the memory traced during each step
+(numpy's arrays included, on both threads). A step's peak depends on how
+far the helper thread has drained its queue of optimizer steps, so one
+step's reading varies from run to run; the median and maximum over several
+steps repeat better.
 
 Prints each tree's median milliseconds, how often the new tree was
-faster, each tree's traced peak of one training step in MB, and whether
+faster, the median and maximum of each tree's traced peaks in MB, and whether
 every parameter of the two models is bitwise equal at the end; exits 1
 only if one differs. Each tree's package starts its own
 helper thread, so the process holds two. pytest does not collect it.
@@ -46,6 +50,7 @@ from workloads import (  # noqa: E402
 )
 
 WARMUP_STEPS = 3
+TRACED_STEPS = 5
 FORWARD_TOKENS = 512
 
 
@@ -143,9 +148,14 @@ def main(argv=None):
         faster = sum(n < o for o, n in zip(old, new))
         print(f"{label:<26} {m_old:>9.2f} {m_new:>9.2f} {m_new / m_old:>8.3f}  "
               f"{faster} of {args.reps}")
-    peaks = {tag: traced_peak_mb(lambda: sides[tag].train(1)) for tag in ("old", "new")}
-    print(f"{'traced peak of one step':<26} {peaks['old']:>6.1f} MB {peaks['new']:>6.1f} MB "
-          f"{peaks['new'] / peaks['old']:>8.3f}")
+    peaks = {tag: [] for tag in sides}
+    for rep in range(TRACED_STEPS):
+        for tag in ("old", "new") if rep % 2 == 0 else ("new", "old"):
+            peaks[tag].append(traced_peak_mb(lambda: sides[tag].train(1)))
+    for what, stat in (("median", statistics.median), ("max", max)):
+        old, new = stat(peaks["old"]), stat(peaks["new"])
+        print(f"{f'traced peak, {what} of {TRACED_STEPS}':<26} {old:>6.1f} MB {new:>6.1f} MB "
+              f"{new / old:>8.3f}")
     old_params, new_params = (sides[tag].model.params for tag in ("old", "new"))
     differ = [name for name, p in old_params.items()
               if p.data.tobytes() != new_params[name].data.tobytes()]

@@ -276,6 +276,50 @@ class TestSearchCommand:
         assert "topk" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_topk_defaults_are_finalize_topks(self, tmp_path):
+        """A config without ``topk`` finalizes with ``finalize_topk``'s own
+        defaults: the two best trials, scaled 2x over 6 blocks and 4x over 8."""
+        doc = json.loads(Path(search_config(tmp_path)).read_text())
+        del doc["topk"]
+        path, out = tmp_path / "defaults.json", tmp_path / "o"
+        path.write_text(json.dumps(doc))
+        assert main(["search", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        topk = json.loads((out / "topk.json").read_text())
+        assert topk["requested"] == 2 and topk["selected"]
+        for sel in topk["selected"]:
+            assert [(s["factor"], s["n_blocks"]) for s in sel["scaled"]] == [(2, 6), (4, 8)]
+
+    SINGLE_VALUED = {"k_choices": [2], "layer_kinds": ["attn"], "d_choices": [8],
+                     "d_moe_choices": [16], "d_ffn_choices": [16], "h_choices": [2],
+                     "g_choices": ["top2"], "c_choices": [2], "a_choices": ["relu"],
+                     "n_experts": 2, "d_head": 4}
+
+    @pytest.mark.parametrize("edit, message", [
+        ({}, "no mutable fields in this search space"),
+        ({"k_choices": [1], "layer_kinds": ["attn", "ffn"]},
+         "mutation failed to produce a valid child"),
+        ({"d_choices": [8, 8]}, "no mutable fields in this search space")])
+    def test_space_that_cannot_mutate_refused_before_any_trial(self, tmp_path, edit,
+                                                                message, capsys):
+        """Every round mutates a parent, so a space in which no genome can
+        mutate is refused before the baseline trains; with no rounds it
+        runs."""
+        space = {**self.SINGLE_VALUED, **edit}
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, space=space, population=2, rounds=2)
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: search config: {message}\n"
+        assert not out.exists()
+        cfg = search_config(tmp_path, space=space, population=2, rounds=0)
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+    def test_empty_baseline_genome_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = search_config(tmp_path, baseline_genome={})
+        assert main(["search", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "malformed genome" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, edit, message", [
         ("space", {"k_choices": [2.5, 4]}, "k_choices must be integers >= 1, got 2.5"),
         ("space", {"k_choices": [True]}, "k_choices must be integers >= 1, got True"),

@@ -174,6 +174,19 @@ class TestMutate:
         with pytest.raises(ConfigError):
             mutate(parent, s, random.Random(0))
 
+    def test_repeated_value_is_one_choice(self):
+        """A domain whose values are all equal is not mutable; one that
+        repeats a value besides another still mutates to it."""
+        parent = toy_baseline()
+        with pytest.raises(ConfigError, match="no mutable fields"):
+            mutate(parent, toy_space(k_choices=(2, 2), layer_kinds=("attn", "attn"),
+                                     d_choices=(8, 8), g_choices=("top2",),
+                                     c_choices=(2,)), random.Random(0))
+        s = toy_space(k_choices=(2,), layer_kinds=("attn",), d_choices=(8, 8, 16),
+                      g_choices=("top2",), c_choices=(2,))
+        children = {mutate(parent, s, random.Random(i)).d for i in range(20)}
+        assert children == {16}
+
 
 class TestEarlyStop:
     """``run_trial``'s two prunes compare strictly against the baseline:
@@ -267,6 +280,52 @@ class TestSurrogateRunner:
         assert r.baseline_record() is r.baseline_record()
         assert r.baseline_record().stop_reason == STOP_BASELINE
         assert r.baseline_record().trial_id == -1
+
+
+class TestOneRunner:
+    """The surrogate is a ``ProxyTrainingRunner`` that overrides only
+    ``_trial``: both train their baseline once and price a step alike."""
+
+    def runner(self, kind):
+        if kind == "surrogate":
+            return SurrogateRunner(budget_cost_units=1e12, batch_size=2, seq_len=8,
+                                   baseline_genome=toy_baseline())
+        proxy = TestProxyTrainingRunner()
+        return ProxyTrainingRunner(proxy.corpus(), proxy.cfg(), budget_cost_units=3e6,
+                                   baseline_genome=toy_baseline())
+
+    @pytest.mark.parametrize("kind", ["surrogate", "proxy"])
+    def test_baseline_trains_once(self, kind, monkeypatch):
+        runner = self.runner(kind)
+        trial, calls = runner._trial, []
+
+        def counting(genome, trial_id):
+            calls.append((genome, trial_id))
+            return trial(genome, trial_id)
+        monkeypatch.setattr(runner, "_trial", counting)
+        other = replace(toy_baseline(), c=1)
+        recs = [runner.evaluate(Candidate(genome=other, id=i)) for i in range(3)]
+        assert runner.baseline_record() is runner.baseline_record()
+        assert [c for c in calls if c[0] == toy_baseline()] == [(toy_baseline(), -1)]
+        assert calls[1:] == [(other, 0), (other, 1), (other, 2)]
+        assert [r.trial_id for r in recs] == [0, 1, 2]
+
+    @pytest.mark.parametrize("genome", [toy_baseline(), replace(toy_baseline(), d=16),
+                                        replace(toy_baseline(), layers=("attn",))])
+    def test_step_cost_is_the_analytic_formula(self, genome):
+        from brainformer.model import step_cost_units
+        want = float(step_cost_units(proxy_model_spec(genome, max_seq_len=8), 2, 8))
+        surrogate, proxy = self.runner("surrogate"), self.runner("proxy")
+        assert surrogate.step_cost(genome) == proxy.step_cost(genome) == want
+        assert surrogate.cost_fn(genome) == want
+        # a proxy trial records it as its cost per step
+        assert proxy._evaluate(genome, 0, None, None).cost_per_step == want
+
+    @pytest.mark.parametrize("shape", [{"batch_size": 0}, {"seq_len": 0},
+                                       {"batch_size": 2.0}])
+    def test_surrogate_shape_checked_by_train_config(self, shape):
+        with pytest.raises(ConfigError, match="must be an integer >= 1"):
+            SurrogateRunner(budget_cost_units=1.0, **shape)
 
 
 class TestLedger:
