@@ -328,8 +328,6 @@ def cmd_train(args):
     except ConfigError as exc:
         raise ConfigError(f"train config: {exc}")
     spec = _load_model_spec(args.genome, args.stack)
-    if spec.block.d_head * spec.block.h > 4096 and cfg.seq_len > 512:
-        print("warning: large config; this is a desk-scale trainer", file=sys.stderr)
     if cfg.seq_len > spec.max_seq_len:
         raise ConfigError(f"seq_len {cfg.seq_len} exceeds genome max_seq_len "
                           f"{spec.max_seq_len}")

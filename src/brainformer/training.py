@@ -38,7 +38,6 @@ class TrainConfig:
     seq_len: int = 128
     seed: int = 0
     aux_coeff: float = 0.01
-    beta2: float = 0.99
     valid_fraction: float = 0.1
     log_every: int = 1
     eval_tokens: int = 2048
@@ -58,7 +57,6 @@ class TrainConfig:
             elif not real_number(value):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
         for name, in_range, rule in (("base_lr", self.base_lr > 0, "> 0"),
-                                     ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                                      ("aux_coeff", self.aux_coeff >= 0, ">= 0")):
             if not in_range:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -178,12 +176,12 @@ class Adafactor:
     outside code may change a param in place but never rebinds ``p.data``.
     """
 
+    BETA2 = 0.99
     EPS1 = 1e-30
     EPS2 = 1e-3
     CLIP = 1.0
 
-    def __init__(self, params, beta2=0.99):
-        self.beta2 = beta2
+    def __init__(self, params):
         self.state = {}
         by_shape = {}
         for name, p in params.items():
@@ -216,7 +214,7 @@ class Adafactor:
 
         def on_leaf(leaf):
             chunk = self._big.get(leaf)
-            if chunk is not None and leaf.grad is not None:
+            if chunk is not None:
                 worker.submit((self._update_chunk, chunk, [0], lr))
         try:
             yield on_leaf
@@ -253,7 +251,7 @@ class Adafactor:
     def _update_chunk(self, chunk, live, lr):
         """Step the chunk's members at indices ``live``: the whole chunk in
         place, or copies of part of its arrays, written back once stepped."""
-        b2, k = self.beta2, len(live)
+        k = len(live)
         members = [chunk.members[i] for i in live]
         whole = k == len(chunk.members)
         arrays = chunk.arrays if whole else {key: a[live] for key, a in chunk.arrays.items()}
@@ -273,27 +271,14 @@ class Adafactor:
             R, C = arrays["r"], arrays["c"]
             rows = np.add.reduce(G2, axis=2)
             self._check_finite(chunk, live, G, rows)
-            cols = np.add.reduce(G2, axis=1)
-            # in place: b2 * r + (1 - b2) * (rows + n * EPS1), same bits
-            rows += G.shape[2] * self.EPS1
-            rows *= 1 - b2
-            R *= b2
-            R += rows
-            cols += G.shape[1] * self.EPS1
-            cols *= 1 - b2
-            C *= b2
-            C += cols
+            self._decay(R, rows, G.shape[2])
+            self._decay(C, np.add.reduce(G2, axis=1), G.shape[1])
             row_factor = 1.0 / np.sqrt(R / np.add.reduce(R, axis=1, keepdims=True))
             U = np.multiply(G, row_factor[:, :, None], out=G2)
             U *= (1.0 / np.sqrt(C))[:, None, :]
         else:
-            V = arrays["v"]
             self._check_finite(chunk, live, G, G2)
-            G2 += self.EPS1
-            G2 *= 1 - b2
-            V *= b2
-            V += G2
-            U = np.divide(G, np.sqrt(V), out=G2)
+            U = np.divide(G, np.sqrt(self._decay(arrays["v"], G2, 1)), out=G2)
         for p in members:
             p.grad = None
         # each RMS is one np.vecdot per slice, the dot a loop runs (einsum
@@ -308,6 +293,15 @@ class Adafactor:
         if not whole:
             for key, a in arrays.items():
                 chunk.arrays[key][live] = a
+
+    def _decay(self, moment, fresh, n):
+        """``moment = BETA2 * moment + (1 - BETA2) * (fresh + n * EPS1)`` in place,
+        ``fresh`` being g * g summed over n entries (overwritten); returns ``moment``."""
+        fresh += n * self.EPS1
+        fresh *= 1 - self.BETA2
+        moment *= self.BETA2
+        moment += fresh
+        return moment
 
     @staticmethod
     def _check_finite(chunk, live, G, reduced):
@@ -335,8 +329,7 @@ class TrainState:
 
     @classmethod
     def fresh(cls, model, cfg):
-        return cls(Adafactor(model.params, beta2=cfg.beta2),
-                   np.random.default_rng(cfg.seed))
+        return cls(Adafactor(model.params), np.random.default_rng(cfg.seed))
 
 
 def _checkpoint_arrays(model, state):
@@ -485,7 +478,8 @@ EVAL_BATCH_TOKENS = 512
 
 
 def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=None):
-    """exp(mean token cross entropy), teacher-forced over the slice.
+    """exp(mean token cross entropy), teacher-forced over the slice; inf
+    where that overflows a float.
 
     Windows are stacked ``EVAL_BATCH_TOKENS // window`` (at least one) to
     a forward, which records no graph. Each window is its own sequence and
@@ -521,7 +515,10 @@ def evaluate_perplexity(model, corpus, split="valid", seq_len=128, max_tokens=No
     for nll, tokens in scores:
         total_nll += nll
         total_tokens += tokens
-    return math.exp(total_nll / total_tokens)
+    try:
+        return math.exp(total_nll / total_tokens)
+    except OverflowError:  # a mean NLL past about 709.78 nats
+        return math.inf
 
 
 def measure_step_time(model, corpus, cfg):

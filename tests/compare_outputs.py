@@ -1,4 +1,5 @@
-"""Byte identity of two source trees on the benchmark workloads.
+"""Byte identity of two source trees on the benchmark workloads and the
+surrogate search.
 
     python tests/compare_outputs.py OLD_SRC NEW_SRC [--seeds N ...] [--blas-threads N]
 
@@ -8,7 +9,8 @@ run length (``run_seconds`` of ``BENCHMARK.json``), and runs
 ``python -m brainformer.cli`` on them once per tree, with that tree as
 ``PYTHONPATH`` and ``--blas-threads`` BLAS threads: 1 by default, as
 ``perfbench/run.py`` runs it; more checks the outputs where the program's
-two threads both call a multi-threaded BLAS. It
+two threads both call a multi-threaded BLAS. For each seed it also runs
+``search --config configs/search_surrogate.json --seed SEED``. It
 compares a search's ``ledger.jsonl``, ``topk.json`` and ``summary.csv``,
 and a training's ``checkpoint.bin``, ``train_report.json`` and
 ``trajectory.jsonl`` without its wall-clock ``step_time``; both runs must
@@ -37,6 +39,7 @@ from workloads import WORKLOADS, write_inputs  # noqa: E402
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OUTPUTS = {"search": ("ledger.jsonl", "topk.json", "summary.csv"),
            "train": ("checkpoint.bin", "train_report.json", "trajectory.jsonl")}
+SURROGATE_CONFIG = os.path.join(ROOT, "configs", "search_surrogate.json")
 
 
 def run_cli(src, argv, out_dir, cwd, blas_threads):
@@ -87,11 +90,22 @@ def read_output(path):
     return size, digest.hexdigest()
 
 
-def compare(workload, seed, seconds, old_src, new_src, blas_threads):
-    """Table rows ``(what, ok, detail)`` of one workload and seed; the
-    inputs and outputs go in a directory removed on return."""
+def runs_of_seed(seed, seconds):
+    """``(name, kind, argv_of)`` of each run of one seed: the benchmark
+    workloads, then the surrogate search. ``argv_of(in_dir)`` writes the
+    run's inputs there and returns its command line."""
+    runs = [(w.name, w.kind, lambda in_dir, w=w: write_inputs(w, seed, seconds, in_dir)[0])
+            for w in WORKLOADS.values()]
+    runs.append(("search-surrogate", "search", lambda in_dir: [
+        "search", "--config", SURROGATE_CONFIG, "--seed", str(seed)]))
+    return runs
+
+
+def compare(kind, argv_of, old_src, new_src, blas_threads):
+    """Table rows ``(what, ok, detail)`` of one run; the inputs and outputs
+    go in a directory removed on return."""
     with tempfile.TemporaryDirectory() as case:
-        argv, _ = write_inputs(workload, seed, seconds, os.path.join(case, "in"))
+        argv = argv_of(os.path.join(case, "in"))
         outs = {side: os.path.join(case, side) for side in ("old", "new")}
         srcs = {"old": old_src, "new": new_src}
         runs = {side: run_cli(src, argv, outs[side], case, blas_threads)
@@ -101,7 +115,7 @@ def compare(workload, seed, seconds, old_src, new_src, blas_threads):
                  "; ".join(f"{side}: exit {code}, stderr {err.strip()[-200:]!r}, "
                            f"peak RSS {rss:.1f} MB, {source_lines(srcs[side])} source lines"
                            for side, (code, err, rss) in runs.items()))]
-        for name in OUTPUTS[workload.kind]:
+        for name in OUTPUTS[kind]:
             old, new = (read_output(os.path.join(outs[side], name)) for side in outs)
             detail = "missing" if old is None or new is None else \
                 f"{old[0]} bytes" if old == new else f"{old[0]} vs {new[0]} bytes"
@@ -111,7 +125,8 @@ def compare(workload, seed, seconds, old_src, new_src, blas_threads):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description="byte identity of two source trees "
-                                             "on the benchmark workloads")
+                                             "on the benchmark workloads and the "
+                                             "surrogate search")
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
@@ -125,10 +140,10 @@ def main(argv=None):
     print(f"{'seed':>4}  {'workload':<16} {'output':<21} {'result':<9} detail")
     n_rows = n_bad = 0
     for seed in args.seeds:
-        for workload in WORKLOADS.values():
-            for what, ok, detail in compare(workload, seed, seconds, args.old_src,
+        for name, kind, argv_of in runs_of_seed(seed, seconds):
+            for what, ok, detail in compare(kind, argv_of, args.old_src,
                                             args.new_src, args.blas_threads):
-                print(f"{seed:>4}  {workload.name:<16} {what:<21} "
+                print(f"{seed:>4}  {name:<16} {what:<21} "
                       f"{'ok' if ok else 'FAIL':<9} {detail}", flush=True)
                 n_rows += 1
                 n_bad += not ok

@@ -149,11 +149,11 @@ def adafactor_oracle(opt, params, lr):
         st = opt.state[name]
         g2 = g * g + opt.EPS1
         if "r" in st:
-            st["r"] = opt.beta2 * st["r"] + (1 - opt.beta2) * g2.sum(axis=1)
-            st["c"] = opt.beta2 * st["c"] + (1 - opt.beta2) * g2.sum(axis=0)
+            st["r"] = opt.BETA2 * st["r"] + (1 - opt.BETA2) * g2.sum(axis=1)
+            st["c"] = opt.BETA2 * st["c"] + (1 - opt.BETA2) * g2.sum(axis=0)
             v = np.outer(st["r"], st["c"]) / st["r"].sum()
         else:
-            st["v"] = opt.beta2 * st["v"] + (1 - opt.beta2) * g2
+            st["v"] = opt.BETA2 * st["v"] + (1 - opt.BETA2) * g2
             v = st["v"]
         u = g / np.sqrt(v)
         rms_u = np.sqrt(np.mean(u * u))
@@ -167,7 +167,7 @@ def adafactor_reference(opt, params, lr):
     chunked update replaced: the same arithmetic per parameter, so the
     two agree bit for bit. Reads ``opt``'s constants and rebinds its
     ``state`` entries, so ``opt`` is only ever updated through here."""
-    b2 = opt.beta2
+    b2 = opt.BETA2
     for name, p in params.items():
         g = p.grad
         if g is None:

@@ -233,7 +233,8 @@ class TestSearchCommand:
         ({"seed": 1.0}, "seed must be an integer >= 0"),
         ({"space": {"d_choices": 64}}, "d_choices must be a JSON list"),
         ({"space": {"g_choices": ["expert_choice"], "c_choices": [1, 4],
-                    "n_experts": 2}}, "expert choice needs c <= n_experts")])
+                    "n_experts": 2}}, "expert choice needs c <= n_experts"),
+        ({"mode": "evolve"}, "search config: unknown mode 'evolve'")])
     def test_bad_scalar_rejected_before_any_trial(self, tmp_path, edit, message,
                                                   capsys):
         out = tmp_path / "o"
@@ -825,9 +826,7 @@ class TestTrainCommand:
         ({"valid_fraction": False}, "valid_fraction must be a number"),
         ({"base_lr": -1}, "base_lr must be > 0"),
         ({"base_lr": 0}, "base_lr must be > 0"),
-        ({"beta2": 1.0}, "beta2 must be in [0, 1)"),
-        ({"beta2": 1.5}, "beta2 must be in [0, 1)"),
-        ({"beta2": -0.1}, "beta2 must be in [0, 1)"),
+        ({"beta2": 0.99}, "unknown train config fields: ['beta2']"),
         ({"aux_coeff": -5}, "aux_coeff must be >= 0")])
     def test_bad_field_type(self, tmp_path, genome_file, corpus_file, edit,
                             message, capsys):
@@ -837,6 +836,29 @@ class TestTrainCommand:
                      "--out", str(out)]) == EXIT_USAGE
         assert f"train config: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seq_len_above_max_seq_len(self, tmp_path, genome_file, corpus_file,
+                                       capsys):
+        """A bare block's model spec has max_seq_len 1024."""
+        out = tmp_path / "run"
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path, seq_len=1025),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: seq_len 1025 exceeds genome max_seq_len 1024\n"
+        assert not out.exists()
+
+    def test_training_error_exits_1_with_one_stderr_line(self, tmp_path, genome_file,
+                                                         corpus_file, monkeypatch,
+                                                         capsys):
+        def raising(*args, **kw):
+            raise TR.TrainingError("non-finite gradient in 'out'")
+        monkeypatch.setattr(TR, "train_steps", raising)
+        assert main(["train", "--genome", genome_file, "--corpus", corpus_file,
+                     "--config", self.train_cfg(tmp_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            "training error: non-finite gradient in 'out'\n"
 
     @pytest.mark.parametrize("valid_fraction", [-0.5, 1.0, 1.5])
     def test_valid_fraction_out_of_range(self, tmp_path, genome_file, corpus_file,
